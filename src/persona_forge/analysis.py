@@ -7,11 +7,9 @@ import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from .mixture import (AssignmentSet, EMConfig, KMeansConfig, MixtureModel,
-                      fit_em, fit_kmeans)
+                      fit_em, fit_kmeans, match_clusters)
 
 log = logging.getLogger(__name__)
 
@@ -92,7 +90,7 @@ def stability_check(X: np.ndarray, k: int, epsilon: float, delta: float,
         for bi in range(ai + 1, len(ok)):
             ca, sa = results[ok[ai]]
             cb, sb = results[ok[bi]]
-            rows, cols = linear_sum_assignment(cdist(ca, cb))
+            rows, cols = match_clusters(ca, cb)
             eps_obs = max(eps_obs, float(
                 np.linalg.norm(ca[rows] - cb[cols], axis=1).max()))
             delta_obs = max(delta_obs, float(
@@ -198,7 +196,7 @@ def layered_fit(X_inner: np.ndarray, parent_labels: np.ndarray, k_inner: int,
         for j in range(i + 1, len(parents)):
             ca = models[parents[i]].theta
             cb = models[parents[j]].theta
-            rows, cols = linear_sum_assignment(cdist(ca, cb, metric="cityblock"))
+            rows, cols = match_clusters(ca, cb, metric="cityblock")
             divergence = max(divergence, float(
                 np.abs(ca[rows] - cb[cols]).sum(axis=1).max()))
     return LayeredReport(models, divergence, skipped)

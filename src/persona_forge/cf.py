@@ -3,11 +3,12 @@ factor variants."""
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import artifacts
 
 log = logging.getLogger(__name__)
 
@@ -176,10 +177,6 @@ class FactorModel:
         return float(r)
 
 
-def _predict_train(model: FactorModel, u: int, i: int) -> float:
-    return model.predict(u, i)
-
-
 def fit_factor(n_users: int, n_items: int, ratings, variant: str = "vanilla",
                cluster_info: dict | None = None,
                config: FactorConfig | None = None) -> FactorModel:
@@ -254,7 +251,7 @@ def fit_factor(n_users: int, n_items: int, ratings, variant: str = "vanilla",
         rng.shuffle(order)
         for idx in order:
             u, i, r = ratings[idx]
-            err = r - _predict_train(model, u, i)
+            err = r - model.predict(u, i)
             p = model.P[u].copy()  # pre-update values for every update below
             q = model.Q[i].copy()
             model.bu[u] += lr * (err - reg * model.bu[u])
@@ -289,12 +286,12 @@ def rmse(model: FactorModel, ratings) -> float:
     return _rmse(model, [(int(u), int(i), float(r)) for u, i, r in ratings])
 
 
-def factor_model_to_json(model: FactorModel) -> str:
+def factor_model_to_dict(model: FactorModel) -> dict:
     def arr(a):
         return None if a is None else [[repr(float(v)) for v in row]
                                        for row in np.atleast_2d(a).tolist()]
 
-    payload = {
+    return {
         "variant": model.variant,
         "mu": repr(model.mu),
         "bu": arr(model.bu),
@@ -306,4 +303,7 @@ def factor_model_to_json(model: FactorModel) -> str:
         "final_rmse": repr(model.rmse_trace[-1]) if model.rmse_trace else None,
         "empty_clusters": model.empty_clusters,
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def factor_model_to_json(model: FactorModel) -> str:
+    return artifacts.to_json(factor_model_to_dict(model))

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -12,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from . import analysis, cf, ctr, features, ingest, mixture, synth
+from . import analysis, artifacts, cf, ctr, features, ingest, mixture, synth
 
 STAGES = ("synth", "ingest", "featurize", "cluster", "analyze", "ctr", "cf")
 
@@ -44,17 +43,14 @@ def _sha256(path: Path) -> str:
 
 def _write_manifest(out: Path, stage: str, inputs: list[str],
                     outputs: list[str], seed: int, params: dict) -> None:
-    manifest = {
+    artifacts.write_json(out / f"manifest_{stage}.json", {
         "stage": stage,
         "version": __version__,
         "seed": seed,
         "params": params,
         "inputs": {name: _sha256(out / name) for name in sorted(inputs)},
         "outputs": {name: _sha256(out / name) for name in sorted(outputs)},
-    }
-    with open(out / f"manifest_{stage}.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    })
 
 
 def _require(out: Path, name: str, stage: str) -> Path:
@@ -140,23 +136,23 @@ def stage_ingest(config: dict, out: Path, seed: int) -> None:
     if section.get("filter", True):
         rs = ingest.filter_inactive(rs)
     ingest.write_log(rs, out / "filtered.csv")
-    with open(out / "ingest_diagnostics.json", "w", encoding="utf-8") as fh:
-        json.dump([{"row": d.row, "message": d.message}
-                   for d in result.diagnostics], fh, indent=2)
-        fh.write("\n")
+    artifacts.write_json(out / "ingest_diagnostics.json",
+                         [{"row": d.row, "message": d.message}
+                          for d in result.diagnostics])
     _write_manifest(out, "ingest", inputs,
                     ["filtered.csv", "ingest_diagnostics.json"], seed, section)
 
 
-def _load_records(out: Path, stage: str) -> ingest.RecordSet:
+def _load_records(out: Path, stage: str) -> tuple[str, ingest.RecordSet]:
+    """(artifact name, records) of the filtered log, else the raw log."""
     for name in ("filtered.csv", "log.csv"):
         if (out / name).exists():
-            return ingest.parse_log(out / name).record_set
+            return name, ingest.parse_log(out / name).record_set
     raise DataError(f"stage {stage!r} requires 'filtered.csv' or 'log.csv'")
 
 
 def stage_featurize(config: dict, out: Path, seed: int) -> None:
-    rs = _load_records(out, "featurize")
+    log_name, rs = _load_records(out, "featurize")
     ti = features.tenure_align(rs)
     outputs = []
     for ch in features.CHARACTERIZATIONS:
@@ -164,31 +160,25 @@ def stage_featurize(config: dict, out: Path, seed: int) -> None:
         name = f"features_{ch}.csv"
         features.write_matrix(cm, out / name)
         outputs += [name, name + ".json"]
-    inputs = ["filtered.csv" if (out / "filtered.csv").exists() else "log.csv"]
-    _write_manifest(out, "featurize", inputs, outputs, seed, {})
+    _write_manifest(out, "featurize", [log_name], outputs, seed, {})
 
 
 def _write_assignments(path: Path, keys, tau: np.ndarray,
                        hard: np.ndarray) -> None:
-    k = tau.shape[1]
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["user_id", "month_index"]
-                        + [f"tau_{j}" for j in range(k)] + ["hard"])
-        for (user, month), row, label in zip(keys, tau, hard):
-            writer.writerow([user, month] + [repr(float(v)) for v in row]
-                            + [int(label)])
+    artifacts.write_csv(
+        path,
+        ["user_id", "month_index"] + [f"tau_{j}" for j in range(tau.shape[1])]
+        + ["hard"],
+        ([user, month] + [repr(float(v)) for v in row] + [int(label)]
+         for (user, month), row, label in zip(keys, tau, hard)))
 
 
 def read_assignments(path) -> tuple[list[tuple[str, int]], np.ndarray, np.ndarray]:
     keys, taus, hards = [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for raw in reader:
-            keys.append((raw[0], int(raw[1])))
-            taus.append([float(v) for v in raw[2:-1]])
-            hards.append(int(raw[-1]))
+    for raw in artifacts.read_csv(path):
+        keys.append((raw[0], int(raw[1])))
+        taus.append([float(v) for v in raw[2:-1]])
+        hards.append(int(raw[-1]))
     return keys, np.array(taus), np.array(hards, dtype=np.int64)
 
 
@@ -217,8 +207,8 @@ def stage_cluster(config: dict, out: Path, seed: int) -> None:
                     mixture.EMConfig(restarts=restarts, seed=seed),
                     characterization=ch)
                 tau, hard = assign.tau, assign.hard
-            with open(out / f"model_{ch}.json", "w", encoding="utf-8") as fh:
-                fh.write(mixture.model_to_json(model))
+            artifacts.write_json(out / f"model_{ch}.json",
+                                 mixture.model_to_dict(model))
             _write_assignments(out / f"assignments_{ch}.csv", cm.keys, tau, hard)
             outputs += [f"model_{ch}.json", f"assignments_{ch}.csv"]
     except (ValueError, FloatingPointError) as exc:
@@ -241,10 +231,8 @@ def stage_analyze(config: dict, out: Path, seed: int) -> None:
     ch = stab.get("characterization", "TF")
     cm = features.read_matrix(_require(out, f"features_{ch}.csv", "analyze"))
     inputs += [f"features_{ch}.csv", f"features_{ch}.csv.json"]
-    model = _load_model(out, ch, "analyze")
-    k = model.k
     stability = analysis.stability_check(
-        cm.values, k,
+        cm.values, _load_model(out, ch, "analyze").k,
         epsilon=float(stab.get("epsilon", 0.05)),
         delta=float(stab.get("delta", 0.10)),
         runs=int(stab.get("runs", 4)),
@@ -265,21 +253,18 @@ def stage_analyze(config: dict, out: Path, seed: int) -> None:
     for ch in features.CHARACTERIZATIONS:
         name = f"assignments_{ch}.csv"
         keys, tau, hard = read_assignments(_require(out, name, "analyze"))
+        k = tau.shape[1]
         inputs.append(name)
-        dom_report = analysis.dominance_check(hard, kappa, k_max,
-                                              k=tau.shape[1])
+        dom_report = analysis.dominance_check(hard, kappa, k_max, k=k)
         report["dominance"][ch] = {
             "passed": dom_report.passed,
             "shares": [round(float(s), 6) for s in dom_report.shares],
         }
-        mig = analysis.migration_matrix(keys, hard, tau.shape[1], ch)
+        mig = analysis.migration_matrix(keys, hard, k, ch)
         report["migration_support"][ch] = int(mig.support.sum())
-        with open(out / f"migration_{ch}.csv", "w", newline="\n",
-                  encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow([f"to_{j}" for j in range(tau.shape[1])])
-            for row in mig.matrix:
-                writer.writerow([repr(float(v)) for v in row])
+        artifacts.write_csv(
+            out / f"migration_{ch}.csv", [f"to_{j}" for j in range(k)],
+            ([repr(float(v)) for v in row] for row in mig.matrix))
         outputs.append(f"migration_{ch}.csv")
 
         model = _load_model(out, ch, "analyze")
@@ -287,16 +272,11 @@ def stage_analyze(config: dict, out: Path, seed: int) -> None:
         table = analysis.center_report(centers,
                                        features.CHARACTERIZATION_LABELS[ch],
                                        as_percent=ch != "ME")
-        with open(out / f"centers_{ch}.csv", "w", newline="\n",
-                  encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerows(table)
+        artifacts.write_csv(out / f"centers_{ch}.csv", table[0], table[1:])
         outputs.append(f"centers_{ch}.csv")
         inputs.append(f"model_{ch}.json")
 
-    with open(out / "analyze_report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    artifacts.write_json(out / "analyze_report.json", report)
     outputs.append("analyze_report.json")
     _write_manifest(out, "analyze", sorted(set(inputs)), outputs, seed, section)
 
@@ -313,7 +293,7 @@ def _persona_features(out: Path, stage: str) -> ctr.UserPersonaFeatures:
 
 def stage_ctr(config: dict, out: Path, seed: int) -> None:
     section = config.get("ctr", {})
-    rs = _load_records(out, "ctr")
+    log_name, rs = _load_records(out, "ctr")
     persona = _persona_features(out, "ctr")
     recipes = section.get("recipes", [{"CR": "c", "DG": "c", "ME": "c"}])
     exp_cfg = ctr.CtrExperimentConfig(
@@ -331,20 +311,19 @@ def stage_ctr(config: dict, out: Path, seed: int) -> None:
                      repr(round(evaluation.mean_auc, 6)),
                      repr(round(evaluation.mean_n, 2)), evaluation.p,
                      repr(round(evaluation.complexity_proxy, 2))])
-    with open(out / "ctr_eval.csv", "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["recency", "genre", "economic", "F", "n", "p",
-                         "O_proxy"])
-        writer.writerows(rows)
-    inputs = ["filtered.csv" if (out / "filtered.csv").exists() else "log.csv"]
-    inputs += [f"features_{ch}.csv" for ch in ctr.CTR_CHARACTERIZATIONS]
-    inputs += [f"model_{ch}.json" for ch in ctr.CTR_CHARACTERIZATIONS]
+    artifacts.write_csv(out / "ctr_eval.csv",
+                        ["recency", "genre", "economic", "F", "n", "p",
+                         "O_proxy"], rows)
+    inputs = [log_name]
+    for ch in ctr.CTR_CHARACTERIZATIONS:
+        inputs += [f"features_{ch}.csv", f"features_{ch}.csv.json",
+                   f"model_{ch}.json"]
     _write_manifest(out, "ctr", inputs, ["ctr_eval.csv"], seed, section)
 
 
 def stage_cf(config: dict, out: Path, seed: int) -> None:
     section = config.get("cf", {})
-    rs = _load_records(out, "cf")
+    log_name, rs = _load_records(out, "cf")
     value = section.get("value", "count")
     pairs: dict[tuple[str, str], float] = {}
     for r in rs.records:
@@ -359,7 +338,7 @@ def stage_cf(config: dict, out: Path, seed: int) -> None:
 
     variant = section.get("variant", "vanilla")
     cluster_info = None
-    inputs = ["filtered.csv" if (out / "filtered.csv").exists() else "log.csv"]
+    inputs = [log_name]
     if variant in ("a", "b", "d"):
         ch = section.get("characterization", "TF")
         name = f"assignments_{ch}.csv"
@@ -369,8 +348,11 @@ def stage_cf(config: dict, out: Path, seed: int) -> None:
         for (user, month), lab in zip(keys, hard):
             if user not in label or month == 0:
                 label[user] = int(lab)
-        default = 0
-        per_user = [label.get(u, default) for u in users]
+        missing = [u for u in users if u not in label]
+        if missing:
+            raise DataError(f"stage 'cf': {len(missing)} rated user(s) have "
+                            f"no row in {name!r}, first {missing[0]!r}")
+        per_user = [label[u] for u in users]
         if variant == "d":
             cluster_info = {"partition": np.array(per_user)}
         else:
@@ -380,9 +362,7 @@ def stage_cf(config: dict, out: Path, seed: int) -> None:
         name = f"features_{ch}.csv"
         cm = features.read_matrix(_require(out, name, "cf"))
         inputs += [name, name + ".json"]
-        pooled: dict[str, np.ndarray] = {}
-        for (user, _), row in zip(cm.keys, cm.values):
-            pooled[user] = pooled.get(user, 0) + row
+        pooled = dict(zip(*features.pool_by_user(cm)))
         static = np.stack([pooled.get(u, np.zeros(cm.d)) for u in users])
         totals = static.sum(axis=1, keepdims=True)
         static = np.divide(static, totals, out=np.zeros_like(static),
@@ -398,10 +378,13 @@ def stage_cf(config: dict, out: Path, seed: int) -> None:
                               cluster_info, cfg)
     except cf.CfError as exc:
         raise NumericalError(f"cf stage failed: {exc}") from None
-    with open(out / "cf_model.json", "w", encoding="utf-8") as fh:
-        fh.write(cf.factor_model_to_json(model))
+    artifacts.write_json(out / "cf_model.json", cf.factor_model_to_dict(model))
     _write_manifest(out, "cf", inputs, ["cf_model.json"], seed, section)
 
+
+_ERRORS = {ConfigError: ("validation", EXIT_CONFIG),
+           DataError: ("data", EXIT_DATA),
+           NumericalError: ("numerical", EXIT_NUMERICAL)}
 
 STAGE_FUNCS = {
     "synth": stage_synth,
@@ -427,18 +410,11 @@ def run(config_path, out_dir=None, seed_override: int | None = None,
             if stage not in STAGE_FUNCS:
                 raise ConfigError(f"unknown stage {stage!r}")
             STAGE_FUNCS[stage](config, out, seed)
-    except ConfigError as exc:
-        print(json.dumps({"error": "validation", "message": str(exc)}),
+    except (ConfigError, DataError, NumericalError) as exc:
+        kind, code = _ERRORS[type(exc)]
+        print(json.dumps({"error": kind, "message": str(exc)}),
               file=sys.stderr)
-        return EXIT_CONFIG
-    except DataError as exc:
-        print(json.dumps({"error": "data", "message": str(exc)}),
-              file=sys.stderr)
-        return EXIT_DATA
-    except NumericalError as exc:
-        print(json.dumps({"error": "numerical", "message": str(exc)}),
-              file=sys.stderr)
-        return EXIT_NUMERICAL
+        return code
     return EXIT_OK
 
 

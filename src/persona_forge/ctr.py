@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
-import json
 import logging
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
 from scipy.stats import rankdata
 
-from .features import CharacterizationMatrix
+from . import artifacts
+from .features import CharacterizationMatrix, pool_by_user
 from .ingest import RecordSet
 from .mixture import KMeansModel, MixtureModel, hard_labels, soft_features
 
@@ -78,20 +77,11 @@ def persona_features(matrices: dict[str, CharacterizationMatrix],
     soft: dict[str, np.ndarray] = {}
     hard: dict[str, np.ndarray] = {}
     for ch in CTR_CHARACTERIZATIONS:
-        cm = matrices[ch]
-        pooled: dict[str, np.ndarray] = {}
-        for (user, _), row in zip(cm.keys, cm.values):
-            acc = pooled.get(user)
-            if acc is None:
-                pooled[user] = row.copy()
-            else:
-                acc += row
-        ch_users = sorted(pooled)
+        ch_users, X = pool_by_user(matrices[ch])
         if users is None:
             users = ch_users
         elif users != ch_users:
             raise CtrError("characterization matrices cover different users")
-        X = np.stack([pooled[u] for u in ch_users])
         raw[ch] = X
         model = models[ch]
         soft[ch] = soft_features(model, X)
@@ -261,7 +251,6 @@ def fit_item_model(X: np.ndarray, y: np.ndarray, lam: float,
     w = np.zeros(X.shape[1])
     b = float(np.log(n_pos / (len(y) - n_pos)))
     step = config.step0
-    obj = _loss(Xs @ w + b, y) + lam * np.abs(w).sum()
     viol = np.inf
     converged = False
     for _ in range(config.max_iter):
@@ -285,8 +274,6 @@ def fit_item_model(X: np.ndarray, y: np.ndarray, lam: float,
             if step < 1e-12:
                 break
         w, b = w_new, b_new
-        obj_new = f_new + lam * np.abs(w).sum()
-        obj = min(obj, obj_new)
         step = min(step * 1.5, 1e4)
     return CtrItemModel(item_id, w, b, lam, mu, sd, len(y), n_pos, viol,
                         converged)
@@ -362,7 +349,6 @@ class CtrEvaluation:
     p: int
     mean_n: float
     complexity_proxy: float  # mean_n * p^2
-    wall_time: float
     skipped: list[str] = field(default_factory=list)
 
 
@@ -400,7 +386,6 @@ def run_ctr_experiment(rs: RecordSet | dict[str, set[str]],
     """Train per-item models on a user-disjoint split and report mean AUC
     over the most popular items."""
     config = config or CtrExperimentConfig()
-    t0 = time.perf_counter()
     items = rs if isinstance(rs, dict) else item_user_sets(rs)
     train_users, test_users = split_users(features.users,
                                           config.test_fraction, config.seed)
@@ -440,7 +425,7 @@ def run_ctr_experiment(rs: RecordSet | dict[str, set[str]],
     mean_auc = float(np.mean(list(per_item.values()))) if per_item else float("nan")
     mean_n = float(np.mean(n_rows)) if n_rows else 0.0
     return CtrEvaluation(recipe.name(), mean_auc, per_item, p, mean_n,
-                         mean_n * p * p, time.perf_counter() - t0, skipped)
+                         mean_n * p * p, skipped)
 
 
 def model_to_json(model: CtrItemModel) -> str:
@@ -457,4 +442,4 @@ def model_to_json(model: CtrItemModel) -> str:
         "kkt_violation": repr(model.kkt_violation),
         "converged": model.converged,
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return artifacts.to_json(payload)

@@ -1,14 +1,15 @@
-"""Tenure alignment and binned monthly characterization matrices."""
+"""Binned monthly characterization matrices over tenure-aligned months."""
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import GENRES, GENRE_INDEX, MONTH_SECONDS, RecordSet, TxnType
+from . import artifacts
+from .ingest import GENRES, GENRE_INDEX, RecordSet, TenureIndex, TxnType
+from .ingest import tenure_align  # noqa: F401  (re-export)
 
 # Price bins in cents; interval bins are left-open/right-closed, with a
 # dedicated exact-zero bin.
@@ -104,24 +105,6 @@ def bin_timeday(timestamp: int, region_offset_minutes: int) -> int:
     return (0 if dow < 5 else 3) + slot
 
 
-@dataclass(frozen=True)
-class TenureIndex:
-    """Per-user tenure timelines: birth = first transaction, 30-day months."""
-    births: dict[str, int]
-
-    def month_of(self, user_id: str, timestamp: int) -> int:
-        return (timestamp - self.births[user_id]) // MONTH_SECONDS
-
-
-def tenure_align(rs: RecordSet) -> TenureIndex:
-    births: dict[str, int] = {}
-    for r in rs.records:
-        b = births.get(r.user_id)
-        if b is None or r.timestamp < b:
-            births[r.user_id] = r.timestamp
-    return TenureIndex(births)
-
-
 @dataclass
 class CharacterizationMatrix:
     characterization: str
@@ -172,26 +155,21 @@ def aggregate(rs: RecordSet, ti: TenureIndex, ch: str) -> CharacterizationMatrix
 
 
 def write_matrix(cm: CharacterizationMatrix, path) -> None:
-    """CSV rows user_id,month_index,v0..v{d-1} plus a JSON sidecar descriptor."""
+    """CSV rows user_id,month_index,v0..v{d-1} plus a JSON sidecar descriptor.
+
+    Count cells are written as integers, Amount cells as `repr` floats.
+    """
     path = str(path)
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["user_id", "month_index"]
-                        + [f"v{i}" for i in range(cm.d)])
-        for (user, month), row in zip(cm.keys, cm.values):
-            if cm.value_kind == "Count":
-                cells = [str(int(v)) for v in row]
-            else:
-                cells = [repr(float(v)) for v in row]
-            writer.writerow([user, month] + cells)
-    descriptor = {
+    cell = int if cm.value_kind == "Count" else float
+    artifacts.write_csv(
+        path, ["user_id", "month_index"] + [f"v{i}" for i in range(cm.d)],
+        ([user, month] + [repr(cell(v)) for v in row]
+         for (user, month), row in zip(cm.keys, cm.values)))
+    artifacts.write_json(path + ".json", {
         "characterization": cm.characterization,
         "labels": list(cm.labels),
         "value_kind": cm.value_kind,
-    }
-    with open(path + ".json", "w", encoding="utf-8") as fh:
-        json.dump(descriptor, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def read_matrix(path) -> CharacterizationMatrix:
@@ -200,13 +178,25 @@ def read_matrix(path) -> CharacterizationMatrix:
         descriptor = json.load(fh)
     keys: list[tuple[str, int]] = []
     rows: list[list[float]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for raw in reader:
-            keys.append((raw[0], int(raw[1])))
-            rows.append([float(v) for v in raw[2:]])
+    for raw in artifacts.read_csv(path):
+        keys.append((raw[0], int(raw[1])))
+        rows.append([float(v) for v in raw[2:]])
     labels = tuple(descriptor["labels"])
     values = np.array(rows, dtype=np.float64) if rows else np.zeros((0, len(labels)))
     return CharacterizationMatrix(descriptor["characterization"], labels,
                                   keys, values, descriptor["value_kind"])
+
+
+def pool_by_user(cm: CharacterizationMatrix) -> tuple[list[str], np.ndarray]:
+    """Sum each user's monthly rows in month order; (sorted users, rows)."""
+    pooled: dict[str, np.ndarray] = {}
+    for (user, _), row in zip(cm.keys, cm.values):
+        acc = pooled.get(user)
+        if acc is None:
+            pooled[user] = row.copy()
+        else:
+            acc += row
+    users = sorted(pooled)
+    if not users:
+        return users, np.zeros((0, cm.d))
+    return users, np.stack([pooled[u] for u in users])

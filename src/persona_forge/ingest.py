@@ -8,6 +8,8 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
+from . import artifacts
+
 MONTH_SECONDS = 30 * 86400
 MIN_MONTH_SPEND_CENTS = 100  # months below one dollar of spend are dropped
 
@@ -178,16 +180,30 @@ def parse_log(path, schema: dict[str, str] | None = None,
 
 
 def write_log(rs: RecordSet, path) -> None:
-    """Emit the canonical CSV schema (UTF-8, LF line endings)."""
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for r in rs.records:
-            writer.writerow([
-                r.user_id, r.timestamp, r.region_offset_minutes, r.content_id,
-                r.txn_type.value, format_price(r.price_cents), r.genre,
-                r.release_year,
-            ])
+    """Emit the canonical CSV schema."""
+    artifacts.write_csv(path, CSV_COLUMNS, (
+        [r.user_id, r.timestamp, r.region_offset_minutes, r.content_id,
+         r.txn_type.value, format_price(r.price_cents), r.genre,
+         r.release_year]
+        for r in rs.records))
+
+
+@dataclass(frozen=True)
+class TenureIndex:
+    """Per-user tenure timelines: birth = first transaction, 30-day months."""
+    births: dict[str, int]
+
+    def month_of(self, user_id: str, timestamp: int) -> int:
+        return (timestamp - self.births[user_id]) // MONTH_SECONDS
+
+
+def tenure_align(rs: RecordSet) -> TenureIndex:
+    births: dict[str, int] = {}
+    for r in rs.records:
+        b = births.get(r.user_id)
+        if b is None or r.timestamp < b:
+            births[r.user_id] = r.timestamp
+    return TenureIndex(births)
 
 
 def filter_inactive(rs: RecordSet) -> RecordSet:
@@ -198,27 +214,18 @@ def filter_inactive(rs: RecordSet) -> RecordSet:
     spend is below $1; users left with no qualifying months disappear.
     The two rules are iterated to a fixed point so the filter is idempotent.
     """
-    recs = list(rs.records)
     while True:
-        n_before = len(recs)
-        counts = Counter(r.user_id for r in recs)
-        recs = [r for r in recs if counts[r.user_id] > 1]
-
-        births: dict[str, int] = {}
-        for r in recs:
-            b = births.get(r.user_id)
-            if b is None or r.timestamp < b:
-                births[r.user_id] = r.timestamp
+        n_before = len(rs)
+        counts = Counter(r.user_id for r in rs.records)
+        rs = RecordSet(tuple(r for r in rs.records if counts[r.user_id] > 1),
+                       rs.provenance)
+        ti = tenure_align(rs)
+        months = [ti.month_of(r.user_id, r.timestamp) for r in rs.records]
         spend: Counter = Counter()
-        for r in recs:
-            m = (r.timestamp - births[r.user_id]) // MONTH_SECONDS
+        for r, m in zip(rs.records, months):
             spend[(r.user_id, m)] += r.price_cents
-        recs = [
-            r for r in recs
-            if spend[(r.user_id,
-                      (r.timestamp - births[r.user_id]) // MONTH_SECONDS)]
-            >= MIN_MONTH_SPEND_CENTS
-        ]
-        if len(recs) == n_before:
-            break
-    return RecordSet(tuple(recs), rs.provenance)
+        kept = (r for r, m in zip(rs.records, months)
+                if spend[(r.user_id, m)] >= MIN_MONTH_SPEND_CENTS)
+        rs = RecordSet(tuple(kept), rs.provenance)
+        if len(rs) == n_before:
+            return rs

@@ -7,11 +7,13 @@ import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
-log = logging.getLogger(__name__)
+from . import artifacts
 
-SIMPLEX_TOL = 1e-12
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -51,7 +53,6 @@ class MixtureModel:
 class AssignmentSet:
     tau: np.ndarray            # (n, K) row-stochastic responsibilities
     hard: np.ndarray           # (n,) argmax labels, lowest-index tie-break
-    keys: list[tuple[str, int]] | None = None
 
 
 @dataclass
@@ -103,10 +104,6 @@ def penalized_loglik(model: MixtureModel, X: np.ndarray) -> float:
     """Observed-data log-likelihood plus the smoothing (Dirichlet) penalty."""
     ll = float(logsumexp(_log_weights(model, X), axis=1).sum())
     return ll + model.smoothing * float(np.log(model.theta).sum())
-
-
-def data_loglik(model: MixtureModel, X: np.ndarray) -> float:
-    return float(logsumexp(_log_weights(model, X), axis=1).sum())
 
 
 def m_step(tau: np.ndarray, X: np.ndarray, smoothing: float = 0.5,
@@ -284,19 +281,15 @@ def permute_clusters(model: MixtureModel, perm) -> MixtureModel:
 def match_clusters(centers_a: np.ndarray, centers_b: np.ndarray,
                    metric: str = "euclidean") -> tuple[np.ndarray, np.ndarray]:
     """Min-cost bipartite matching of cluster centers; returns (rows, cols)."""
-    from scipy.optimize import linear_sum_assignment
-    from scipy.spatial.distance import cdist
-
-    cost = cdist(centers_a, centers_b, metric=metric)
-    return linear_sum_assignment(cost)
+    return linear_sum_assignment(cdist(centers_a, centers_b, metric=metric))
 
 
 # ---------------------------------------------------------------------------
 # Serialization
 
-def model_to_json(model: MixtureModel | KMeansModel) -> str:
+def model_to_dict(model: MixtureModel | KMeansModel) -> dict:
     if isinstance(model, MixtureModel):
-        payload = {
+        return {
             "kind": "mmm",
             "characterization": model.characterization,
             "K": model.k,
@@ -307,17 +300,19 @@ def model_to_json(model: MixtureModel | KMeansModel) -> str:
             "seed": model.seed,
             "final_loglik": repr(model.loglik_trace[-1]) if model.loglik_trace else None,
         }
-    else:
-        payload = {
-            "kind": "kmeans",
-            "characterization": model.characterization,
-            "K": model.k,
-            "d": model.centers.shape[1],
-            "centers": [[repr(v) for v in row] for row in model.centers.tolist()],
-            "inertia": repr(model.inertia),
-            "seed": model.seed,
-        }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return {
+        "kind": "kmeans",
+        "characterization": model.characterization,
+        "K": model.k,
+        "d": model.centers.shape[1],
+        "centers": [[repr(v) for v in row] for row in model.centers.tolist()],
+        "inertia": repr(model.inertia),
+        "seed": model.seed,
+    }
+
+
+def model_to_json(model: MixtureModel | KMeansModel) -> str:
+    return artifacts.to_json(model_to_dict(model))
 
 
 def model_from_json(text: str) -> MixtureModel | KMeansModel:

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import artifacts
 from .ingest import GENRES, MONTH_SECONDS, RecordSet, TransactionRecord, TxnType
 
 SIMPLEX_TOL = 1e-12
@@ -330,21 +330,17 @@ def generate(cfg: GeneratorConfig) -> tuple[RecordSet, GroundTruth]:
 
 
 def write_ground_truth(gt: GroundTruth, path) -> None:
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["user_id", "month_index", "characterization", "label"])
-        for ch in sorted(gt.labels):
-            for (user, month) in sorted(gt.labels[ch]):
-                writer.writerow([user, month, ch, gt.labels[ch][(user, month)]])
+    artifacts.write_csv(
+        path, ["user_id", "month_index", "characterization", "label"],
+        ([user, month, ch, label]
+         for ch in sorted(gt.labels)
+         for (user, month), label in sorted(gt.labels[ch].items())))
 
 
 def read_ground_truth(path) -> GroundTruth:
     labels: dict[str, dict[tuple[str, int], int]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for user, month, ch, label in reader:
-            labels.setdefault(ch, {})[(user, int(month))] = int(label)
+    for user, month, ch, label in artifacts.read_csv(path):
+        labels.setdefault(ch, {})[(user, int(month))] = int(label)
     return GroundTruth(labels)
 
 

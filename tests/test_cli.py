@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 
 import pytest
 
@@ -62,6 +63,49 @@ def test_manifests_carry_verifiable_hashes(pipeline):
                              **manifest["outputs"]}.items():
             data = (out / name).read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest, name
+    ctr_inputs = json.loads((out / "manifest_ctr.json").read_text())["inputs"]
+    for ch in ("CR", "DG", "ME"):
+        assert f"features_{ch}.csv.json" in ctr_inputs, ch
+
+
+def _copy_pipeline(pipeline, tmp_path):
+    code, out = pipeline
+    assert code == 0
+    return shutil.copytree(out, tmp_path / "out")
+
+
+@pytest.mark.parametrize("variant", ["vanilla", "a", "b", "c", "d"])
+def test_cf_stage_variants(pipeline, tmp_path, variant):
+    out = _copy_pipeline(pipeline, tmp_path)
+    config = _write_config(tmp_path, {"seed": 7, "cf": {
+        "variant": variant, "epochs": 2, "f": 3}})
+    assert cli.run(config, out, only_stage="cf") == 0
+    model = json.loads((out / "cf_model.json").read_text())
+    assert model["variant"] == variant
+    assert float(model["final_rmse"]) > 0
+    inputs = set(json.loads((out / "manifest_cf.json").read_text())["inputs"])
+    expected = {"filtered.csv"}
+    if variant in ("a", "b", "d"):
+        expected.add("assignments_TF.csv")
+    elif variant == "c":
+        expected |= {"features_TF.csv", "features_TF.csv.json"}
+    assert inputs == expected
+
+
+def test_cf_user_missing_from_assignments_is_data_error(pipeline, tmp_path,
+                                                        capsys):
+    out = _copy_pipeline(pipeline, tmp_path)
+    path = out / "assignments_TF.csv"
+    header, *rows = path.read_text().splitlines()
+    dropped = rows[0].split(",")[0]
+    kept = [r for r in rows if r.split(",")[0] != dropped]
+    assert len(kept) < len(rows)
+    path.write_text("\n".join([header] + kept) + "\n")
+    config = _write_config(tmp_path, {"cf": {"variant": "a", "epochs": 1}})
+    assert cli.run(config, out, only_stage="cf") == 3
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "data"
+    assert dropped in error["message"]
 
 
 def test_analyze_report_contents(pipeline):
