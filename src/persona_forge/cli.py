@@ -60,6 +60,16 @@ def _require(out: Path, name: str, stage: str) -> Path:
     return path
 
 
+def _param(section: dict, key: str, cast, default=None):
+    """`section[key]` (else `default`) converted by `cast`, or a ConfigError."""
+    value = section.get(key, default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"config value {key!r} must be {cast.__name__}, "
+                          f"got {value!r}") from None
+
+
 def load_config(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -93,17 +103,17 @@ def _generator_config(section: dict, seed: int) -> synth.GeneratorConfig:
                                      tuple(sm.get("niche", ())))
     try:
         return synth.GeneratorConfig(
-            n_users=int(section["n_users"]),
-            months_per_user=int(section["months_per_user"]),
+            n_users=_param(section, "n_users", int),
+            months_per_user=_param(section, "months_per_user", int),
             seed=seed,
             mixtures=mixtures,
             spend_model=spend,
             price_mode=section.get("price_mode", "tf"),
             poisson_mean=section.get("poisson_mean", 8.0),
             migration_rate=section.get("migration_rate", 0.0),
-            items_per_cell=int(section.get("items_per_cell", 2)),
+            items_per_cell=_param(section, "items_per_cell", int, 2),
         )
-    except (KeyError, synth.GeneratorError) as exc:
+    except synth.GeneratorError as exc:
         raise ConfigError(f"invalid synth config: {exc}") from None
 
 
@@ -153,14 +163,24 @@ def _load_records(out: Path, stage: str) -> tuple[str, ingest.RecordSet]:
 
 def stage_featurize(config: dict, out: Path, seed: int) -> None:
     log_name, rs = _load_records(out, "featurize")
-    ti = features.tenure_align(rs)
+    months = features.tenure_align(rs)
     outputs = []
     for ch in features.CHARACTERIZATIONS:
-        cm = features.aggregate(rs, ti, ch)
+        cm = features.aggregate(rs, months, ch)
         name = f"features_{ch}.csv"
         features.write_matrix(cm, out / name)
         outputs += [name, name + ".json"]
     _write_manifest(out, "featurize", [log_name], outputs, seed, {})
+
+
+def _read_features(out: Path, ch: str, stage: str,
+                   inputs: list[str]) -> features.CharacterizationMatrix:
+    """Read `features_<ch>.csv` and its sidecar; record both as inputs."""
+    name = f"features_{ch}.csv"
+    path = _require(out, name, stage)
+    _require(out, name + ".json", stage)
+    inputs += [name, name + ".json"]
+    return features.read_matrix(path)
 
 
 def _write_assignments(path: Path, keys, tau: np.ndarray,
@@ -186,14 +206,14 @@ def stage_cluster(config: dict, out: Path, seed: int) -> None:
     section = config.get("cluster", {})
     ks = dict(features.DEFAULT_K)
     ks.update(section.get("k", {}))
-    restarts = int(section.get("restarts", 5))
+    ks = {ch: _param(ks, ch, int) for ch in ks}
+    if min(ks.values()) < 1:
+        raise ConfigError(f"every cluster.k must be at least 1, got {ks}")
+    restarts = _param(section, "restarts", int, 5)
     inputs, outputs = [], []
     try:
         for ch in features.CHARACTERIZATIONS:
-            name = f"features_{ch}.csv"
-            _require(out, name, "cluster")
-            cm = features.read_matrix(out / name)
-            inputs += [name, name + ".json"]
+            cm = _read_features(out, ch, "cluster", inputs)
             if ch == "ME":
                 model, hard = mixture.fit_kmeans(
                     cm.values, ks[ch],
@@ -217,8 +237,10 @@ def stage_cluster(config: dict, out: Path, seed: int) -> None:
                     {"k": ks, "restarts": restarts})
 
 
-def _load_model(out: Path, ch: str, stage: str):
+def _load_model(out: Path, ch: str, stage: str, inputs: list[str]):
+    """Read `model_<ch>.json`; record it as an input."""
     path = _require(out, f"model_{ch}.json", stage)
+    inputs.append(path.name)
     return mixture.model_from_json(path.read_text(encoding="utf-8"))
 
 
@@ -229,13 +251,12 @@ def stage_analyze(config: dict, out: Path, seed: int) -> None:
 
     stab = section.get("stability", {"characterization": "TF"})
     ch = stab.get("characterization", "TF")
-    cm = features.read_matrix(_require(out, f"features_{ch}.csv", "analyze"))
-    inputs += [f"features_{ch}.csv", f"features_{ch}.csv.json"]
+    cm = _read_features(out, ch, "analyze", inputs)
     stability = analysis.stability_check(
-        cm.values, _load_model(out, ch, "analyze").k,
-        epsilon=float(stab.get("epsilon", 0.05)),
-        delta=float(stab.get("delta", 0.10)),
-        runs=int(stab.get("runs", 4)),
+        cm.values, _load_model(out, ch, "analyze", inputs).k,
+        epsilon=_param(stab, "epsilon", float, 0.05),
+        delta=_param(stab, "delta", float, 0.10),
+        runs=_param(stab, "runs", int, 4),
         seed=seed,
         method="kmeans" if ch == "ME" else "em")
     report["stability"] = {
@@ -248,8 +269,8 @@ def stage_analyze(config: dict, out: Path, seed: int) -> None:
     }
 
     dom = section.get("dominance", {})
-    kappa = float(dom.get("kappa", 0.02))
-    k_max = int(dom.get("k_max", 6))
+    kappa = _param(dom, "kappa", float, 0.02)
+    k_max = _param(dom, "k_max", int, 6)
     for ch in features.CHARACTERIZATIONS:
         name = f"assignments_{ch}.csv"
         keys, tau, hard = read_assignments(_require(out, name, "analyze"))
@@ -267,45 +288,42 @@ def stage_analyze(config: dict, out: Path, seed: int) -> None:
             ([repr(float(v)) for v in row] for row in mig.matrix))
         outputs.append(f"migration_{ch}.csv")
 
-        model = _load_model(out, ch, "analyze")
+        model = _load_model(out, ch, "analyze", inputs)
         centers = model.theta if isinstance(model, mixture.MixtureModel) else model.centers
         table = analysis.center_report(centers,
                                        features.CHARACTERIZATION_LABELS[ch],
                                        as_percent=ch != "ME")
         artifacts.write_csv(out / f"centers_{ch}.csv", table[0], table[1:])
         outputs.append(f"centers_{ch}.csv")
-        inputs.append(f"model_{ch}.json")
 
     artifacts.write_json(out / "analyze_report.json", report)
     outputs.append("analyze_report.json")
     _write_manifest(out, "analyze", sorted(set(inputs)), outputs, seed, section)
 
 
-def _persona_features(out: Path, stage: str) -> ctr.UserPersonaFeatures:
-    matrices = {}
-    models = {}
-    for ch in ctr.CTR_CHARACTERIZATIONS:
-        matrices[ch] = features.read_matrix(
-            _require(out, f"features_{ch}.csv", stage))
-        models[ch] = _load_model(out, ch, stage)
-    return ctr.persona_features(matrices, models)
-
-
 def stage_ctr(config: dict, out: Path, seed: int) -> None:
     section = config.get("ctr", {})
-    log_name, rs = _load_records(out, "ctr")
-    persona = _persona_features(out, "ctr")
-    recipes = section.get("recipes", [{"CR": "c", "DG": "c", "ME": "c"}])
+    try:
+        recipes = [ctr.FeatureModeRecipe(dict(r)) for r in section.get(
+            "recipes", [{"CR": "c", "DG": "c", "ME": "c"}])]
+    except (ctr.CtrError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid ctr recipe: {exc}") from None
     exp_cfg = ctr.CtrExperimentConfig(
-        lam=float(section.get("lambda", 2e-3)),
-        neg_ratio=int(section.get("neg_ratio", 5)),
-        top_n=int(section.get("top_n", 20)),
-        test_fraction=float(section.get("test_fraction", 0.2)),
+        lam=_param(section, "lambda", float, 2e-3),
+        neg_ratio=_param(section, "neg_ratio", int, 5),
+        top_n=_param(section, "top_n", int, 20),
+        test_fraction=_param(section, "test_fraction", float, 0.2),
         seed=seed)
+    log_name, rs = _load_records(out, "ctr")
+    inputs = [log_name]
+    persona = ctr.persona_features(
+        {ch: _read_features(out, ch, "ctr", inputs)
+         for ch in ctr.CTR_CHARACTERIZATIONS},
+        {ch: _load_model(out, ch, "ctr", inputs)
+         for ch in ctr.CTR_CHARACTERIZATIONS})
     items = ctr.item_user_sets(rs)
     rows = []
-    for recipe_dict in recipes:
-        recipe = ctr.FeatureModeRecipe(dict(recipe_dict))
+    for recipe in recipes:
         evaluation = ctr.run_ctr_experiment(items, persona, recipe, exp_cfg)
         rows.append([recipe.mode("CR"), recipe.mode("DG"), recipe.mode("ME"),
                      repr(round(evaluation.mean_auc, 6)),
@@ -314,29 +332,35 @@ def stage_ctr(config: dict, out: Path, seed: int) -> None:
     artifacts.write_csv(out / "ctr_eval.csv",
                         ["recency", "genre", "economic", "F", "n", "p",
                          "O_proxy"], rows)
-    inputs = [log_name]
-    for ch in ctr.CTR_CHARACTERIZATIONS:
-        inputs += [f"features_{ch}.csv", f"features_{ch}.csv.json",
-                   f"model_{ch}.json"]
     _write_manifest(out, "ctr", inputs, ["ctr_eval.csv"], seed, section)
+
+
+def _per_rated_user(users, table: dict, name: str) -> list:
+    missing = [u for u in users if u not in table]
+    if missing:
+        raise DataError(f"stage 'cf': {len(missing)} rated user(s) have "
+                        f"no row in {name!r}, first {missing[0]!r}")
+    return [table[u] for u in users]
 
 
 def stage_cf(config: dict, out: Path, seed: int) -> None:
     section = config.get("cf", {})
-    log_name, rs = _load_records(out, "cf")
-    value = section.get("value", "count")
-    pairs: dict[tuple[str, str], float] = {}
-    for r in rs.records:
-        key = (r.user_id, r.content_id)
-        pairs[key] = pairs.get(key, 0.0) + (r.net_price if value == "spend"
-                                            else 1.0)
-    users = sorted({u for u, _ in pairs})
-    items = sorted({i for _, i in pairs})
-    u_idx = {u: j for j, u in enumerate(users)}
-    i_idx = {i: j for j, i in enumerate(items)}
-    ratings = [(u_idx[u], i_idx[i], v) for (u, i), v in sorted(pairs.items())]
-
     variant = section.get("variant", "vanilla")
+    if variant not in cf.VARIANTS:
+        raise ConfigError(f"unknown cf variant {variant!r}")
+    cfg = cf.FactorConfig(
+        f=_param(section, "f", int, 8), lr=_param(section, "lr", float, 0.02),
+        reg=_param(section, "reg", float, 0.02),
+        epochs=_param(section, "epochs", int, 20), seed=seed)
+    log_name, rs = _load_records(out, "cf")
+    # One rating per (user, item) pair, its values summed in row order.
+    n_items = len(rs.contents)
+    pairs, pair = np.unique(rs.user * n_items + rs.content,
+                            return_inverse=True)
+    spend = section.get("value", "count") == "spend"
+    values = np.bincount(pair, weights=rs.cents / 100.0 if spend else None)
+    ratings = list(zip(*np.divmod(pairs, n_items), values.tolist()))
+
     cluster_info = None
     inputs = [log_name]
     if variant in ("a", "b", "d"):
@@ -348,33 +372,24 @@ def stage_cf(config: dict, out: Path, seed: int) -> None:
         for (user, month), lab in zip(keys, hard):
             if user not in label or month == 0:
                 label[user] = int(lab)
-        missing = [u for u in users if u not in label]
-        if missing:
-            raise DataError(f"stage 'cf': {len(missing)} rated user(s) have "
-                            f"no row in {name!r}, first {missing[0]!r}")
-        per_user = [label[u] for u in users]
+        per_user = _per_rated_user(rs.users, label, name)
         if variant == "d":
             cluster_info = {"partition": np.array(per_user)}
         else:
             cluster_info = {"memberships": [[v] for v in per_user]}
     elif variant == "c":
         ch = section.get("characterization", "TF")
-        name = f"features_{ch}.csv"
-        cm = features.read_matrix(_require(out, name, "cf"))
-        inputs += [name, name + ".json"]
+        cm = _read_features(out, ch, "cf", inputs)
         pooled = dict(zip(*features.pool_by_user(cm)))
-        static = np.stack([pooled.get(u, np.zeros(cm.d)) for u in users])
+        static = np.stack(_per_rated_user(rs.users, pooled,
+                                          f"features_{ch}.csv"))
         totals = static.sum(axis=1, keepdims=True)
         static = np.divide(static, totals, out=np.zeros_like(static),
                            where=totals > 0)
         cluster_info = {"static_features": static}
 
-    cfg = cf.FactorConfig(
-        f=int(section.get("f", 8)), lr=float(section.get("lr", 0.02)),
-        reg=float(section.get("reg", 0.02)),
-        epochs=int(section.get("epochs", 20)), seed=seed)
     try:
-        model = cf.fit_factor(len(users), len(items), ratings, variant,
+        model = cf.fit_factor(len(rs.users), n_items, ratings, variant,
                               cluster_info, cfg)
     except cf.CfError as exc:
         raise NumericalError(f"cf stage failed: {exc}") from None
@@ -404,7 +419,8 @@ def run(config_path, out_dir=None, seed_override: int | None = None,
         config = load_config(config_path)
         out = Path(out_dir or config.get("out_dir", "."))
         out.mkdir(parents=True, exist_ok=True)
-        seed = int(config.get("seed", 0)) if seed_override is None else seed_override
+        seed = (_param(config, "seed", int, 0) if seed_override is None
+                else seed_override)
         stages = [only_stage] if only_stage else config.get("stages", list(STAGES))
         for stage in stages:
             if stage not in STAGE_FUNCS:

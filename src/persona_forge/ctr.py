@@ -130,24 +130,25 @@ class CtrDataset:
 
 
 def item_user_sets(rs: RecordSet) -> dict[str, set[str]]:
-    table: dict[str, set[str]] = {}
-    for r in rs.records:
-        table.setdefault(r.content_id, set()).add(r.user_id)
-    return table
+    order = np.argsort(rs.content, kind="stable")
+    codes, starts = np.unique(rs.content[order], return_index=True)
+    users = np.asarray(rs.users, dtype=object)[rs.user[order]]
+    return {rs.contents[c]: set(group)
+            for c, group in zip(codes.tolist(), np.split(users, starts[1:]))}
 
 
-def build_dataset(rs: RecordSet | dict[str, set[str]],
+def build_dataset(items: dict[str, set[str]],
                   features: UserPersonaFeatures, recipe: FeatureModeRecipe,
                   item_id: str, neg_ratio: int = 5, seed: int = 0,
                   eligible_users: list[str] | None = None) -> CtrDataset:
     """Labeled per-item rows: transacting users plus sampled non-transactors.
 
-    `eligible_users` restricts both classes (e.g. to a train or test split);
-    negatives are sampled uniformly without replacement.
+    `items` maps each item to its users (`item_user_sets`). `eligible_users`
+    restricts both classes (e.g. to a train or test split); negatives are
+    sampled uniformly without replacement.
     """
     if neg_ratio < 1:
         raise CtrError("neg_ratio must be at least 1")
-    items = rs if isinstance(rs, dict) else item_user_sets(rs)
     if item_id not in items:
         raise CtrError(f"item {item_id!r} has no transactions")
     universe = eligible_users if eligible_users is not None else features.users
@@ -378,7 +379,7 @@ def top_items(items: dict[str, set[str]], top_n: int) -> list[str]:
     return ranked[:top_n]
 
 
-def run_ctr_experiment(rs: RecordSet | dict[str, set[str]],
+def run_ctr_experiment(items: dict[str, set[str]],
                        features: UserPersonaFeatures,
                        recipe: FeatureModeRecipe,
                        config: CtrExperimentConfig | None = None
@@ -386,7 +387,6 @@ def run_ctr_experiment(rs: RecordSet | dict[str, set[str]],
     """Train per-item models on a user-disjoint split and report mean AUC
     over the most popular items."""
     config = config or CtrExperimentConfig()
-    items = rs if isinstance(rs, dict) else item_user_sets(rs)
     train_users, test_users = split_users(features.users,
                                           config.test_fraction, config.seed)
     chosen = top_items(items, config.top_n)

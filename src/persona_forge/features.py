@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import artifacts
-from .ingest import GENRES, GENRE_INDEX, RecordSet, TenureIndex, TxnType
+from .ingest import GENRES, RecordSet
 from .ingest import tenure_align  # noqa: F401  (re-export)
 
 # Price bins in cents; interval bins are left-open/right-closed, with a
@@ -45,64 +45,45 @@ VALUE_KINDS = {"ME": "Amount", "TF": "Count", "DG": "Count", "CR": "Count",
 DEFAULT_K = {"ME": 4, "TF": 4, "DG": 3, "CR": 3, "TDT": 4}
 
 
-def bin_price(txn_type: TxnType, price_cents: int) -> int:
-    """Bin a price into its per-type category (5 rental / 8 purchase bins)."""
-    if price_cents < 0:
+def bin_price(rental, cents):
+    """Bin prices into their per-type category (5 rental / 8 purchase bins)."""
+    cents = np.asarray(cents)
+    if np.any(cents < 0):
         raise ValueError("negative price")
-    edges = (RENTAL_PRICE_EDGES if txn_type is TxnType.RENTAL
-             else PURCHASE_PRICE_EDGES)
-    if price_cents == 0:
-        return 0
-    for i, edge in enumerate(edges[1:], start=1):
-        if price_cents <= edge:
-            return i
-    return len(edges)
+    # The count of edges below a price is its bin, the zero bin included.
+    return np.where(rental, np.searchsorted(RENTAL_PRICE_EDGES, cents),
+                    np.searchsorted(PURCHASE_PRICE_EDGES, cents))
 
 
-def me_index(txn_type: TxnType, price_cents: int) -> int:
+def me_index(rental, cents):
     """Index into the 13 monthly-expenditure bins (rentals first)."""
-    b = bin_price(txn_type, price_cents)
-    return b if txn_type is TxnType.RENTAL else len(RENTAL_PRICE_LABELS) + b
+    return bin_price(rental, cents) + np.where(rental, 0,
+                                               len(RENTAL_PRICE_LABELS))
 
 
-def bin_frequency(txn_type: TxnType, price_cents: int) -> int:
+def bin_frequency(rental, cents):
     """Index into the 6 coarse transaction-frequency price bins."""
-    if txn_type is TxnType.RENTAL:
-        return 0 if price_cents <= 300 else 1
-    if price_cents <= 800:
-        return 2
-    if price_cents <= 1600:
-        return 3
-    if price_cents <= 2000:
-        return 4
-    return 5
+    return np.where(rental, np.searchsorted((300,), cents),
+                    2 + np.searchsorted((800, 1600, 2000), cents))
 
 
-def bin_recency(release_year: int) -> int:
-    for i, edge in enumerate(RECENCY_EDGES):
-        if release_year < edge:
-            return i
-    return len(RECENCY_EDGES)
+def bin_recency(release_year):
+    return np.searchsorted(RECENCY_EDGES, release_year, side="right")
 
 
-def bin_timeday(timestamp: int, region_offset_minutes: int) -> int:
-    """Map a transaction to one of 6 (day type, time slot) bins.
+def bin_timeday(timestamp, region_offset_minutes):
+    """Map transactions to one of 6 (day type, time slot) bins.
 
     The slot is determined from the user's local clock; hours in [22, 24) and
     [0, 5) share the late-night slot of the same local calendar day, and early
     mornings [5, 10) fold into the office-hours slot.
     """
-    local = timestamp + region_offset_minutes * 60
-    day = local // 86400
-    dow = (day + 3) % 7  # epoch day 0 is a Thursday; Monday == 0
+    local = np.asarray(timestamp) + np.asarray(region_offset_minutes) * 60
+    dow = (local // 86400 + 3) % 7  # epoch day 0 is a Thursday; Monday == 0
     hour = (local % 86400) // 3600
-    if 17 <= hour < 22:
-        slot = 1
-    elif hour >= 22 or hour < 5:
-        slot = 2
-    else:
-        slot = 0
-    return (0 if dow < 5 else 3) + slot
+    slot = np.where((17 <= hour) & (hour < 22), 1,
+                    np.where((hour >= 22) | (hour < 5), 2, 0))
+    return np.where(dow < 5, 0, 3) + slot
 
 
 @dataclass
@@ -122,36 +103,34 @@ class CharacterizationMatrix:
             raise ValueError("matrix shape does not match keys/labels")
 
 
-def aggregate(rs: RecordSet, ti: TenureIndex, ch: str) -> CharacterizationMatrix:
-    """Aggregate records into per-user-month binned features for one facet."""
+_FACET_BINS = {  # each row's bin index, per characterization
+    "ME": lambda rs: me_index(rs.rental, rs.cents),
+    "TF": lambda rs: bin_frequency(rs.rental, rs.cents),
+    "DG": lambda rs: rs.genre,
+    "CR": lambda rs: bin_recency(rs.year),
+    "TDT": lambda rs: bin_timeday(rs.timestamp, rs.offset),
+}
+
+
+def aggregate(rs: RecordSet, months: np.ndarray,
+              ch: str) -> CharacterizationMatrix:
+    """Aggregate rows into per-user-month binned features for one facet;
+    `months` is each row's tenure month (`tenure_align`)."""
     if ch not in CHARACTERIZATIONS:
         raise ValueError(f"unknown characterization {ch!r}")
     d = CHARACTERIZATION_DIMS[ch]
-    acc: dict[tuple[str, int], np.ndarray] = {}
-    for r in rs.records:
-        key = (r.user_id, ti.month_of(r.user_id, r.timestamp))
-        row = acc.get(key)
-        if row is None:
-            row = acc[key] = np.zeros(d, dtype=np.int64)
-        if ch == "ME":
-            row[me_index(r.txn_type, r.price_cents)] += r.price_cents
-        elif ch == "TF":
-            row[bin_frequency(r.txn_type, r.price_cents)] += 1
-        elif ch == "DG":
-            row[GENRE_INDEX[r.genre]] += 1
-        elif ch == "CR":
-            row[bin_recency(r.release_year)] += 1
-        else:  # TDT
-            row[bin_timeday(r.timestamp, r.region_offset_minutes)] += 1
-    keys = sorted(acc)
-    if keys:
-        values = np.stack([acc[k] for k in keys]).astype(np.float64)
-    else:
-        values = np.zeros((0, d))
+    span = int(months.max(initial=0)) + 1
+    keys, user_month = np.unique(rs.user * span + months, return_inverse=True)
+    values = np.bincount(user_month * d + _FACET_BINS[ch](rs),
+                         weights=rs.cents if ch == "ME" else None,
+                         minlength=len(keys) * d)
+    values = values.reshape(len(keys), d).astype(np.float64)
     if ch == "ME":
-        values /= 100.0  # cents accumulated exactly, reported in USD
-    return CharacterizationMatrix(ch, CHARACTERIZATION_LABELS[ch], keys,
-                                  values, VALUE_KINDS[ch])
+        values /= 100.0  # cents summed exactly in float64, reported in USD
+    return CharacterizationMatrix(
+        ch, CHARACTERIZATION_LABELS[ch],
+        [(rs.users[k // span], k % span) for k in keys.tolist()],
+        values, VALUE_KINDS[ch])
 
 
 def write_matrix(cm: CharacterizationMatrix, path) -> None:

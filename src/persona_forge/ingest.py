@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import csv
-import enum
 import time
-from collections import Counter
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import artifacts
 
@@ -28,42 +28,57 @@ CSV_COLUMNS = (
 MIN_RELEASE_YEAR = 1900
 
 
-class TxnType(enum.Enum):
-    RENTAL = "R"
-    PURCHASE = "P"
-
-
 class IngestError(Exception):
     """Raised when a log cannot be ingested at all (bad header, too many bad rows)."""
 
 
-@dataclass(frozen=True, slots=True)
-class TransactionRecord:
-    user_id: str
-    timestamp: int                # UTC epoch seconds
-    region_offset_minutes: int    # signed local-time offset
-    content_id: str
-    txn_type: TxnType
-    price_cents: int              # fixed-point USD cents, avoids float drift
-    genre: str
-    release_year: int
-
-    @property
-    def net_price(self) -> float:
-        return self.price_cents / 100.0
-
-
-def _sort_key(r: TransactionRecord):
-    return (r.user_id, r.timestamp, r.content_id)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecordSet:
-    records: tuple[TransactionRecord, ...]
+    """The event log as one columnar table, one row per transaction.
+
+    `users` and `contents` are the sorted distinct ids; the `user` and
+    `content` columns hold int codes into them, so rows sorted by code are
+    sorted by `(user_id, timestamp, content_id)`. `RecordSet.build` keeps
+    both invariants.
+    """
+    users: tuple[str, ...]
+    contents: tuple[str, ...]
+    user: np.ndarray        # int64 codes into `users`
+    content: np.ndarray     # int64 codes into `contents`
+    timestamp: np.ndarray   # int64 UTC epoch seconds
+    offset: np.ndarray      # int64 signed local-time offset, minutes
+    rental: np.ndarray      # bool; False is a purchase
+    cents: np.ndarray       # int64 fixed-point USD cents, avoids float drift
+    genre: np.ndarray       # int64 index into GENRES
+    year: np.ndarray        # int64 release year
     provenance: str = "Parsed"  # "Parsed" | "Synthetic"
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.user)
+
+    @classmethod
+    def build(cls, user_ids, timestamp, offset, content_ids, rental, cents,
+              genre, year, provenance: str = "Parsed") -> "RecordSet":
+        """Intern the ids in sorted order and sort the rows by
+        (user, timestamp, content); columns in CSV_COLUMNS order."""
+        users, user = _intern(user_ids)
+        contents, content = _intern(content_ids)
+        timestamp = np.asarray(timestamp, dtype=np.int64)
+        order = np.lexsort((content, timestamp, user))
+        return cls(users, contents, user[order], content[order],
+                   timestamp[order],
+                   np.asarray(offset, dtype=np.int64)[order],
+                   np.asarray(rental, dtype=bool)[order],
+                   np.asarray(cents, dtype=np.int64)[order],
+                   np.asarray(genre, dtype=np.int64)[order],
+                   np.asarray(year, dtype=np.int64)[order], provenance)
+
+
+def _intern(ids) -> tuple[tuple[str, ...], np.ndarray]:
+    # Python strings, not a numpy "U" array: those drop trailing NULs.
+    table = tuple(sorted(set(ids)))
+    code = {v: i for i, v in enumerate(table)}
+    return table, np.fromiter(map(code.__getitem__, ids), np.int64, len(ids))
 
 
 @dataclass
@@ -93,33 +108,30 @@ def format_price(cents: int) -> str:
     return f"{cents // 100}.{cents % 100:02d}"
 
 
-def _max_release_year() -> int:
-    return time.gmtime().tm_year
-
-
-def _parse_row(row: dict[str, str]) -> TransactionRecord:
+def _parse_row(row: dict[str, str], max_year: int) -> tuple:
+    """One validated row as its cells in CSV_COLUMNS order."""
     ts = int(row["timestamp"])
     offset = int(row["region_offset_minutes"])
     if not -14 * 60 <= offset <= 14 * 60:
         raise ValueError(f"implausible region offset {offset}")
     code = row["txn_type"].strip()
-    try:
-        txn_type = TxnType(code)
-    except ValueError:
-        raise ValueError(f"unknown txn_type {code!r}") from None
+    if code not in ("R", "P"):
+        raise ValueError(f"unknown txn_type {code!r}")
     cents = parse_price_cents(row["net_price"])
     genre = row["genre"].strip()
     if genre not in GENRE_INDEX:
         raise ValueError(f"unknown genre {genre!r}")
     year = int(row["release_year"])
-    if not MIN_RELEASE_YEAR <= year <= _max_release_year():
+    if not MIN_RELEASE_YEAR <= year <= max_year:
         raise ValueError(f"release_year {year} out of range")
     user_id = row["user_id"].strip()
     content_id = row["content_id"].strip()
     if not user_id or not content_id:
         raise ValueError("empty user_id or content_id")
-    return TransactionRecord(user_id, ts, offset, content_id, txn_type,
-                             cents, genre, year)
+    if max(abs(ts), cents) >= 2**53:  # beyond exact int64/float64 sums
+        raise ValueError(f"timestamp {ts} or price out of range")
+    return (user_id, ts, offset, content_id, code == "R", cents,
+            GENRE_INDEX[genre], year)
 
 
 def parse_log(path, schema: dict[str, str] | None = None,
@@ -135,10 +147,11 @@ def parse_log(path, schema: dict[str, str] | None = None,
     if missing:
         raise IngestError(f"schema missing columns {missing}")
 
-    records: list[TransactionRecord] = []
+    columns: list[list] = [[] for _ in CSV_COLUMNS]
     diagnostics: list[RowDiagnostic] = []
     seen: set[tuple[str, int, str]] = set()
     n_rows = 0
+    max_year = time.gmtime().tm_year
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -158,16 +171,17 @@ def parse_log(path, schema: dict[str, str] | None = None,
                 continue
             row = {c: raw[j] for c, j in col_idx.items()}
             try:
-                rec = _parse_row(row)
+                cells = _parse_row(row, max_year)
             except ValueError as exc:
                 diagnostics.append(RowDiagnostic(i, str(exc)))
                 continue
-            key = (rec.user_id, rec.timestamp, rec.content_id)
+            key = (cells[0], cells[1], cells[3])
             if key in seen:
                 diagnostics.append(RowDiagnostic(i, f"duplicate key {key}"))
                 continue
             seen.add(key)
-            records.append(rec)
+            for column, cell in zip(columns, cells):
+                column.append(cell)
 
     if n_rows and len(diagnostics) > max_bad_fraction * n_rows:
         raise IngestError(
@@ -175,35 +189,25 @@ def parse_log(path, schema: dict[str, str] | None = None,
             f"(limit {max_bad_fraction:.0%}); first: "
             f"row {diagnostics[0].row}: {diagnostics[0].message}")
 
-    records.sort(key=_sort_key)
-    return ParseResult(RecordSet(tuple(records), "Parsed"), diagnostics)
+    return ParseResult(RecordSet.build(*columns), diagnostics)
 
 
 def write_log(rs: RecordSet, path) -> None:
     """Emit the canonical CSV schema."""
     artifacts.write_csv(path, CSV_COLUMNS, (
-        [r.user_id, r.timestamp, r.region_offset_minutes, r.content_id,
-         r.txn_type.value, format_price(r.price_cents), r.genre,
-         r.release_year]
-        for r in rs.records))
+        [rs.users[u], ts, offset, rs.contents[c], "R" if rental else "P",
+         format_price(cents), GENRES[g], year]
+        for u, ts, offset, c, rental, cents, g, year in zip(
+            rs.user.tolist(), rs.timestamp.tolist(), rs.offset.tolist(),
+            rs.content.tolist(), rs.rental.tolist(), rs.cents.tolist(),
+            rs.genre.tolist(), rs.year.tolist())))
 
 
-@dataclass(frozen=True)
-class TenureIndex:
-    """Per-user tenure timelines: birth = first transaction, 30-day months."""
-    births: dict[str, int]
-
-    def month_of(self, user_id: str, timestamp: int) -> int:
-        return (timestamp - self.births[user_id]) // MONTH_SECONDS
-
-
-def tenure_align(rs: RecordSet) -> TenureIndex:
-    births: dict[str, int] = {}
-    for r in rs.records:
-        b = births.get(r.user_id)
-        if b is None or r.timestamp < b:
-            births[r.user_id] = r.timestamp
-    return TenureIndex(births)
+def tenure_align(rs: RecordSet) -> np.ndarray:
+    """Tenure month of each row: 30-day windows from the user's first
+    transaction (the birth), which is the first of the user's sorted rows."""
+    birth = rs.timestamp[np.searchsorted(rs.user, rs.user)]
+    return (rs.timestamp - birth) // MONTH_SECONDS
 
 
 def filter_inactive(rs: RecordSet) -> RecordSet:
@@ -215,17 +219,19 @@ def filter_inactive(rs: RecordSet) -> RecordSet:
     The two rules are iterated to a fixed point so the filter is idempotent.
     """
     while True:
-        n_before = len(rs)
-        counts = Counter(r.user_id for r in rs.records)
-        rs = RecordSet(tuple(r for r in rs.records if counts[r.user_id] > 1),
-                       rs.provenance)
-        ti = tenure_align(rs)
-        months = [ti.month_of(r.user_id, r.timestamp) for r in rs.records]
-        spend: Counter = Counter()
-        for r, m in zip(rs.records, months):
-            spend[(r.user_id, m)] += r.price_cents
-        kept = (r for r, m in zip(rs.records, months)
-                if spend[(r.user_id, m)] >= MIN_MONTH_SPEND_CENTS)
-        rs = RecordSet(tuple(kept), rs.provenance)
-        if len(rs) == n_before:
+        # Dropping whole users leaves every other user's birth unchanged, so
+        # both rules can be read off one pass over the same table.
+        months = tenure_align(rs)
+        _, user_month = np.unique(rs.user * (months.max(initial=0) + 1)
+                                  + months, return_inverse=True)
+        spend = np.bincount(user_month, weights=rs.cents)
+        keep = ((np.bincount(rs.user)[rs.user] > 1)
+                & (spend[user_month] >= MIN_MONTH_SPEND_CENTS))
+        if keep.all():
             return rs
+        rs = RecordSet.build(
+            np.asarray(rs.users, dtype=object)[rs.user[keep]],
+            rs.timestamp[keep], rs.offset[keep],
+            np.asarray(rs.contents, dtype=object)[rs.content[keep]],
+            rs.rental[keep], rs.cents[keep], rs.genre[keep], rs.year[keep],
+            rs.provenance)

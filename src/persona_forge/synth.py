@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import artifacts
-from .ingest import GENRES, MONTH_SECONDS, RecordSet, TransactionRecord, TxnType
+from .ingest import MONTH_SECONDS, RecordSet
 
 SIMPLEX_TOL = 1e-12
 
@@ -219,7 +219,7 @@ def generate(cfg: GeneratorConfig) -> tuple[RecordSet, GroundTruth]:
     rng = np.random.default_rng(cfg.seed)
     means = np.atleast_1d(np.asarray(cfg.poisson_mean, dtype=np.float64))
     truth: dict[str, dict[tuple[str, int], int]] = {ch: {} for ch in cfg.planted}
-    records: list[TransactionRecord] = []
+    rows: list[tuple] = []  # cells in CSV_COLUMNS order
     base_day = cfg.base_ts // 86400
     uid_width = max(6, len(str(cfg.n_users - 1)))
 
@@ -320,13 +320,11 @@ def generate(cfg: GeneratorConfig) -> tuple[RecordSet, GroundTruth]:
                 while (ts, content) in seen:
                     ts += 1
                 seen.add((ts, content))
-                records.append(TransactionRecord(
-                    uid, int(ts), offset, content,
-                    TxnType.RENTAL if rentals[i] else TxnType.PURCHASE,
-                    int(prices[i]), GENRES[int(genres[i])], years[i]))
+                rows.append((uid, int(ts), offset, content, rentals[i],
+                             int(prices[i]), int(genres[i]), years[i]))
 
-    records.sort(key=lambda r: (r.user_id, r.timestamp, r.content_id))
-    return RecordSet(tuple(records), "Synthetic"), GroundTruth(truth)
+    return (RecordSet.build(*zip(*rows), provenance="Synthetic"),
+            GroundTruth(truth))
 
 
 def write_ground_truth(gt: GroundTruth, path) -> None:

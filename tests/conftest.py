@@ -1,18 +1,36 @@
-import pytest
+from typing import NamedTuple
 
-from persona_forge.ingest import RecordSet, TransactionRecord, TxnType
+from persona_forge.ingest import GENRE_INDEX, GENRES, RecordSet
+
+
+class Row(NamedTuple):
+    """One event as plain Python values, with the genre as its name."""
+    user_id: str
+    timestamp: int
+    offset: int
+    content_id: str
+    rental: bool
+    cents: int
+    genre: str
+    year: int
 
 
 def make_record(user="u1", ts=0, offset=0, content="c1", kind="R",
                 cents=100, genre="Drama", year=2014):
-    return TransactionRecord(user, ts, offset, content, TxnType(kind),
-                             cents, genre, year)
+    return Row(user, ts, offset, content, kind == "R", cents, genre, year)
 
 
 def make_record_set(*records, provenance="Parsed"):
-    return RecordSet(tuple(records), provenance)
+    columns = [list(c) for c in zip(*records)] or [[] for _ in Row._fields]
+    columns[6] = [GENRE_INDEX[g] for g in columns[6]]
+    return RecordSet.build(*columns, provenance=provenance)
 
 
-@pytest.fixture
-def record_factory():
-    return make_record
+def rows(rs):
+    """The table's rows, in table order, as `Row`s."""
+    return [Row(rs.users[u], ts, offset, rs.contents[c], rental, cents,
+                GENRES[g], year)
+            for u, ts, offset, c, rental, cents, g, year in zip(
+                rs.user.tolist(), rs.timestamp.tolist(), rs.offset.tolist(),
+                rs.content.tolist(), rs.rental.tolist(), rs.cents.tolist(),
+                rs.genre.tolist(), rs.year.tolist())]

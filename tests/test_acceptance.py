@@ -259,8 +259,9 @@ def test_feature_mode_tradeoff_pattern():
     cfg.mixtures["DG"] = synth.PlantedMixture(dg_pi, dg_theta)
     rs, _ = synth.generate(cfg)
 
-    ti = features.tenure_align(rs)
-    matrices = {ch: features.aggregate(rs, ti, ch) for ch in ("CR", "DG", "ME")}
+    months = features.tenure_align(rs)
+    matrices = {ch: features.aggregate(rs, months, ch)
+                for ch in ("CR", "DG", "ME")}
     models = {
         "CR": mixture.fit_em(matrices["CR"].values, 3,
                              mixture.EMConfig(restarts=5, seed=1), "CR")[0],

@@ -7,7 +7,7 @@ layout fails here.
 
 import numpy as np
 
-from conftest import make_record, make_record_set
+from conftest import make_record, make_record_set, rows
 from persona_forge import artifacts, cli
 from persona_forge.features import (TF_LABELS, CharacterizationMatrix,
                                     read_matrix, write_matrix)
@@ -27,7 +27,7 @@ def test_log_format(tmp_path):
         b"net_price,genre,release_year\n"
         b"u1,10,-300,c1,R,1.99,Drama,2010\n"
         b'u2,20,60,"c,2",P,15.00,Super Hero,1999\n')
-    assert parse_log(path).record_set == rs
+    assert rows(parse_log(path).record_set) == rows(rs)
 
 
 def test_count_matrix_format(tmp_path):

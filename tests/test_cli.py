@@ -92,20 +92,36 @@ def test_cf_stage_variants(pipeline, tmp_path, variant):
     assert inputs == expected
 
 
-def test_cf_user_missing_from_assignments_is_data_error(pipeline, tmp_path,
-                                                        capsys):
+@pytest.mark.parametrize("variant", ["a", "b", "c", "d"])
+def test_cf_user_missing_from_cluster_input_is_data_error(pipeline, tmp_path,
+                                                          capsys, variant):
     out = _copy_pipeline(pipeline, tmp_path)
-    path = out / "assignments_TF.csv"
+    # a, b and d read each user's cluster, c the user's pooled features
+    path = out / ("features_TF.csv" if variant == "c"
+                  else "assignments_TF.csv")
     header, *rows = path.read_text().splitlines()
     dropped = rows[0].split(",")[0]
     kept = [r for r in rows if r.split(",")[0] != dropped]
     assert len(kept) < len(rows)
     path.write_text("\n".join([header] + kept) + "\n")
-    config = _write_config(tmp_path, {"cf": {"variant": "a", "epochs": 1}})
+    config = _write_config(tmp_path, {"cf": {"variant": variant,
+                                             "epochs": 1}})
     assert cli.run(config, out, only_stage="cf") == 3
     error = json.loads(capsys.readouterr().err)
     assert error["error"] == "data"
     assert dropped in error["message"]
+    assert path.name in error["message"]
+
+
+def test_missing_matrix_sidecar_is_data_error(pipeline, tmp_path, capsys):
+    out = _copy_pipeline(pipeline, tmp_path)
+    (out / "features_TF.csv.json").unlink()
+    config = _write_config(tmp_path, {"cluster": {"restarts": 1}})
+    assert cli.run(config, out, only_stage="cluster") == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "data"
+    assert "features_TF.csv.json" in error["message"]
 
 
 def test_analyze_report_contents(pipeline):
@@ -147,6 +163,24 @@ def test_invalid_synth_section_is_validation_error(tmp_path):
                                     "synth": {"n_users": 0,
                                               "months_per_user": 1}})
     assert cli.run(path, tmp_path / "out") == 2
+
+
+@pytest.mark.parametrize("stage,section", [
+    ("cluster", {"restarts": "x"}),
+    ("cluster", {"k": {"TF": 0}}),
+    ("ctr", {"lambda": "abc"}),
+    ("ctr", {"recipes": [{"XX": "c"}]}),
+    ("ctr", {"recipes": ["c"]}),
+    ("synth", {"n_users": "ten", "months_per_user": 1}),
+    ("cf", {"variant": "zz"}),
+])
+def test_bad_config_value_is_validation_error(tmp_path, capsys, stage,
+                                              section):
+    # checked before the stage reads any input, so an empty directory serves
+    path = _write_config(tmp_path, {"stages": [stage], stage: section})
+    assert cli.run(path, tmp_path / "out") == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "validation"
 
 
 def test_missing_artifact_is_data_error(tmp_path):

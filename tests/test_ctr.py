@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import rows
 from persona_forge import ctr, features, mixture, synth
 from persona_forge.ctr import (CtrError, FeatureModeRecipe, SolverConfig,
                                auc_score, build_dataset, feature_layout,
@@ -238,10 +239,10 @@ def test_split_users_deterministic_and_disjoint():
 
 def test_item_user_sets_from_records():
     rs, _ = synth.generate(synth.default_config(10, 1, seed=1))
-    items = item_user_sets(rs)
-    assert all(users for users in items.values())
-    total = {u for users in items.values() for u in users}
-    assert total == {r.user_id for r in rs.records}
+    expected = {}
+    for r in rows(rs):
+        expected.setdefault(r.content_id, set()).add(r.user_id)
+    assert item_user_sets(rs) == expected
 
 
 def test_run_ctr_experiment_smoke():

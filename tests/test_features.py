@@ -8,7 +8,7 @@ from persona_forge import features
 from persona_forge.features import (aggregate, bin_frequency, bin_price,
                                     bin_recency, bin_timeday, me_index,
                                     read_matrix, tenure_align, write_matrix)
-from persona_forge.ingest import MONTH_SECONDS, TxnType
+from persona_forge.ingest import MONTH_SECONDS
 
 
 def _bin_oracle(cents, edges):
@@ -18,37 +18,43 @@ def _bin_oracle(cents, edges):
     return 1 + int(np.searchsorted(np.array(edges[1:]), cents, side="left"))
 
 
-@pytest.mark.parametrize("kind,edges,n_bins", [
-    (TxnType.RENTAL, features.RENTAL_PRICE_EDGES, 5),
-    (TxnType.PURCHASE, features.PURCHASE_PRICE_EDGES, 8),
+@pytest.mark.parametrize("rental,edges,n_bins", [
+    (True, features.RENTAL_PRICE_EDGES, 5),
+    (False, features.PURCHASE_PRICE_EDGES, 8),
 ])
-def test_bin_price_matches_oracle(kind, edges, n_bins):
-    for cents in list(range(0, 2600, 7)) + [1, 100, 101, 300, 301, 500, 501,
-                                            800, 801, 1000, 1600, 2000, 2001]:
-        b = bin_price(kind, cents)
+def test_bin_price_matches_oracle(rental, edges, n_bins):
+    grid = list(range(0, 2600, 7)) + [1, 100, 101, 300, 301, 500, 501, 800,
+                                      801, 1000, 1600, 2000, 2001]
+    for cents in grid:
+        b = bin_price(rental, cents)
         assert b == min(_bin_oracle(cents, edges), n_bins - 1)
         assert 0 <= b < n_bins
+    assert bin_price(rental, grid).tolist() == [bin_price(rental, c)
+                                                for c in grid]
 
 
 def test_bin_price_rejects_negative():
     with pytest.raises(ValueError):
-        bin_price(TxnType.RENTAL, -1)
+        bin_price(True, -1)
+    with pytest.raises(ValueError):
+        bin_price(np.array([True, False]), np.array([5, -1]))
 
 
 def test_me_index_layout():
-    assert me_index(TxnType.RENTAL, 0) == 0
-    assert me_index(TxnType.RENTAL, 50000) == 4
-    assert me_index(TxnType.PURCHASE, 0) == 5
-    assert me_index(TxnType.PURCHASE, 50000) == 12
-    seen = {me_index(t, c) for t in TxnType for c in range(0, 2600, 3)}
+    assert me_index(True, 0) == 0
+    assert me_index(True, 50000) == 4
+    assert me_index(False, 0) == 5
+    assert me_index(False, 50000) == 12
+    cents = np.arange(0, 2600, 3)
+    seen = set(me_index(True, cents)) | set(me_index(False, cents))
     assert seen == set(range(13))
 
 
 def test_bin_frequency_matches_coarse_oracle():
     for cents in range(0, 2600, 3):
-        b = bin_frequency(TxnType.RENTAL, cents)
+        b = bin_frequency(True, cents)
         assert b == (0 if cents <= 300 else 1)
-        b = bin_frequency(TxnType.PURCHASE, cents)
+        b = bin_frequency(False, cents)
         if cents <= 800:
             assert b == 2
         elif cents <= 1600:
@@ -102,15 +108,13 @@ def test_late_night_stays_on_same_local_day():
 
 def test_tenure_align_uses_first_transaction():
     rs = make_record_set(
-        make_record(user="a", ts=500, content="x"),
+        make_record(user="a", ts=100 + MONTH_SECONDS, content="z"),
+        make_record(user="a", ts=100 + MONTH_SECONDS - 1, content="x"),
         make_record(user="a", ts=100, content="y"),
         make_record(user="b", ts=42, content="x"),
     )
-    ti = tenure_align(rs)
-    assert ti.births == {"a": 100, "b": 42}
-    assert ti.month_of("a", 100) == 0
-    assert ti.month_of("a", 100 + MONTH_SECONDS - 1) == 0
-    assert ti.month_of("a", 100 + MONTH_SECONDS) == 1
+    # rows sort to a@100, a@100+M-1, a@100+M, b@42; births are 100 and 42
+    assert tenure_align(rs).tolist() == [0, 0, 1, 0]
 
 
 def test_aggregate_hand_traced():
@@ -124,9 +128,9 @@ def test_aggregate_hand_traced():
         make_record(user="b", ts=7, content="x", kind="P", cents=450,
                     genre="Horror", year=2012),
     )
-    ti = tenure_align(rs)
+    months = tenure_align(rs)
 
-    me = aggregate(rs, ti, "ME")
+    me = aggregate(rs, months, "ME")
     assert me.keys == [("a", 0), ("a", 1), ("b", 0)]
     assert me.value_kind == "Amount"
     row_a0 = np.zeros(13)
@@ -136,20 +140,20 @@ def test_aggregate_hand_traced():
     np.testing.assert_allclose(me.values[1],
                                np.eye(13)[1] * 0.99)
 
-    tf = aggregate(rs, ti, "TF")
+    tf = aggregate(rs, months, "TF")
     assert tf.values[0].tolist() == [1, 0, 0, 0, 1, 0]
     assert tf.values[2].tolist() == [0, 0, 1, 0, 0, 0]
 
-    dg = aggregate(rs, ti, "DG")
+    dg = aggregate(rs, months, "DG")
     assert dg.values[0][features.GENRES.index("Comedy")] == 1
     assert dg.values[0][features.GENRES.index("Drama")] == 1
     assert dg.values[0].sum() == 2
 
-    cr = aggregate(rs, ti, "CR")
+    cr = aggregate(rs, months, "CR")
     assert cr.values[0].tolist() == [0, 1, 0, 0, 1]
     assert cr.values[1].tolist() == [1, 0, 0, 0, 0]
 
-    tdt = aggregate(rs, ti, "TDT")
+    tdt = aggregate(rs, months, "TDT")
     assert tdt.values[0].sum() == 2
 
 
@@ -170,8 +174,8 @@ def test_me_amounts_are_exact_cents():
     # cents accumulate as integers before the single division to USD
     recs = [make_record(user="a", ts=i, content=f"c{i}", cents=1)
             for i in range(3)]
-    cm = aggregate(make_record_set(*recs), tenure_align(make_record_set(*recs)),
-                   "ME")
+    rs = make_record_set(*recs)
+    cm = aggregate(rs, tenure_align(rs), "ME")
     assert cm.values[0][1] == 0.03
 
 

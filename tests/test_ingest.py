@@ -3,9 +3,9 @@ import csv
 import numpy as np
 import pytest
 
-from conftest import make_record, make_record_set
+from conftest import make_record, make_record_set, rows
 from persona_forge import ingest
-from persona_forge.ingest import (IngestError, TxnType, filter_inactive,
+from persona_forge.ingest import (IngestError, filter_inactive,
                                   format_price, parse_log, parse_price_cents,
                                   write_log)
 
@@ -32,10 +32,6 @@ def test_format_price_roundtrip():
         assert parse_price_cents(format_price(cents)) == cents
 
 
-def test_net_price_property():
-    assert make_record(cents=350).net_price == 3.50
-
-
 def test_write_parse_roundtrip(tmp_path):
     records = [
         make_record(user="a", ts=100, content="x", kind="R", cents=199),
@@ -49,7 +45,7 @@ def test_write_parse_roundtrip(tmp_path):
     result = parse_log(path)
     assert result.diagnostics == []
     assert result.record_set.provenance == "Parsed"
-    assert list(result.record_set.records) == sorted(
+    assert rows(result.record_set) == sorted(
         records, key=lambda r: (r.user_id, r.timestamp, r.content_id))
 
 
@@ -64,8 +60,8 @@ def test_parse_schema_mapping(tmp_path):
               "txn_type": "kind", "net_price": "price", "genre": "g",
               "release_year": "yr"}
     result = parse_log(path, schema=schema)
-    (rec,) = result.record_set.records
-    assert rec.user_id == "u1" and rec.price_cents == 199
+    (rec,) = rows(result.record_set)
+    assert rec.user_id == "u1" and rec.cents == 199
 
 
 def test_parse_missing_header_column(tmp_path):
@@ -102,7 +98,7 @@ def test_malformed_rows_become_diagnostics(tmp_path):
     rows[4] = ["u1", "bad_ts", "0", "c2", "R", "1.99", "Drama", "2010"]
     _write_rows(path, rows)
     result = parse_log(path)
-    assert len(result.record_set.records) == 19
+    assert len(result.record_set) == 19
     assert [d.row for d in result.diagnostics] == [5]  # 1-based data rows
 
 
@@ -115,13 +111,15 @@ def test_malformed_rows_become_diagnostics(tmp_path):
     (["u1", "100", "900", "c1", "R", "1.99", "Drama", "2010"], "offset"),
     (["", "100", "0", "c1", "R", "1.99", "Drama", "2010"], "user"),
     (["u1", "100", "0", "c1", "R", "1.99", "Drama"], "field count"),
+    (["u1", "9" * 20, "0", "c1", "R", "1.99", "Drama", "2010"], "ts range"),
+    (["u1", "100", "0", "c1", "R", "9" * 17, "Drama", "2010"], "price range"),
 ])
 def test_invalid_rows_rejected(tmp_path, row, why):
     path = tmp_path / "log.csv"
     _write_rows(path, [_good(i) for i in range(12)] + [row])
     result = parse_log(path)
     assert len(result.diagnostics) == 1, why
-    assert len(result.record_set.records) == 12
+    assert len(result.record_set) == 12
 
 
 def test_duplicate_keys_rejected(tmp_path):
@@ -148,7 +146,7 @@ def test_filter_removes_single_transaction_users():
         make_record(user="ok", ts=10, content="b", cents=500),
     )
     out = filter_inactive(rs)
-    assert {r.user_id for r in out.records} == {"ok"}
+    assert out.users == ("ok",)
 
 
 def test_filter_drops_low_spend_months():
@@ -160,7 +158,7 @@ def test_filter_drops_low_spend_months():
         make_record(user="u", ts=MONTH + 6, content="d", cents=25),
     )
     out = filter_inactive(rs)
-    assert [r.content_id for r in out.records] == ["a", "b"]
+    assert [r.content_id for r in rows(out)] == ["a", "b"]
 
 
 def test_filter_cascades_to_fixed_point():
@@ -173,7 +171,7 @@ def test_filter_cascades_to_fixed_point():
         make_record(user="v", ts=10, content="b", cents=500),
     )
     out = filter_inactive(rs)
-    assert {r.user_id for r in out.records} == {"v"}
+    assert out.users == ("v",)
 
 
 def test_filter_is_idempotent_on_random_logs():
@@ -189,7 +187,7 @@ def test_filter_is_idempotent_on_random_logs():
     rs = make_record_set(*records)
     once = filter_inactive(rs)
     twice = filter_inactive(once)
-    assert once.records == twice.records
+    assert rows(once) == rows(twice)
 
 
 def test_filter_preserves_provenance():

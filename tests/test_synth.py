@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import rows
 from persona_forge import features, synth
 from persona_forge.features import (bin_frequency, bin_recency, bin_timeday,
                                     me_index, tenure_align)
@@ -58,48 +59,44 @@ def test_generate_is_deterministic():
     cfg = default_config(30, 2, seed=5)
     rs1, gt1 = generate(cfg)
     rs2, gt2 = generate(default_config(30, 2, seed=5))
-    assert rs1.records == rs2.records
+    assert rows(rs1) == rows(rs2)
     assert gt1.labels == gt2.labels
     rs3, _ = generate(default_config(30, 2, seed=6))
-    assert rs1.records != rs3.records
+    assert rows(rs1) != rows(rs3)
 
 
 def test_every_user_month_has_transactions_and_anchor():
     cfg = default_config(40, 3, seed=1)
     rs, gt = generate(cfg)
-    ti = tenure_align(rs)
-    cm = features.aggregate(rs, ti, "TF")
+    cm = features.aggregate(rs, tenure_align(rs), "TF")
     # tenure alignment reproduces planted user-months (later months may draw
     # zero transactions, so observed keys form a subset)
     planted = set(gt.labels["TF"])
     assert set(cm.keys) <= planted
     users = {u for u, _ in planted}
     assert {(u, 0) for u in users} <= set(cm.keys)
-    # the first transaction sits exactly at the tenure birth
-    by_user = {}
-    for r in rs.records:
-        by_user.setdefault(r.user_id, []).append(r.timestamp)
-    for user, tss in by_user.items():
-        assert min(tss) == ti.births[user]
+    # the first of each user's rows is their earliest: the tenure birth
+    starts = np.flatnonzero(np.r_[True, rs.user[1:] != rs.user[:-1]])
+    assert np.array_equal(np.minimum.reduceat(rs.timestamp, starts),
+                          rs.timestamp[starts])
+
+
+def _row_keys(rs):
+    return [(rs.users[u], m)
+            for u, m in zip(rs.user.tolist(), tenure_align(rs).tolist())]
 
 
 def test_records_respect_planted_labels():
     cfg = default_config(25, 2, seed=3)
     rs, gt = generate(cfg)
-    ti = tenure_align(rs)
+    keys = _row_keys(rs)
     mix = cfg.mixtures
-    for r in rs.records:
-        m = ti.month_of(r.user_id, r.timestamp)
-        key = (r.user_id, m)
-        tf = gt.labels["TF"][key]
-        assert mix["TF"].theta[tf, bin_frequency(r.txn_type, r.price_cents)] > 0
-        dg = gt.labels["DG"][key]
-        assert mix["DG"].theta[dg, features.GENRES.index(r.genre)] > 0
-        cr = gt.labels["CR"][key]
-        assert mix["CR"].theta[cr, bin_recency(r.release_year)] > 0
-        tdt = gt.labels["TDT"][key]
-        b = bin_timeday(r.timestamp, r.region_offset_minutes)
-        assert mix["TDT"].theta[tdt, b] > 0
+    bins = {"TF": bin_frequency(rs.rental, rs.cents), "DG": rs.genre,
+            "CR": bin_recency(rs.year),
+            "TDT": bin_timeday(rs.timestamp, rs.offset)}
+    for ch, b in bins.items():
+        labels = gt.label_array(ch, keys)
+        assert np.all(mix[ch].theta[labels, b] > 0), ch
 
 
 def test_me_mode_spend_lands_in_planted_bins():
@@ -107,24 +104,21 @@ def test_me_mode_spend_lands_in_planted_bins():
                          spend_model=synth.default_spend_model())
     rs, gt = generate(cfg)
     centers = cfg.spend_model.centers
-    ti = tenure_align(rs)
-    for r in rs.records:
-        m = ti.month_of(r.user_id, r.timestamp)
-        me = gt.labels["ME"][(r.user_id, m)]
-        assert centers[me, me_index(r.txn_type, r.price_cents)] > 0
+    labels = gt.label_array("ME", _row_keys(rs))
+    assert np.all(centers[labels, me_index(rs.rental, rs.cents)] > 0)
 
 
 def test_no_duplicate_record_keys():
     rs, _ = generate(default_config(60, 2, seed=11))
-    keys = [(r.user_id, r.timestamp, r.content_id) for r in rs.records]
+    keys = [(r.user_id, r.timestamp, r.content_id) for r in rows(rs)]
     assert len(keys) == len(set(keys))
 
 
 def test_content_ids_key_genre_and_recency():
     rs, _ = generate(default_config(20, 1, seed=2, items_per_cell=3))
-    for r in rs.records:
+    for r in rows(rs):
         g = features.GENRES.index(r.genre)
-        cr = bin_recency(r.release_year)
+        cr = bin_recency(r.year)
         assert r.content_id.startswith(f"g{g:02d}r{cr}x")
         assert int(r.content_id.rsplit("x", 1)[1]) < 3
 
