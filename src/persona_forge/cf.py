@@ -4,7 +4,7 @@ factor variants."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,8 +46,7 @@ def predict_similarity(user, item, candidates, transacted, sim) -> SimilarityPre
     non-negative. The rating is the similarity-weighted mean over U(item);
     the probability is the transacting share of total candidate similarity.
     """
-    num_r = den_r = 0.0
-    total = 0.0
+    num_r = den_r = total = 0.0
     examined = 0
     for v in candidates:
         if v == user:
@@ -86,14 +85,11 @@ def predict_similarity_temporal(ctx: TemporalContext, user, item, horizon: int,
     the full transacting population. The probability numerator uses
     transaction indicators so the estimate stays in [0, 1].
     """
-    num_r = den_r = 0.0
-    num_p = den_p = 0.0
+    num_r = den_r = den_p = 0.0
     examined = 0
     for t in sorted(ctx.features):
-        if t > horizon:
-            continue
         feats = ctx.features[t]
-        if user not in feats:
+        if t > horizon or user not in feats:
             continue
         w = 1.0 if weights is None else float(weights.get(t, 0.0))
         if w < 0:
@@ -105,9 +101,7 @@ def predict_similarity_temporal(ctx: TemporalContext, user, item, horizon: int,
         label = members.get(user)
         item_users = ctx.transacted.get(t, {}).get(item, {})
         for v, v_t in feats.items():
-            if v == user:
-                continue
-            if restrict_to_cluster and members.get(v) != label:
+            if v == user or (restrict_to_cluster and members.get(v) != label):
                 continue
             s = w * sim(u_t, v_t)
             examined += 1
@@ -116,9 +110,8 @@ def predict_similarity_temporal(ctx: TemporalContext, user, item, horizon: int,
             if r is not None:
                 num_r += s * r
                 den_r += s
-                num_p += s
     rating = num_r / den_r if den_r > 0 else None
-    probability = num_p / den_p if den_p > 0 else 0.0
+    probability = den_r / den_p if den_p > 0 else 0.0
     return SimilarityPrediction(rating, probability, examined)
 
 
@@ -148,142 +141,152 @@ class FactorModel:
     Q: np.ndarray                  # (n_items, f)
     ba: np.ndarray | None = None   # (n_clusters,) variant a
     Y: np.ndarray | None = None    # (n_clusters, f) variant b
-    memberships: list[list[int]] | None = None   # per-user cluster ids (a, b)
-    static: np.ndarray | None = None             # (n_users, g) variant c
-    Qs: np.ndarray | None = None                 # (n_items, g) variant c
+    clusters: np.ndarray | None = None  # (n_users,) label per user (a, b, d)
+    static: np.ndarray | None = None    # (n_users, g) variant c
+    Qs: np.ndarray | None = None        # (n_items, g) variant c
     submodels: dict[int, "FactorModel"] | None = None  # variant d
-    partition: np.ndarray | None = None                # (n_users,) variant d
     rmse_trace: list[float] = field(default_factory=list)
     empty_clusters: list[int] = field(default_factory=list)
 
-    def predict(self, u: int, i: int) -> float:
+    def predict(self, users, items):
+        """Predicted ratings of (user, item) index pairs, a float for scalar
+        indices. A negative cluster label (a, b) adds no cluster term."""
+        u, i = np.atleast_1d(users), np.atleast_1d(items)
         if self.variant == "d":
-            c = int(self.partition[u])
-            sub = self.submodels.get(c)
-            if sub is None:
-                return self.mu
-            return sub.predict(u, i)
-        r = self.mu + self.bi[i] + self.bu[u]
-        if self.variant == "a" and self.memberships is not None:
-            for a in self.memberships[u]:
-                r += self.ba[a]
-        p = self.P[u]
-        if self.variant == "b" and self.memberships is not None:
-            p = p + sum((self.Y[a] for a in self.memberships[u]),
-                        np.zeros_like(p))
-        r += float(self.Q[i] @ p)
-        if self.variant == "c":
-            r += float(self.Qs[i] @ self.static[u])
-        return float(r)
+            out = np.full(len(u), self.mu)
+            for c, sub in self.submodels.items():
+                rows = self.clusters[u] == c
+                out[rows] = sub.predict(u[rows], i[rows])
+        else:
+            out = self.mu + self.bi[i] + self.bu[u]
+            p = self.P[u]
+            if self.ba is not None:
+                rows = self.clusters[u] >= 0
+                out[rows] += self.ba[self.clusters[u[rows]]]
+            if self.Y is not None:
+                rows = self.clusters[u] >= 0
+                p[rows] += self.Y[self.clusters[u[rows]]]
+            # row-wise matmul gives each row the bits of the 1-D `Q[i] @ p`
+            out += np.matmul(self.Q[i][:, None, :], p[:, :, None])[:, 0, 0]
+            if self.static is not None:
+                out += np.matmul(self.Qs[i][:, None, :],
+                                 self.static[u][:, :, None])[:, 0, 0]
+        return float(out[0]) if np.ndim(users) == 0 else out
+
+
+def _columns(ratings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Contiguous (users, items, values) columns of (u, i, r) triples."""
+    u, i, r = np.array(list(ratings), dtype=np.float64).reshape(-1, 3).T.copy()
+    return u.astype(np.int64), i.astype(np.int64), r
 
 
 def fit_factor(n_users: int, n_items: int, ratings, variant: str = "vanilla",
-               cluster_info: dict | None = None,
+               clusters=None, static=None,
                config: FactorConfig | None = None) -> FactorModel:
     """SGD fit of a biased latent factor model, optionally persona-augmented.
 
-    `ratings` is a sequence of (user_index, item_index, value). cluster_info
-    supplies what the variant needs: 'memberships' (a, b), 'static_features'
-    (c), or 'partition' (d).
+    `ratings` is a sequence of (user_index, item_index, value). Variants a, b
+    and d read `clusters`, one int label per user (for a and b a negative
+    label means no cluster); variant c reads `static`, one row per user.
     """
     if variant not in VARIANTS:
         raise CfError(f"unknown variant {variant!r}")
+    if variant not in ("a", "b", "d"):
+        clusters = None
+    elif np.shape(clusters) != (n_users,):
+        raise CfError(f"variant {variant} needs one cluster label per user")
+    if variant == "c" and (np.ndim(static) != 2 or len(static) != n_users):
+        raise CfError("variant c needs one static feature row per user")
     config = config or FactorConfig()
-    cluster_info = cluster_info or {}
-    ratings = [(int(u), int(i), float(r)) for u, i, r in ratings]
-    if not ratings:
+    users, items, values = columns = _columns(ratings)
+    if not len(values):
         raise CfError("ratings must be non-empty")
+    mu = float(np.mean(values))
+    if clusters is not None:
+        clusters = np.asarray(clusters, dtype=np.int64)
 
     if variant == "d":
-        partition = np.asarray(cluster_info["partition"], dtype=np.int64)
-        mu = float(np.mean([r for _, _, r in ratings]))
-        submodels: dict[int, FactorModel] = {}
-        empty: list[int] = []
-        for c in sorted(set(int(v) for v in partition)):
-            sub_ratings = [(u, i, r) for u, i, r in ratings if partition[u] == c]
-            if not sub_ratings:
+        submodels, empty = {}, []
+        for c in np.unique(clusters).tolist():
+            rows = clusters[users] == c
+            if not rows.any():
                 empty.append(c)
                 log.warning("variant d cluster %d has no ratings; "
                             "falls back to global mean", c)
                 continue
-            sub_cfg = FactorConfig(config.f, config.lr, config.reg,
-                                   config.epochs, config.seed + c + 1,
-                                   config.init_scale)
-            submodels[c] = fit_factor(n_users, n_items, sub_ratings,
-                                      "vanilla", None, sub_cfg)
+            sub = list(zip(users[rows], items[rows], values[rows]))
+            cfg = replace(config, seed=config.seed + c + 1)
+            submodels[c] = fit_factor(n_users, n_items, sub, "vanilla", config=cfg)
         model = FactorModel("d", mu, np.zeros(n_users), np.zeros(n_items),
                             np.zeros((n_users, 1)), np.zeros((n_items, 1)),
-                            submodels=submodels, partition=partition,
+                            clusters=clusters, submodels=submodels,
                             empty_clusters=empty)
-        model.rmse_trace = [_rmse(model, ratings)]
+        model.rmse_trace = [_rmse(model, columns)]
         return model
 
     rng = np.random.default_rng(config.seed)
-    f = config.f
-    scale = config.init_scale / np.sqrt(f)
-    mu = float(np.mean([r for _, _, r in ratings]))
+    scale = config.init_scale / np.sqrt(config.f)
     model = FactorModel(
         variant, mu, np.zeros(n_users), np.zeros(n_items),
-        rng.normal(0.0, scale, (n_users, f)),
-        rng.normal(0.0, scale, (n_items, f)))
+        rng.normal(0.0, scale, (n_users, config.f)),
+        rng.normal(0.0, scale, (n_items, config.f)), clusters=clusters)
     # augmentation parameters come from their own stream so the SGD
     # trajectory of a zero-augmented variant is bit-identical to vanilla
     aug_rng = np.random.default_rng((config.seed, 1))
-    if variant in ("a", "b"):
-        memberships = [list(m) for m in cluster_info["memberships"]]
-        n_clusters = 1 + max((max(m) for m in memberships if m), default=-1)
-        model.memberships = memberships
-        if variant == "a":
-            model.ba = np.zeros(n_clusters)
-        else:
-            model.Y = aug_rng.normal(0.0, scale, (n_clusters, f))
+    if variant == "a":
+        model.ba = np.zeros(int(clusters.max(initial=-1)) + 1)
+    if variant == "b":
+        model.Y = aug_rng.normal(0.0, scale,
+                                 (int(clusters.max(initial=-1)) + 1, config.f))
     if variant == "c":
-        static = np.asarray(cluster_info["static_features"], dtype=np.float64)
-        if static.shape[0] != n_users:
-            raise CfError("static_features must have one row per user")
-        model.static = static
-        model.Qs = aug_rng.normal(0.0, scale, (n_items, static.shape[1]))
+        model.static = np.asarray(static, dtype=np.float64)
+        model.Qs = aug_rng.normal(0.0, scale, (n_items, model.static.shape[1]))
 
-    order = np.arange(len(ratings))
+    P, Q, bu, bi, ba, Y, Qs, static = (model.P, model.Q, model.bu, model.bi,
+                                       model.ba, model.Y, model.Qs, model.static)
+    labels = [-1] * n_users if clusters is None else clusters.tolist()
+    order = np.arange(len(values))
     reg = config.reg
     for epoch in range(config.epochs):
         lr = config.lr / np.sqrt(1.0 + epoch)
         rng.shuffle(order)
-        for idx in order:
-            u, i, r = ratings[idx]
-            err = r - model.predict(u, i)
-            p = model.P[u].copy()  # pre-update values for every update below
-            q = model.Q[i].copy()
-            model.bu[u] += lr * (err - reg * model.bu[u])
-            model.bi[i] += lr * (err - reg * model.bi[i])
-            if variant == "a":
-                for a in model.memberships[u]:
-                    model.ba[a] += lr * (err - reg * model.ba[a])
-                user_vec = p
-            elif variant == "b":
-                user_vec = p + sum((model.Y[a] for a in model.memberships[u]),
-                                   np.zeros(f))
-            else:
-                user_vec = p
-            model.P[u] = p + lr * (err * q - reg * p)
-            model.Q[i] = q + lr * (err * user_vec - reg * q)
-            if variant == "b":
-                for a in model.memberships[u]:
-                    model.Y[a] += lr * (err * q - reg * model.Y[a])
-            if variant == "c":
-                model.Qs[i] += lr * (err * model.static[u] - reg * model.Qs[i])
-        model.rmse_trace.append(_rmse(model, ratings))
+        for u, i, r in zip(users[order].tolist(), items[order].tolist(),
+                           values[order].tolist()):
+            c = labels[u]
+            p = P[u].copy()  # pre-update values for every update below
+            q = Q[i].copy()
+            pred = mu + bi[i] + bu[u]
+            if c >= 0 and ba is not None:
+                pred += ba[c]
+            user_vec = p + Y[c] if c >= 0 and Y is not None else p
+            pred += Q[i] @ user_vec
+            if static is not None:
+                pred += Qs[i] @ static[u]
+            err = r - pred
+            bu[u] += lr * (err - reg * bu[u])
+            bi[i] += lr * (err - reg * bi[i])
+            if c >= 0 and ba is not None:
+                ba[c] += lr * (err - reg * ba[c])
+            P[u] = p + lr * (err * q - reg * p)
+            Q[i] = q + lr * (err * user_vec - reg * q)
+            if c >= 0 and Y is not None:
+                Y[c] += lr * (err * q - reg * Y[c])
+            if static is not None:
+                Qs[i] += lr * (err * static[u] - reg * Qs[i])
+        model.rmse_trace.append(_rmse(model, columns))
     return model
 
 
 def _rmse(model: FactorModel, ratings) -> float:
-    errs = [(r - model.predict(u, i)) ** 2 for u, i, r in ratings]
+    """RMSE over (users, items, values) columns; squares as Python's `**`."""
+    users, items, values = ratings
+    errs = np.float_power(values - model.predict(users, items), 2.0)
     return float(np.sqrt(np.mean(errs)))
 
 
 def rmse(model: FactorModel, ratings) -> float:
     """Root-mean-squared prediction error over (u, i, r) triples."""
-    return _rmse(model, [(int(u), int(i), float(r)) for u, i, r in ratings])
+    return _rmse(model, _columns(ratings))
 
 
 def factor_model_to_dict(model: FactorModel) -> dict:
@@ -294,12 +297,7 @@ def factor_model_to_dict(model: FactorModel) -> dict:
     return {
         "variant": model.variant,
         "mu": repr(model.mu),
-        "bu": arr(model.bu),
-        "bi": arr(model.bi),
-        "P": arr(model.P),
-        "Q": arr(model.Q),
-        "ba": arr(model.ba),
-        "Y": arr(model.Y),
+        **{k: arr(getattr(model, k)) for k in ("bu", "bi", "P", "Q", "ba", "Y")},
         "final_rmse": repr(model.rmse_trace[-1]) if model.rmse_trace else None,
         "empty_clusters": model.empty_clusters,
     }

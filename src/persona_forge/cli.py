@@ -60,14 +60,31 @@ def _require(out: Path, name: str, stage: str) -> Path:
     return path
 
 
-def _param(section: dict, key: str, cast, default=None):
-    """`section[key]` (else `default`) converted by `cast`, or a ConfigError."""
+def _param(section: dict, key: str, cast, default=None, low=None,
+           choices=None):
+    """`section[key]` (else `default`) converted by `cast`, or a ConfigError
+    if that fails or the value is below `low` or not one of `choices`."""
     value = section.get(key, default)
     try:
-        return cast(value)
+        value = cast(value)
     except (TypeError, ValueError):
         raise ConfigError(f"config value {key!r} must be {cast.__name__}, "
                           f"got {value!r}") from None
+    if low is not None and value < low:
+        raise ConfigError(f"config value {key!r} must be at least {low}, "
+                          f"got {value!r}")
+    if choices is not None and value not in choices:
+        raise ConfigError(f"config value {key!r} must be one of "
+                          f"{list(choices)}, got {value!r}")
+    return value
+
+
+def _section(parent: dict, key: str) -> dict:
+    """The JSON object `parent[key]` (else empty), or a ConfigError."""
+    value = parent.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"config section {key!r} must be an object")
+    return value
 
 
 def load_config(path) -> dict:
@@ -80,28 +97,23 @@ def load_config(path) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
-    for stage in config.get("stages", []):
-        if stage not in STAGES:
-            raise ConfigError(f"unknown stage {stage!r}")
     return config
 
 
 def _generator_config(section: dict, seed: int) -> synth.GeneratorConfig:
     mixtures = synth.default_mixtures()
-    for ch, spec_dict in section.get("mixtures", {}).items():
-        mixtures[ch] = synth.PlantedMixture(
-            np.array(spec_dict["pi"]), np.array(spec_dict["theta"]),
-            tuple(spec_dict.get("niche", ())))
-    spend = None
-    if section.get("price_mode", "tf") == "me":
-        sm = section.get("spend_model")
-        if sm is None:
-            spend = synth.default_spend_model()
-        else:
-            spend = synth.SpendModel(np.array(sm["pi"]),
-                                     np.array(sm["centers"]),
-                                     tuple(sm.get("niche", ())))
     try:
+        for ch, spec in _section(section, "mixtures").items():
+            mixtures[ch] = synth.PlantedMixture(
+                np.array(spec["pi"]), np.array(spec["theta"]),
+                tuple(spec.get("niche", ())))
+        spend = None
+        if section.get("price_mode", "tf") == "me":
+            sm = section.get("spend_model")
+            spend = (synth.default_spend_model() if sm is None else
+                     synth.SpendModel(np.array(sm["pi"]),
+                                      np.array(sm["centers"]),
+                                      tuple(sm.get("niche", ()))))
         return synth.GeneratorConfig(
             n_users=_param(section, "n_users", int),
             months_per_user=_param(section, "months_per_user", int),
@@ -113,12 +125,14 @@ def _generator_config(section: dict, seed: int) -> synth.GeneratorConfig:
             migration_rate=section.get("migration_rate", 0.0),
             items_per_cell=_param(section, "items_per_cell", int, 2),
         )
-    except synth.GeneratorError as exc:
+    except KeyError as exc:
+        raise ConfigError(f"invalid synth config: missing key {exc}") from None
+    except (synth.GeneratorError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid synth config: {exc}") from None
 
 
 def stage_synth(config: dict, out: Path, seed: int) -> None:
-    section = config.get("synth", {})
+    section = _section(config, "synth")
     gen_cfg = _generator_config(section, seed)
     rs, gt = synth.generate(gen_cfg)
     ingest.write_log(rs, out / "log.csv")
@@ -128,7 +142,7 @@ def stage_synth(config: dict, out: Path, seed: int) -> None:
 
 
 def stage_ingest(config: dict, out: Path, seed: int) -> None:
-    section = config.get("ingest", {})
+    section = _section(config, "ingest")
     source = section.get("input")
     if source:
         path = Path(source)
@@ -203,12 +217,10 @@ def read_assignments(path) -> tuple[list[tuple[str, int]], np.ndarray, np.ndarra
 
 
 def stage_cluster(config: dict, out: Path, seed: int) -> None:
-    section = config.get("cluster", {})
+    section = _section(config, "cluster")
     ks = dict(features.DEFAULT_K)
-    ks.update(section.get("k", {}))
-    ks = {ch: _param(ks, ch, int) for ch in ks}
-    if min(ks.values()) < 1:
-        raise ConfigError(f"every cluster.k must be at least 1, got {ks}")
+    ks.update(_section(section, "k"))
+    ks = {ch: _param(ks, ch, int, low=1) for ch in ks}
     restarts = _param(section, "restarts", int, 5)
     inputs, outputs = [], []
     try:
@@ -245,32 +257,30 @@ def _load_model(out: Path, ch: str, stage: str, inputs: list[str]):
 
 
 def stage_analyze(config: dict, out: Path, seed: int) -> None:
-    section = config.get("analyze", {})
+    section = _section(config, "analyze")
     inputs, outputs = [], []
     report: dict = {"dominance": {}, "migration_support": {}}
 
-    stab = section.get("stability", {"characterization": "TF"})
-    ch = stab.get("characterization", "TF")
+    stab = _section(section, "stability")
+    ch = _param(stab, "characterization", str, "TF",
+                choices=features.CHARACTERIZATIONS)
+    epsilon = _param(stab, "epsilon", float, 0.05)
+    delta = _param(stab, "delta", float, 0.10)
+    runs = _param(stab, "runs", int, 4, low=2)
+    dom = _section(section, "dominance")
+    kappa = _param(dom, "kappa", float, 0.02)
+    k_max = _param(dom, "k_max", int, 6)
+
     cm = _read_features(out, ch, "analyze", inputs)
     stability = analysis.stability_check(
         cm.values, _load_model(out, ch, "analyze", inputs).k,
-        epsilon=_param(stab, "epsilon", float, 0.05),
-        delta=_param(stab, "delta", float, 0.10),
-        runs=_param(stab, "runs", int, 4),
-        seed=seed,
+        epsilon=epsilon, delta=delta, runs=runs, seed=seed,
         method="kmeans" if ch == "ME" else "em")
-    report["stability"] = {
-        "characterization": ch,
-        "epsilon_observed": stability.epsilon_observed,
-        "delta_observed": stability.delta_observed,
-        "runs": stability.runs,
-        "passed": stability.passed,
-        "failed_runs": stability.failed_runs,
-    }
+    shown = ("epsilon_observed", "delta_observed", "runs", "passed",
+             "failed_runs")
+    report["stability"] = {"characterization": ch,
+                           **{k: getattr(stability, k) for k in shown}}
 
-    dom = section.get("dominance", {})
-    kappa = _param(dom, "kappa", float, 0.02)
-    k_max = _param(dom, "k_max", int, 6)
     for ch in features.CHARACTERIZATIONS:
         name = f"assignments_{ch}.csv"
         keys, tau, hard = read_assignments(_require(out, name, "analyze"))
@@ -302,7 +312,7 @@ def stage_analyze(config: dict, out: Path, seed: int) -> None:
 
 
 def stage_ctr(config: dict, out: Path, seed: int) -> None:
-    section = config.get("ctr", {})
+    section = _section(config, "ctr")
     try:
         recipes = [ctr.FeatureModeRecipe(dict(r)) for r in section.get(
             "recipes", [{"CR": "c", "DG": "c", "ME": "c"}])]
@@ -316,11 +326,13 @@ def stage_ctr(config: dict, out: Path, seed: int) -> None:
         seed=seed)
     log_name, rs = _load_records(out, "ctr")
     inputs = [log_name]
-    persona = ctr.persona_features(
-        {ch: _read_features(out, ch, "ctr", inputs)
-         for ch in ctr.CTR_CHARACTERIZATIONS},
-        {ch: _load_model(out, ch, "ctr", inputs)
-         for ch in ctr.CTR_CHARACTERIZATIONS})
+    chars = ctr.CTR_CHARACTERIZATIONS
+    try:
+        persona = ctr.persona_features(
+            {ch: _read_features(out, ch, "ctr", inputs) for ch in chars},
+            {ch: _load_model(out, ch, "ctr", inputs) for ch in chars})
+    except ctr.CtrError as exc:
+        raise DataError(f"stage 'ctr': {exc}") from None
     items = ctr.item_user_sets(rs)
     rows = []
     for recipe in recipes:
@@ -344,27 +356,28 @@ def _per_rated_user(users, table: dict, name: str) -> list:
 
 
 def stage_cf(config: dict, out: Path, seed: int) -> None:
-    section = config.get("cf", {})
-    variant = section.get("variant", "vanilla")
-    if variant not in cf.VARIANTS:
-        raise ConfigError(f"unknown cf variant {variant!r}")
+    section = _section(config, "cf")
+    variant = _param(section, "variant", str, "vanilla", choices=cf.VARIANTS)
+    value = _param(section, "value", str, "count", choices=("count", "spend"))
+    ch = _param(section, "characterization", str, "TF",
+                choices=features.CHARACTERIZATIONS)
     cfg = cf.FactorConfig(
-        f=_param(section, "f", int, 8), lr=_param(section, "lr", float, 0.02),
+        f=_param(section, "f", int, 8, low=1),
+        lr=_param(section, "lr", float, 0.02),
         reg=_param(section, "reg", float, 0.02),
-        epochs=_param(section, "epochs", int, 20), seed=seed)
+        epochs=_param(section, "epochs", int, 20, low=1), seed=seed)
     log_name, rs = _load_records(out, "cf")
     # One rating per (user, item) pair, its values summed in row order.
     n_items = len(rs.contents)
     pairs, pair = np.unique(rs.user * n_items + rs.content,
                             return_inverse=True)
-    spend = section.get("value", "count") == "spend"
-    values = np.bincount(pair, weights=rs.cents / 100.0 if spend else None)
+    values = np.bincount(pair, weights=rs.cents / 100.0 if value == "spend"
+                         else None)
     ratings = list(zip(*np.divmod(pairs, n_items), values.tolist()))
 
-    cluster_info = None
+    clusters = static = None
     inputs = [log_name]
     if variant in ("a", "b", "d"):
-        ch = section.get("characterization", "TF")
         name = f"assignments_{ch}.csv"
         keys, _, hard = read_assignments(_require(out, name, "cf"))
         inputs.append(name)
@@ -372,13 +385,8 @@ def stage_cf(config: dict, out: Path, seed: int) -> None:
         for (user, month), lab in zip(keys, hard):
             if user not in label or month == 0:
                 label[user] = int(lab)
-        per_user = _per_rated_user(rs.users, label, name)
-        if variant == "d":
-            cluster_info = {"partition": np.array(per_user)}
-        else:
-            cluster_info = {"memberships": [[v] for v in per_user]}
+        clusters = np.array(_per_rated_user(rs.users, label, name))
     elif variant == "c":
-        ch = section.get("characterization", "TF")
         cm = _read_features(out, ch, "cf", inputs)
         pooled = dict(zip(*features.pool_by_user(cm)))
         static = np.stack(_per_rated_user(rs.users, pooled,
@@ -386,11 +394,10 @@ def stage_cf(config: dict, out: Path, seed: int) -> None:
         totals = static.sum(axis=1, keepdims=True)
         static = np.divide(static, totals, out=np.zeros_like(static),
                            where=totals > 0)
-        cluster_info = {"static_features": static}
 
     try:
         model = cf.fit_factor(len(rs.users), n_items, ratings, variant,
-                              cluster_info, cfg)
+                              clusters, static, cfg)
     except cf.CfError as exc:
         raise NumericalError(f"cf stage failed: {exc}") from None
     artifacts.write_json(out / "cf_model.json", cf.factor_model_to_dict(model))
@@ -401,15 +408,9 @@ _ERRORS = {ConfigError: ("validation", EXIT_CONFIG),
            DataError: ("data", EXIT_DATA),
            NumericalError: ("numerical", EXIT_NUMERICAL)}
 
-STAGE_FUNCS = {
-    "synth": stage_synth,
-    "ingest": stage_ingest,
-    "featurize": stage_featurize,
-    "cluster": stage_cluster,
-    "analyze": stage_analyze,
-    "ctr": stage_ctr,
-    "cf": stage_cf,
-}
+STAGE_FUNCS = dict(zip(STAGES, (stage_synth, stage_ingest, stage_featurize,
+                                 stage_cluster, stage_analyze, stage_ctr,
+                                 stage_cf)))
 
 
 def run(config_path, out_dir=None, seed_override: int | None = None,
@@ -417,14 +418,15 @@ def run(config_path, out_dir=None, seed_override: int | None = None,
     """Execute configured stages in dependency order; returns an exit code."""
     try:
         config = load_config(config_path)
-        out = Path(out_dir or config.get("out_dir", "."))
-        out.mkdir(parents=True, exist_ok=True)
-        seed = (_param(config, "seed", int, 0) if seed_override is None
-                else seed_override)
         stages = [only_stage] if only_stage else config.get("stages", list(STAGES))
         for stage in stages:
             if stage not in STAGE_FUNCS:
                 raise ConfigError(f"unknown stage {stage!r}")
+        out = Path(out_dir or config.get("out_dir", "."))
+        out.mkdir(parents=True, exist_ok=True)
+        seed = (_param(config, "seed", int, 0) if seed_override is None
+                else seed_override)
+        for stage in stages:
             STAGE_FUNCS[stage](config, out, seed)
     except (ConfigError, DataError, NumericalError) as exc:
         kind, code = _ERRORS[type(exc)]

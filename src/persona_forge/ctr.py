@@ -254,13 +254,13 @@ def fit_item_model(X: np.ndarray, y: np.ndarray, lam: float,
     step = config.step0
     viol = np.inf
     converged = False
+    f0 = _loss(Xs @ w + b, y)
     for _ in range(config.max_iter):
         g, gb = smooth_gradient(w, b, Xs, y)
         viol = kkt_violation(w, g, gb, lam)
         if viol <= config.kkt_tol:
             converged = True
             break
-        f0 = _loss(Xs @ w + b, y)
         while True:
             w_new = _soft(w - step * g, step * lam)
             b_new = b - step * gb
@@ -274,7 +274,7 @@ def fit_item_model(X: np.ndarray, y: np.ndarray, lam: float,
             step *= 0.5
             if step < 1e-12:
                 break
-        w, b = w_new, b_new
+        w, b, f0 = w_new, b_new, f_new
         step = min(step * 1.5, 1e4)
     return CtrItemModel(item_id, w, b, lam, mu, sd, len(y), n_pos, viol,
                         converged)

@@ -400,11 +400,10 @@ def test_cf_invariances_bias_recovery_and_reductions():
         for j, i in enumerate(rng.choice(n_items, size=25, replace=False)):
             r = 3.0 + bu[u] + bi[i] + planted[clusters[u]] + rng.normal(0, 0.3)
             (test if j < 5 else train).append((u, int(i), float(r)))
-    members = [[int(c)] for c in clusters]
     fcfg = cf.FactorConfig(f=4, epochs=40, reg=0.005, seed=3)
-    model_a = cf.fit_factor(n_users, n_items, train, "a",
-                            {"memberships": members}, fcfg)
-    vanilla = cf.fit_factor(n_users, n_items, train, "vanilla", None, fcfg)
+    model_a = cf.fit_factor(n_users, n_items, train, "a", clusters=clusters,
+                            config=fcfg)
+    vanilla = cf.fit_factor(n_users, n_items, train, "vanilla", config=fcfg)
     # the decomposition is identifiable up to a per-cluster shift between the
     # cluster bias and its members' user biases, so compare cluster offsets
     offsets = np.array([model_a.ba[c] + model_a.bu[clusters == c].mean()
@@ -415,13 +414,11 @@ def test_cf_invariances_bias_recovery_and_reductions():
     # zero-augmentation reductions collapse to the vanilla predictor
     small = [(u, i, r) for u, i, r in train[:600]]
     cfg_small = cf.FactorConfig(f=4, epochs=5, seed=11)
-    base = cf.fit_factor(n_users, n_items, small, "vanilla", None, cfg_small)
+    base = cf.fit_factor(n_users, n_items, small, "vanilla", config=cfg_small)
     red_b = cf.fit_factor(n_users, n_items, small, "b",
-                          {"memberships": [[] for _ in range(n_users)]},
-                          cfg_small)
+                          clusters=np.full(n_users, -1), config=cfg_small)
     red_c = cf.fit_factor(n_users, n_items, small, "c",
-                          {"static_features": np.zeros((n_users, 3))},
-                          cfg_small)
+                          static=np.zeros((n_users, 3)), config=cfg_small)
     for u, i, _ in small[:100]:
         assert abs(base.predict(u, i) - red_b.predict(u, i)) <= 1e-12
         assert abs(base.predict(u, i) - red_c.predict(u, i)) <= 1e-12

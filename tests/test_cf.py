@@ -116,9 +116,9 @@ def test_variant_b_zero_augmentation_matches_vanilla():
     n_users, n_items, ratings = _toy_ratings(seed=2)
     cfg = FactorConfig(epochs=5, seed=4)
     vanilla = fit_factor(n_users, n_items, ratings, "vanilla", config=cfg)
-    # no cluster memberships: the augmented user vector reduces to p_u
+    # no cluster (negative labels): the augmented user vector reduces to p_u
     reduced = fit_factor(n_users, n_items, ratings, "b",
-                         {"memberships": [[] for _ in range(n_users)]}, cfg)
+                         clusters=np.full(n_users, -1), config=cfg)
     for u, i, _ in ratings[:50]:
         assert abs(vanilla.predict(u, i) - reduced.predict(u, i)) <= 1e-12
 
@@ -128,8 +128,8 @@ def test_variant_c_zero_augmentation_matches_vanilla():
     cfg = FactorConfig(epochs=5, seed=4)
     vanilla = fit_factor(n_users, n_items, ratings, "vanilla", config=cfg)
     static = np.zeros((n_users, 4))
-    reduced = fit_factor(n_users, n_items, ratings, "c",
-                         {"static_features": static}, cfg)
+    reduced = fit_factor(n_users, n_items, ratings, "c", static=static,
+                         config=cfg)
     for u, i, _ in ratings[:50]:
         assert abs(vanilla.predict(u, i) - reduced.predict(u, i)) <= 1e-12
 
@@ -139,7 +139,7 @@ def test_variant_a_zero_bias_matches_vanilla_predictions():
     cfg = FactorConfig(epochs=5, seed=4)
     vanilla = fit_factor(n_users, n_items, ratings, "vanilla", config=cfg)
     reduced = fit_factor(n_users, n_items, ratings, "a",
-                         {"memberships": [[] for _ in range(n_users)]}, cfg)
+                         clusters=np.full(n_users, -1), config=cfg)
     for u, i, _ in ratings[:50]:
         assert abs(vanilla.predict(u, i) - reduced.predict(u, i)) <= 1e-12
 
@@ -147,9 +147,8 @@ def test_variant_a_zero_bias_matches_vanilla_predictions():
 def test_variant_d_partitions_users():
     n_users, n_items, ratings = _toy_ratings(seed=6)
     partition = np.array([u % 2 for u in range(n_users)])
-    model = fit_factor(n_users, n_items, ratings, "d",
-                       {"partition": partition},
-                       FactorConfig(epochs=5, seed=1))
+    model = fit_factor(n_users, n_items, ratings, "d", clusters=partition,
+                       config=FactorConfig(epochs=5, seed=1))
     assert set(model.submodels) == {0, 1}
     assert model.empty_clusters == []
     u, i, _ = ratings[0]
@@ -161,16 +160,63 @@ def test_variant_d_empty_cluster_falls_back_to_mean():
     partition = np.zeros(10, dtype=int)
     partition[-1] = 3
     ratings = [(u, i, r) for u, i, r in ratings if u != 9]
-    model = fit_factor(10, n_items, ratings, "d", {"partition": partition},
-                       FactorConfig(epochs=3, seed=1))
+    model = fit_factor(10, n_items, ratings, "d", clusters=partition,
+                       config=FactorConfig(epochs=3, seed=1))
     assert model.empty_clusters == [3]
     assert model.predict(9, 0) == model.mu
 
 
 def test_static_features_shape_check():
     with pytest.raises(CfError):
-        fit_factor(3, 3, [(0, 0, 1.0)], "c",
-                   {"static_features": np.zeros((2, 2))})
+        fit_factor(3, 3, [(0, 0, 1.0)], "c", static=np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("variant", ["a", "b", "d"])
+def test_clusters_shape_check(variant):
+    with pytest.raises(CfError):
+        fit_factor(3, 3, [(0, 0, 1.0)], variant, clusters=[0, 1])
+    with pytest.raises(CfError):
+        fit_factor(3, 3, [(0, 0, 1.0)], variant)
+
+
+def _reference_predict(model, u, i):
+    """One row's prediction, added up in the order of the per-row model."""
+    if model.variant == "d":
+        sub = model.submodels.get(int(model.clusters[u]))
+        return model.mu if sub is None else _reference_predict(sub, u, i)
+    r = model.mu + model.bi[i] + model.bu[u]
+    c = -1 if model.clusters is None else model.clusters[u]
+    if model.variant == "a" and c >= 0:
+        r += model.ba[c]
+    p = model.P[u]
+    if model.variant == "b" and c >= 0:
+        p = p + model.Y[c]
+    r += float(model.Q[i] @ p)
+    if model.variant == "c":
+        r += float(model.Qs[i] @ model.static[u])
+    return float(r)
+
+
+@pytest.mark.parametrize("f", [3, 8, 16])
+@pytest.mark.parametrize("variant", ["vanilla", "a", "b", "c", "d"])
+def test_batched_predict_matches_per_row_reference(variant, f):
+    n_users, n_items, ratings = _toy_ratings(seed=12, n_users=60)
+    # labels -1, 0, 1 and 2: a and b see users without a cluster, d sees
+    # one submodel per label
+    clusters = np.arange(n_users) % 4 - 1
+    static = np.random.default_rng(1).random((n_users, 5))
+    model = fit_factor(n_users, n_items, ratings, variant, clusters=clusters,
+                       static=static, config=FactorConfig(f=f, epochs=3,
+                                                          seed=2))
+    users = np.array([u for u, _, _ in ratings] + [0, 59])
+    items = np.array([i for _, i, _ in ratings] + [3, 24])
+    expected = [_reference_predict(model, u, i) for u, i in zip(users, items)]
+    assert model.predict(users, items).tolist() == expected
+    assert [model.predict(int(u), int(i))
+            for u, i in zip(users, items)] == expected
+    errs = [(r - _reference_predict(model, u, i)) ** 2 for u, i, r in ratings]
+    assert rmse(model, ratings) == float(np.sqrt(np.mean(errs)))
+    assert model.rmse_trace[-1] == rmse(model, ratings)
 
 
 def test_fit_is_deterministic():

@@ -113,6 +113,19 @@ def test_cf_user_missing_from_cluster_input_is_data_error(pipeline, tmp_path,
     assert path.name in error["message"]
 
 
+def test_ctr_feature_users_mismatch_is_data_error(pipeline, tmp_path, capsys):
+    out = _copy_pipeline(pipeline, tmp_path)
+    path = out / "features_CR.csv"
+    header, *rows = path.read_text().splitlines()
+    dropped = rows[0].split(",")[0]
+    path.write_text("\n".join([header] + [r for r in rows
+                                          if r.split(",")[0] != dropped]) + "\n")
+    config = _write_config(tmp_path, {"ctr": {"top_n": 4}})
+    assert cli.run(config, out, only_stage="ctr") == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "data"
+
+
 def test_missing_matrix_sidecar_is_data_error(pipeline, tmp_path, capsys):
     out = _copy_pipeline(pipeline, tmp_path)
     (out / "features_TF.csv.json").unlink()
@@ -173,6 +186,20 @@ def test_invalid_synth_section_is_validation_error(tmp_path):
     ("ctr", {"recipes": ["c"]}),
     ("synth", {"n_users": "ten", "months_per_user": 1}),
     ("cf", {"variant": "zz"}),
+    ("cf", {"value": "spnd"}),
+    ("cf", {"f": 0}),
+    ("cf", {"epochs": 0}),
+    ("cf", {"characterization": "XX"}),
+    ("cluster", {"k": 3}),
+    ("synth", {"n_users": 10, "months_per_user": 1,
+               "mixtures": {"TF": {"theta": [[0.5, 0.5]]}}}),
+    ("synth", {"n_users": 10, "months_per_user": 1,
+               "mixtures": {"TF": {"pi": [0.7, 0.7],
+                                   "theta": [[0.5, 0.5], [0.5, 0.5]]}}}),
+    ("synth", {"n_users": 10, "months_per_user": 1, "price_mode": "me",
+               "spend_model": {"pi": [1.0]}}),
+    ("analyze", {"stability": {"runs": 1}}),
+    ("analyze", {"stability": {"characterization": "XX"}}),
 ])
 def test_bad_config_value_is_validation_error(tmp_path, capsys, stage,
                                               section):

@@ -161,6 +161,29 @@ def test_fit_item_model_converges_with_kkt():
     assert auc_score(y, scores) > 0.85
 
 
+def test_fit_item_model_evaluates_loss_once_per_trial(monkeypatch):
+    calls = {"loss": 0, "trial": 0}
+    loss, soft = ctr._loss, ctr._soft
+
+    def counted_loss(z, y):
+        calls["loss"] += 1
+        return loss(z, y)
+
+    def counted_soft(v, t):  # one proximal step per backtracking trial
+        calls["trial"] += 1
+        return soft(v, t)
+
+    monkeypatch.setattr(ctr, "_loss", counted_loss)
+    monkeypatch.setattr(ctr, "_soft", counted_soft)
+    rng = np.random.default_rng(3)
+    X = rng.normal(0, 1, (300, 8))
+    y = (rng.random(300) < 1 / (1 + np.exp(-X[:, 0]))).astype(float)
+    model = fit_item_model(X, y, lam=0.01)
+    assert model.converged and calls["trial"] > 1
+    # the starting point's loss, then the accepted trial's loss carries over
+    assert calls["loss"] == calls["trial"] + 1
+
+
 def test_large_penalty_zeroes_weights():
     rng = np.random.default_rng(4)
     X = rng.normal(0, 1, (100, 5))
