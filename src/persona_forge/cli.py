@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -144,17 +145,17 @@ def stage_synth(config: dict, out: Path, seed: int) -> None:
 def stage_ingest(config: dict, out: Path, seed: int) -> None:
     section = _section(config, "ingest")
     source = section.get("input")
+    if source is not None and not isinstance(source, str):
+        raise ConfigError(f"config value 'input' must be a path, got {source!r}")
     if source:
         path = Path(source)
-        if not path.exists():
-            raise DataError(f"stage 'ingest' input file not found: {source}")
         inputs: list[str] = []
     else:
         path = _require(out, "log.csv", "ingest")
         inputs = ["log.csv"]
     try:
         result = ingest.parse_log(path)
-    except ingest.IngestError as exc:
+    except (ingest.IngestError, OSError, UnicodeDecodeError) as exc:
         raise DataError(str(exc)) from None
     rs = result.record_set
     if section.get("filter", True):
@@ -419,13 +420,20 @@ def run(config_path, out_dir=None, seed_override: int | None = None,
     try:
         config = load_config(config_path)
         stages = [only_stage] if only_stage else config.get("stages", list(STAGES))
+        if not isinstance(stages, list):
+            raise ConfigError(f"config value 'stages' must be a list, "
+                              f"got {stages!r}")
         for stage in stages:
-            if stage not in STAGE_FUNCS:
+            if not isinstance(stage, str) or stage not in STAGE_FUNCS:
                 raise ConfigError(f"unknown stage {stage!r}")
-        out = Path(out_dir or config.get("out_dir", "."))
+        out = out_dir or config.get("out_dir", ".")
+        if not isinstance(out, (str, os.PathLike)):
+            raise ConfigError(f"config value 'out_dir' must be a path, "
+                              f"got {out!r}")
+        out = Path(out)
         out.mkdir(parents=True, exist_ok=True)
-        seed = (_param(config, "seed", int, 0) if seed_override is None
-                else seed_override)
+        seed = _param(config if seed_override is None
+                      else {"seed": seed_override}, "seed", int, 0, low=0)
         for stage in stages:
             STAGE_FUNCS[stage](config, out, seed)
     except (ConfigError, DataError, NumericalError) as exc:

@@ -9,7 +9,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
-from scipy.special import logsumexp
 
 from . import artifacts
 
@@ -41,6 +40,9 @@ class MixtureModel:
     seed: int = 0
     characterization: str = ""
     reseed_iters: list[int] = field(default_factory=list)  # empty-cluster events
+    converged: bool = False    # the best restart met the tolerance
+    n_iter: int = 0            # EM iterations of the best restart
+    restart_logliks: list[float] = field(default_factory=list)  # per restart
 
     def __post_init__(self):
         self.pi = np.asarray(self.pi, dtype=np.float64)
@@ -85,8 +87,21 @@ def _proportions(X: np.ndarray) -> np.ndarray:
     return P
 
 
-def _log_weights(model: MixtureModel, X: np.ndarray) -> np.ndarray:
-    return X @ np.log(model.theta).T + np.log(model.pi)[None, :]
+def _posterior(model: MixtureModel, X: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """(tau, lse): the responsibilities of each row of X and its log
+    normaliser log sum_z pi_z prod_j theta_zj^x_j, from one pass over X."""
+    logw = X @ np.log(model.theta).T + np.log(model.pi)
+    top = logw.max(axis=1, keepdims=True)
+    w = np.exp(logw - top)
+    total = w.sum(axis=1, keepdims=True)
+    return w / total, (top + np.log(total))[:, 0]
+
+
+def _penalized(model: MixtureModel, lse: np.ndarray,
+               counts: np.ndarray | None = None) -> float:
+    ll = float(lse.sum() if counts is None else counts @ lse)
+    return ll + model.smoothing * float(np.log(model.theta).sum())
 
 
 def e_step(model: MixtureModel, X: np.ndarray) -> np.ndarray:
@@ -94,22 +109,22 @@ def e_step(model: MixtureModel, X: np.ndarray) -> np.ndarray:
 
     An all-zero count row carries no evidence and degenerates to tau = pi.
     """
-    X = np.asarray(X, dtype=np.float64)
-    logw = _log_weights(model, X)
-    tau = np.exp(logw - logsumexp(logw, axis=1, keepdims=True))
-    return tau
+    return _posterior(model, np.asarray(X, dtype=np.float64))[0]
 
 
 def penalized_loglik(model: MixtureModel, X: np.ndarray) -> float:
     """Observed-data log-likelihood plus the smoothing (Dirichlet) penalty."""
-    ll = float(logsumexp(_log_weights(model, X), axis=1).sum())
-    return ll + model.smoothing * float(np.log(model.theta).sum())
+    return _penalized(model, _posterior(model,
+                                        np.asarray(X, dtype=np.float64))[1])
 
 
 def m_step(tau: np.ndarray, X: np.ndarray, smoothing: float = 0.5,
-           reseed: bool = True) -> tuple[np.ndarray, np.ndarray]:
+           reseed: bool = True, counts: np.ndarray | None = None
+           ) -> tuple[np.ndarray, np.ndarray]:
     """Weighted-MLE update of (pi, theta) with additive smoothing on theta.
 
+    `counts[i]` is how many times row i occurs in the data (default 1 each),
+    so the update on distinct rows equals the one on the expanded rows.
     Near-empty clusters are re-seeded from the row the model currently
     explains worst and handed a 1/K mixing share so they can actually
     recapture mass on the next E-step.  Pass reseed=False to leave starved
@@ -117,12 +132,14 @@ def m_step(tau: np.ndarray, X: np.ndarray, smoothing: float = 0.5,
     """
     tau = np.asarray(tau, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
-    n, d = X.shape
+    d = X.shape[1]
     k = tau.shape[1]
-    weights = tau.sum(axis=0)
-    pi = weights / n
-    num = tau.T @ X + smoothing
-    den = tau.T @ X.sum(axis=1) + smoothing * d
+    counts = np.ones(X.shape[0]) if counts is None else counts
+    mass = tau * counts[:, None]
+    weights = mass.sum(axis=0)
+    pi = weights / counts.sum()
+    num = mass.T @ X + smoothing
+    den = mass.T @ X.sum(axis=1) + smoothing * d
     theta = num / den[:, None]
     empty = weights < 1e-10
     if np.any(empty):
@@ -161,9 +178,26 @@ def _hard_assign(P: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.argmin(d2, axis=1)
 
 
+def _distinct_rows(X: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(U, counts, inverse): the distinct rows of X in order of first
+    occurrence, how often each occurs, and X = U[inverse]."""
+    _, first, inverse, counts = np.unique(
+        X, axis=0, return_index=True, return_inverse=True, return_counts=True)
+    order = np.argsort(first)
+    return (X[first[order]], counts[order],
+            np.argsort(order)[inverse.reshape(-1)])
+
+
 def fit_em(X: np.ndarray, k: int, config: EMConfig | None = None,
            characterization: str = "") -> tuple[MixtureModel, AssignmentSet]:
-    """Fit a K-cluster multinomial mixture by EM, best of several restarts."""
+    """Fit a K-cluster multinomial mixture by EM, best of several restarts.
+
+    EM runs on the distinct rows of X weighted by their multiplicity, which
+    is the same fixed-point iteration as on X itself.  Each iteration makes
+    one pass over them: the posterior of the model just fitted gives both
+    that model's log-likelihood and the next E-step.
+    """
     config = config or EMConfig()
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
@@ -174,7 +208,9 @@ def fit_em(X: np.ndarray, k: int, config: EMConfig | None = None,
 
     rng = np.random.default_rng(config.seed)
     P = _proportions(X)
+    U, counts, inverse = _distinct_rows(X)
     best: MixtureModel | None = None
+    restart_logliks = []
     for _ in range(max(1, config.restarts)):
         centers = _kmeanspp_seed(P, k, rng)
         labels = _hard_assign(P, centers)
@@ -183,30 +219,33 @@ def fit_em(X: np.ndarray, k: int, config: EMConfig | None = None,
         pi, theta = m_step(tau, X, config.smoothing)
         model = MixtureModel(k, d, pi, theta, [], config.smoothing,
                              config.seed, characterization)
-        ll = penalized_loglik(model, X)
+        tau, lse = _posterior(model, U)
+        ll = _penalized(model, lse, counts)
         model.loglik_trace.append(ll)
         reseed_budget = 3 * k   # after this, starved clusters are left dead
         for it in range(config.max_iter):
-            tau = e_step(model, X)
-            starved = int((tau.sum(axis=0) < 1e-10).sum())
+            starved = int(((tau * counts[:, None]).sum(axis=0) < 1e-10).sum())
             do_reseed = starved > 0 and reseed_budget > 0
             if do_reseed:
                 model.reseed_iters.append(it)
                 reseed_budget -= starved
-            model.pi, model.theta = m_step(tau, X, config.smoothing,
-                                           reseed=do_reseed)
-            ll_new = penalized_loglik(model, X)
+            model.pi, model.theta = m_step(tau, U, config.smoothing,
+                                           reseed=do_reseed, counts=counts)
+            tau, lse = _posterior(model, U)
+            ll_new = _penalized(model, lse, counts)
             model.loglik_trace.append(ll_new)
             if not starved and abs(ll_new - ll) <= config.tol * (abs(ll) + 1.0):
-                ll = ll_new
+                model.converged = True
                 break
             ll = ll_new
+        model.n_iter = len(model.loglik_trace) - 1
+        restart_logliks.append(model.loglik_trace[-1])
         if best is None or model.loglik_trace[-1] > best.loglik_trace[-1]:
-            best = model
+            best, best_tau = model, tau
 
-    tau = e_step(best, X)
-    hard = np.argmax(tau, axis=1)
-    return best, AssignmentSet(tau, hard)
+    best.restart_logliks = restart_logliks
+    tau = best_tau[inverse]
+    return best, AssignmentSet(tau, np.argmax(tau, axis=1))
 
 
 def fit_kmeans(X: np.ndarray, k: int, config: KMeansConfig | None = None,
@@ -299,6 +338,11 @@ def model_to_dict(model: MixtureModel | KMeansModel) -> dict:
             "smoothing": model.smoothing,
             "seed": model.seed,
             "final_loglik": repr(model.loglik_trace[-1]) if model.loglik_trace else None,
+            "diagnostics": {
+                "converged": model.converged,
+                "n_iter": model.n_iter,
+                "restart_logliks": [repr(v) for v in model.restart_logliks],
+            },
         }
     return {
         "kind": "kmeans",
@@ -320,9 +364,14 @@ def model_from_json(text: str) -> MixtureModel | KMeansModel:
     if payload["kind"] == "mmm":
         pi = np.array([float(v) for v in payload["pi"]])
         theta = np.array([[float(v) for v in row] for row in payload["theta"]])
+        diag = payload.get("diagnostics", {})
         return MixtureModel(payload["K"], payload["d"], pi, theta, [],
                             payload["smoothing"], payload["seed"],
-                            payload["characterization"])
+                            payload["characterization"],
+                            converged=diag.get("converged", False),
+                            n_iter=diag.get("n_iter", 0),
+                            restart_logliks=[float(v) for v in
+                                             diag.get("restart_logliks", [])])
     centers = np.array([[float(v) for v in row] for row in payload["centers"]])
     return KMeansModel(payload["K"], centers, float(payload["inertia"]),
                        payload["seed"], payload["characterization"])

@@ -200,12 +200,20 @@ def test_invalid_synth_section_is_validation_error(tmp_path):
                "spend_model": {"pi": [1.0]}}),
     ("analyze", {"stability": {"runs": 1}}),
     ("analyze", {"stability": {"characterization": "XX"}}),
+    ("run", {"stages": 5}),
+    ("run", {"stages": [["x"]]}),
+    ("run", {"stages": [], "out_dir": 5}),
+    ("ingest", {"input": 5}),
+    ("run", {"stages": ["synth"], "seed": -1}),
 ])
 def test_bad_config_value_is_validation_error(tmp_path, capsys, stage,
                                               section):
-    # checked before the stage reads any input, so an empty directory serves
-    path = _write_config(tmp_path, {"stages": [stage], stage: section})
-    assert cli.run(path, tmp_path / "out") == 2
+    # checked before the stage reads any input, so an empty directory serves;
+    # a "run" entry is the whole config, its out_dir taken from the config
+    config = section if stage == "run" else {"stages": [stage], stage: section}
+    path = _write_config(tmp_path, config)
+    assert cli.run(path, None if "out_dir" in config
+                   else tmp_path / "out") == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert json.loads(line)["error"] == "validation"
 
@@ -219,6 +227,20 @@ def test_missing_ingest_input_is_data_error(tmp_path):
     path = _write_config(tmp_path, {
         "stages": ["ingest"], "ingest": {"input": str(tmp_path / "no.csv")}})
     assert cli.run(path, tmp_path / "out") == 3
+
+
+@pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+def test_unreadable_ingest_input_is_data_error(tmp_path, capsys, kind):
+    source = tmp_path / "input"
+    if kind == "directory":
+        source.mkdir()
+    else:
+        source.write_bytes(b"user_id,timestamp\n\xff\xfe\n")
+    path = _write_config(tmp_path, {"stages": ["ingest"],
+                                    "ingest": {"input": str(source)}})
+    assert cli.run(path, tmp_path / "out") == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "data"
 
 
 def test_corrupt_log_is_data_error(tmp_path):

@@ -1,7 +1,9 @@
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from persona_forge import mixture
 from persona_forge.mixture import (AssignmentSet, EMConfig, KMeansConfig,
@@ -213,3 +215,117 @@ def test_overspecified_fit_records_reseeds():
     np.testing.assert_allclose(assign.tau.sum(axis=1), 1.0, atol=1e-12)
     np.testing.assert_allclose(model.pi.sum(), 1.0, atol=1e-12)
     assert np.all(np.isfinite(model.loglik_trace))
+
+
+def _reference_fit_em(X, k, config):
+    """EM on every row of X, two log-sum-exp passes per iteration: the
+    per-row algorithm that `fit_em` runs on distinct rows."""
+    def posterior_and_loglik(model):
+        logw = X @ np.log(model.theta).T + np.log(model.pi)
+        lse = logsumexp(logw, axis=1, keepdims=True)
+        return (np.exp(logw - lse), float(lse.sum())
+                + model.smoothing * float(np.log(model.theta).sum()))
+
+    X = np.asarray(X, dtype=np.float64)
+    n, d = X.shape
+    rng = np.random.default_rng(config.seed)
+    P = mixture._proportions(X)
+    best = None
+    for _ in range(max(1, config.restarts)):
+        labels = mixture._hard_assign(P, mixture._kmeanspp_seed(P, k, rng))
+        tau = np.zeros((n, k))
+        tau[np.arange(n), labels] = 1.0
+        model = MixtureModel(k, d, *m_step(tau, X, config.smoothing), [],
+                             config.smoothing, config.seed)
+        ll = posterior_and_loglik(model)[1]
+        model.loglik_trace.append(ll)
+        reseed_budget = 3 * k
+        for it in range(config.max_iter):
+            tau = posterior_and_loglik(model)[0]
+            starved = int((tau.sum(axis=0) < 1e-10).sum())
+            do_reseed = starved > 0 and reseed_budget > 0
+            if do_reseed:
+                model.reseed_iters.append(it)
+                reseed_budget -= starved
+            model.pi, model.theta = m_step(tau, X, config.smoothing,
+                                           reseed=do_reseed)
+            ll_new = posterior_and_loglik(model)[1]
+            model.loglik_trace.append(ll_new)
+            if not starved and abs(ll_new - ll) <= config.tol * (abs(ll) + 1.0):
+                break
+            ll = ll_new
+        if best is None or model.loglik_trace[-1] > best.loglik_trace[-1]:
+            best = model
+    tau = posterior_and_loglik(best)[0]
+    return best, AssignmentSet(tau, np.argmax(tau, axis=1))
+
+
+def _em_inputs():
+    two = np.array([[0.9, 0.05, 0.05], [0.05, 0.05, 0.9]])
+    rng = np.random.default_rng(23)
+    yield ("duplicates", _draw(rng, 600, [0.5, 0.5], two, total=4)[0], 3,
+           EMConfig(restarts=3, seed=1))
+    # K=5 over two true clusters: starved components are re-seeded
+    yield ("reseeds", _draw(np.random.default_rng(3), 300, [0.5, 0.5], two,
+                            total=10)[0], 5,
+           EMConfig(restarts=2, max_iter=100, seed=0))
+    yield ("distinct", rng.integers(0, 50, (200, 12)), 4,
+           EMConfig(restarts=3, seed=2))
+
+
+@pytest.mark.parametrize("name,X,k,config", list(_em_inputs()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_fit_em_on_distinct_rows_matches_per_row_reference(name, X, k,
+                                                           config):
+    expect_model, expect = _reference_fit_em(X, k, config)
+    model, got = fit_em(X, k, config)
+    distinct = len(np.unique(X, axis=0))
+    assert (distinct == len(X)) == (name == "distinct")
+    assert bool(model.reseed_iters) == (name == "reseeds")
+    assert model.reseed_iters == expect_model.reseed_iters
+    assert len(model.loglik_trace) == len(expect_model.loglik_trace)
+    np.testing.assert_allclose(model.loglik_trace, expect_model.loglik_trace,
+                               rtol=1e-10, atol=0)
+    np.testing.assert_array_equal(got.hard, expect.hard)
+    np.testing.assert_allclose(got.tau, expect.tau, rtol=0, atol=1e-12)
+
+
+def test_m_step_with_counts_equals_expanded_rows():
+    rng = np.random.default_rng(29)
+    U = rng.integers(0, 6, (7, 4)).astype(float)
+    counts = np.array([1, 3, 2, 5, 1, 4, 2])
+    tau = rng.dirichlet(np.ones(3), size=7)
+    tau[:, 2] = 0.0     # an empty cluster, re-seeded from the worst-fit row
+    tau /= tau.sum(axis=1, keepdims=True)
+    for reseed in (True, False):
+        pi, theta = m_step(tau, U, 0.5, reseed=reseed,
+                           counts=counts.astype(float))
+        expanded = np.repeat(np.arange(7), counts)
+        pi_x, theta_x = m_step(tau[expanded], U[expanded], 0.5,
+                               reseed=reseed)
+        np.testing.assert_allclose(pi, pi_x, rtol=1e-14, atol=1e-300)
+        np.testing.assert_allclose(theta, theta_x, rtol=1e-14)
+
+
+def test_fit_em_diagnostics():
+    rng = np.random.default_rng(31)
+    theta = np.array([[0.7, 0.2, 0.1], [0.1, 0.2, 0.7]])
+    X, _ = _draw(rng, 200, [0.5, 0.5], theta)
+    model, _ = fit_em(X, 2, EMConfig(restarts=3, seed=4))
+    assert model.converged
+    assert model.n_iter == len(model.loglik_trace) - 1 > 0
+    assert len(model.restart_logliks) == 3
+    assert max(model.restart_logliks) == model.loglik_trace[-1]
+    noise = np.random.default_rng(37).integers(0, 50, (100, 12))
+    capped, _ = fit_em(noise, 4, EMConfig(restarts=2, max_iter=5, seed=4))
+    assert not capped.converged and capped.n_iter == 5
+    payload = json.loads(model_to_json(model))
+    assert payload["diagnostics"] == {
+        "converged": True, "n_iter": model.n_iter,
+        "restart_logliks": [repr(v) for v in model.restart_logliks]}
+    back = model_from_json(model_to_json(model))
+    assert (back.converged, back.n_iter, back.restart_logliks) == (
+        True, model.n_iter, model.restart_logliks)
+    del payload["diagnostics"]      # a model file written without them
+    old = model_from_json(json.dumps(payload))
+    assert (old.converged, old.n_iter, old.restart_logliks) == (False, 0, [])
