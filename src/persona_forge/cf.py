@@ -8,8 +8,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import artifacts
-
 log = logging.getLogger(__name__)
 
 
@@ -180,6 +178,7 @@ def _columns(ratings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u.astype(np.int64), i.astype(np.int64), r
 
 
+@np.errstate(over="ignore", invalid="ignore")  # divergence raises CfError
 def fit_factor(n_users: int, n_items: int, ratings, variant: str = "vanilla",
                clusters=None, static=None,
                config: FactorConfig | None = None) -> FactorModel:
@@ -274,6 +273,8 @@ def fit_factor(n_users: int, n_items: int, ratings, variant: str = "vanilla",
             if static is not None:
                 Qs[i] += lr * (err * static[u] - reg * Qs[i])
         model.rmse_trace.append(_rmse(model, columns))
+        if not np.isfinite(model.rmse_trace[-1]):
+            raise CfError(f"SGD diverged in epoch {epoch + 1}")
     return model
 
 
@@ -301,7 +302,3 @@ def factor_model_to_dict(model: FactorModel) -> dict:
         "final_rmse": repr(model.rmse_trace[-1]) if model.rmse_trace else None,
         "empty_clusters": model.empty_clusters,
     }
-
-
-def factor_model_to_json(model: FactorModel) -> str:
-    return artifacts.to_json(factor_model_to_dict(model))

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -16,22 +15,17 @@ from . import analysis, artifacts, cf, ctr, features, ingest, mixture, synth
 
 STAGES = ("synth", "ingest", "featurize", "cluster", "analyze", "ctr", "cf")
 
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_NUMERICAL = 4
-
 
 class ConfigError(Exception):
-    pass
+    kind, exit_code = "validation", 2
 
 
 class DataError(Exception):
-    pass
+    kind, exit_code = "data", 3
 
 
 class NumericalError(Exception):
-    pass
+    kind, exit_code = "numerical", 4
 
 
 def _sha256(path: Path) -> str:
@@ -61,31 +55,106 @@ def _require(out: Path, name: str, stage: str) -> Path:
     return path
 
 
-def _param(section: dict, key: str, cast, default=None, low=None,
-           choices=None):
-    """`section[key]` (else `default`) converted by `cast`, or a ConfigError
-    if that fails or the value is below `low` or not one of `choices`."""
-    value = section.get(key, default)
-    try:
-        value = cast(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"config value {key!r} must be {cast.__name__}, "
-                          f"got {value!r}") from None
-    if low is not None and value < low:
-        raise ConfigError(f"config value {key!r} must be at least {low}, "
-                          f"got {value!r}")
-    if choices is not None and value not in choices:
-        raise ConfigError(f"config value {key!r} must be one of "
-                          f"{list(choices)}, got {value!r}")
-    return value
+# Every config key, declared once: (section, key, JSON type, default, range
+# or choices). A section is a dotted path, "" the top level; choices bound a
+# str, the items of a list or the keys of an object. A None default also
+# admits null; a REQUIRED key must be given when its section's stage runs.
+REQUIRED = object()
+CONFIG_TABLE = (
+    ("", "seed", "int", 0, "[0, inf)"),
+    ("", "stages", "list", STAGES, STAGES),
+    ("", "out_dir", "str", ".", None),
+    ("synth", "n_users", "int", REQUIRED, "[1, inf)"),
+    ("synth", "months_per_user", "int", REQUIRED, "[1, inf)"),
+    ("synth", "price_mode", "str", "tf", ("tf", "me")),
+    ("synth", "poisson_mean", "float", 8.0, "(0, inf)"),
+    ("synth", "migration_rate", "float", 0.0, "[0, 1]"),
+    ("synth", "items_per_cell", "int", 2, "[1, inf)"),
+    ("synth", "spend_model", "object", None, ("pi", "centers", "niche")),
+    *(("synth.mixtures", ch, "object", None, ("pi", "theta", "niche"))
+      for ch in ("TF", "DG", "CR", "TDT")),
+    ("ingest", "input", "str", None, None),
+    ("ingest", "filter", "bool", True, None),
+    ("cluster", "restarts", "int", 5, "[1, inf)"),
+    *(("cluster.k", ch, "int", k, "[1, inf)")
+      for ch, k in (("ME", 4), ("TF", 4), ("DG", 3), ("CR", 3), ("TDT", 4))),
+    ("analyze.stability", "characterization", "str", "TF",
+     features.CHARACTERIZATIONS),
+    ("analyze.stability", "epsilon", "float", 0.05, "(0, inf)"),
+    ("analyze.stability", "delta", "float", 0.10, "[0, 1]"),
+    ("analyze.stability", "runs", "int", 4, "[2, inf)"),
+    ("analyze.dominance", "kappa", "float", 0.02, "[0, 1]"),
+    ("analyze.dominance", "k_max", "int", 6, "[1, inf)"),
+    ("ctr", "lambda", "float", 2e-3, "[0, inf)"),
+    ("ctr", "neg_ratio", "int", 5, "[1, inf)"),
+    ("ctr", "top_n", "int", 20, "[1, inf)"),
+    ("ctr", "test_fraction", "float", 0.2, "(0, 1)"),
+    ("ctr", "recipes", "list", ({"CR": "c", "DG": "c", "ME": "c"},), None),
+    ("cf", "variant", "str", "vanilla", cf.VARIANTS),
+    ("cf", "value", "str", "count", ("count", "spend")),
+    ("cf", "characterization", "str", "TF", features.CHARACTERIZATIONS),
+    ("cf", "f", "int", 8, "[1, inf)"),
+    ("cf", "lr", "float", 0.02, "(0, inf)"),
+    ("cf", "reg", "float", 0.02, "[0, inf)"),
+    ("cf", "epochs", "int", 20, "[1, inf)"),
+)
+_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
+          "list": list, "object": dict}
+# every section with its parents, a parent before its children
+_SECTIONS = sorted({row[0].rsplit(".", n)[0] for row in CONFIG_TABLE
+                    for n in range(row[0].count(".") + 1)} | {""})
+_NAMES = set(_SECTIONS[1:]) | {f"{s}.{k}".lstrip(".")
+                               for s, k, *_ in CONFIG_TABLE}
 
 
-def _section(parent: dict, key: str) -> dict:
-    """The JSON object `parent[key]` (else empty), or a ConfigError."""
-    value = parent.get(key, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"config section {key!r} must be an object")
-    return value
+def check_config(config: dict) -> None:
+    """Raise a ConfigError unless every section and key of `config` is
+    declared in CONFIG_TABLE and holds a value of its type and range."""
+    objects = {"": config}
+    for path in _SECTIONS[1:]:
+        parent, _, key = path.rpartition(".")
+        objects[path] = objects[parent].get(key, {})
+        if not isinstance(objects[path], dict):
+            raise ConfigError(f"config section {path!r} must be an object")
+    for path, given in objects.items():
+        for name in (f"{path}.{key}".lstrip(".") for key in given):
+            if name not in _NAMES:
+                raise ConfigError(f"unknown config key {name!r}")
+    for section, key, kind, default, rule in CONFIG_TABLE:  # "stages" first
+        name = f"{section}.{key}".lstrip(".")
+        value = objects[section].get(key)
+        if value is None and (key not in objects[section] or default is None):
+            if default is REQUIRED and section in config.get("stages", STAGES):
+                raise ConfigError(f"config value {name!r} is required")
+        elif not (isinstance(value, _TYPES[kind])
+                  and isinstance(value, bool) == (kind == "bool")
+                  and (kind != "float" or abs(value) <= sys.float_info.max)):
+            raise ConfigError(f"config value {name!r} must be a JSON {kind}, "
+                              f"got {value!r}")
+        elif isinstance(rule, str):  # an interval: "[0, 1]", "(0, inf)", ...
+            low, high = (float(b) for b in rule[1:-1].split(", "))
+            if ((value <= low) if rule[0] == "(" else (value < low)) or (
+                    (value >= high) if rule[-1] == ")" else (value > high)):
+                raise ConfigError(f"config value {name!r} must be in {rule}, "
+                                  f"got {value!r}")
+        elif isinstance(rule, tuple):
+            for member in value if kind in ("list", "object") else [value]:
+                if member not in rule:
+                    raise ConfigError(f"config value {name!r} takes only "
+                                      f"{list(rule)}, got {member!r}")
+
+
+def _settings(config: dict, section: str) -> dict:
+    """`section` of a config that passed `check_config`, defaults filled in."""
+    for part in filter(None, section.split(".")):
+        config = config.get(part, {})
+    values = {}
+    for row_section, key, kind, default, _ in CONFIG_TABLE:
+        if row_section == section:
+            value = config.get(key)
+            values[key] = (default if value is None
+                           else float(value) if kind == "float" else value)
+    return values
 
 
 def load_config(path) -> dict:
@@ -101,54 +170,38 @@ def load_config(path) -> dict:
     return config
 
 
-def _generator_config(section: dict, seed: int) -> synth.GeneratorConfig:
+def stage_synth(config: dict, out: Path, seed: int) -> None:
+    params = _settings(config, "synth")
     mixtures = synth.default_mixtures()
     try:
-        for ch, spec in _section(section, "mixtures").items():
-            mixtures[ch] = synth.PlantedMixture(
-                np.array(spec["pi"]), np.array(spec["theta"]),
-                tuple(spec.get("niche", ())))
-        spend = None
-        if section.get("price_mode", "tf") == "me":
-            sm = section.get("spend_model")
+        for ch, spec in _settings(config, "synth.mixtures").items():
+            if spec is not None:
+                mixtures[ch] = synth.PlantedMixture(
+                    np.array(spec["pi"]), np.array(spec["theta"]),
+                    tuple(spec.get("niche", ())))
+        spend, sm = None, params.pop("spend_model")
+        if params["price_mode"] == "me":
             spend = (synth.default_spend_model() if sm is None else
                      synth.SpendModel(np.array(sm["pi"]),
                                       np.array(sm["centers"]),
                                       tuple(sm.get("niche", ()))))
-        return synth.GeneratorConfig(
-            n_users=_param(section, "n_users", int),
-            months_per_user=_param(section, "months_per_user", int),
-            seed=seed,
-            mixtures=mixtures,
-            spend_model=spend,
-            price_mode=section.get("price_mode", "tf"),
-            poisson_mean=section.get("poisson_mean", 8.0),
-            migration_rate=section.get("migration_rate", 0.0),
-            items_per_cell=_param(section, "items_per_cell", int, 2),
-        )
+        gen_cfg = synth.GeneratorConfig(seed=seed, mixtures=mixtures,
+                                        spend_model=spend, **params)
     except KeyError as exc:
         raise ConfigError(f"invalid synth config: missing key {exc}") from None
     except (synth.GeneratorError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid synth config: {exc}") from None
-
-
-def stage_synth(config: dict, out: Path, seed: int) -> None:
-    section = _section(config, "synth")
-    gen_cfg = _generator_config(section, seed)
     rs, gt = synth.generate(gen_cfg)
     ingest.write_log(rs, out / "log.csv")
     synth.write_ground_truth(gt, out / "ground_truth.csv")
     _write_manifest(out, "synth", [], ["log.csv", "ground_truth.csv"],
-                    seed, section)
+                    seed, config.get("synth", {}))
 
 
 def stage_ingest(config: dict, out: Path, seed: int) -> None:
-    section = _section(config, "ingest")
-    source = section.get("input")
-    if source is not None and not isinstance(source, str):
-        raise ConfigError(f"config value 'input' must be a path, got {source!r}")
-    if source:
-        path = Path(source)
+    params = _settings(config, "ingest")
+    if params["input"]:
+        path = Path(params["input"])
         inputs: list[str] = []
     else:
         path = _require(out, "log.csv", "ingest")
@@ -158,14 +211,15 @@ def stage_ingest(config: dict, out: Path, seed: int) -> None:
     except (ingest.IngestError, OSError, UnicodeDecodeError) as exc:
         raise DataError(str(exc)) from None
     rs = result.record_set
-    if section.get("filter", True):
+    if params["filter"]:
         rs = ingest.filter_inactive(rs)
     ingest.write_log(rs, out / "filtered.csv")
     artifacts.write_json(out / "ingest_diagnostics.json",
                          [{"row": d.row, "message": d.message}
                           for d in result.diagnostics])
     _write_manifest(out, "ingest", inputs,
-                    ["filtered.csv", "ingest_diagnostics.json"], seed, section)
+                    ["filtered.csv", "ingest_diagnostics.json"], seed,
+                    config.get("ingest", {}))
 
 
 def _load_records(out: Path, stage: str) -> tuple[str, ingest.RecordSet]:
@@ -218,15 +272,17 @@ def read_assignments(path) -> tuple[list[tuple[str, int]], np.ndarray, np.ndarra
 
 
 def stage_cluster(config: dict, out: Path, seed: int) -> None:
-    section = _section(config, "cluster")
-    ks = dict(features.DEFAULT_K)
-    ks.update(_section(section, "k"))
-    ks = {ch: _param(ks, ch, int, low=1) for ch in ks}
-    restarts = _param(section, "restarts", int, 5)
+    ks = _settings(config, "cluster.k")
+    restarts = _settings(config, "cluster")["restarts"]
     inputs, outputs = [], []
+    matrices = {ch: _read_features(out, ch, "cluster", inputs)
+                for ch in features.CHARACTERIZATIONS}
+    for ch, cm in matrices.items():
+        if ks[ch] > len(cm.values):
+            raise DataError(f"stage 'cluster': facet {ch!r} has k = {ks[ch]} "
+                            f"but only {len(cm.values)} feature rows")
     try:
-        for ch in features.CHARACTERIZATIONS:
-            cm = _read_features(out, ch, "cluster", inputs)
+        for ch, cm in matrices.items():
             if ch == "ME":
                 model, hard = mixture.fit_kmeans(
                     cm.values, ks[ch],
@@ -258,25 +314,16 @@ def _load_model(out: Path, ch: str, stage: str, inputs: list[str]):
 
 
 def stage_analyze(config: dict, out: Path, seed: int) -> None:
-    section = _section(config, "analyze")
     inputs, outputs = [], []
     report: dict = {"dominance": {}, "migration_support": {}}
-
-    stab = _section(section, "stability")
-    ch = _param(stab, "characterization", str, "TF",
-                choices=features.CHARACTERIZATIONS)
-    epsilon = _param(stab, "epsilon", float, 0.05)
-    delta = _param(stab, "delta", float, 0.10)
-    runs = _param(stab, "runs", int, 4, low=2)
-    dom = _section(section, "dominance")
-    kappa = _param(dom, "kappa", float, 0.02)
-    k_max = _param(dom, "k_max", int, 6)
-
+    stab = _settings(config, "analyze.stability")
+    dom = _settings(config, "analyze.dominance")
+    ch = stab["characterization"]
     cm = _read_features(out, ch, "analyze", inputs)
     stability = analysis.stability_check(
         cm.values, _load_model(out, ch, "analyze", inputs).k,
-        epsilon=epsilon, delta=delta, runs=runs, seed=seed,
-        method="kmeans" if ch == "ME" else "em")
+        epsilon=stab["epsilon"], delta=stab["delta"], runs=stab["runs"],
+        seed=seed, method="kmeans" if ch == "ME" else "em")
     shown = ("epsilon_observed", "delta_observed", "runs", "passed",
              "failed_runs")
     report["stability"] = {"characterization": ch,
@@ -287,7 +334,8 @@ def stage_analyze(config: dict, out: Path, seed: int) -> None:
         keys, tau, hard = read_assignments(_require(out, name, "analyze"))
         k = tau.shape[1]
         inputs.append(name)
-        dom_report = analysis.dominance_check(hard, kappa, k_max, k=k)
+        dom_report = analysis.dominance_check(hard, dom["kappa"], dom["k_max"],
+                                              k=k)
         report["dominance"][ch] = {
             "passed": dom_report.passed,
             "shares": [round(float(s), 6) for s in dom_report.shares],
@@ -309,21 +357,19 @@ def stage_analyze(config: dict, out: Path, seed: int) -> None:
 
     artifacts.write_json(out / "analyze_report.json", report)
     outputs.append("analyze_report.json")
-    _write_manifest(out, "analyze", sorted(set(inputs)), outputs, seed, section)
+    _write_manifest(out, "analyze", sorted(set(inputs)), outputs, seed,
+                    config.get("analyze", {}))
 
 
 def stage_ctr(config: dict, out: Path, seed: int) -> None:
-    section = _section(config, "ctr")
+    params = _settings(config, "ctr")
     try:
-        recipes = [ctr.FeatureModeRecipe(dict(r)) for r in section.get(
-            "recipes", [{"CR": "c", "DG": "c", "ME": "c"}])]
+        recipes = [ctr.FeatureModeRecipe(dict(r)) for r in params["recipes"]]
     except (ctr.CtrError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid ctr recipe: {exc}") from None
     exp_cfg = ctr.CtrExperimentConfig(
-        lam=_param(section, "lambda", float, 2e-3),
-        neg_ratio=_param(section, "neg_ratio", int, 5),
-        top_n=_param(section, "top_n", int, 20),
-        test_fraction=_param(section, "test_fraction", float, 0.2),
+        lam=params["lambda"], neg_ratio=params["neg_ratio"],
+        top_n=params["top_n"], test_fraction=params["test_fraction"],
         seed=seed)
     log_name, rs = _load_records(out, "ctr")
     inputs = [log_name]
@@ -345,7 +391,8 @@ def stage_ctr(config: dict, out: Path, seed: int) -> None:
     artifacts.write_csv(out / "ctr_eval.csv",
                         ["recency", "genre", "economic", "F", "n", "p",
                          "O_proxy"], rows)
-    _write_manifest(out, "ctr", inputs, ["ctr_eval.csv"], seed, section)
+    _write_manifest(out, "ctr", inputs, ["ctr_eval.csv"], seed,
+                    config.get("ctr", {}))
 
 
 def _per_rated_user(users, table: dict, name: str) -> list:
@@ -357,23 +404,17 @@ def _per_rated_user(users, table: dict, name: str) -> list:
 
 
 def stage_cf(config: dict, out: Path, seed: int) -> None:
-    section = _section(config, "cf")
-    variant = _param(section, "variant", str, "vanilla", choices=cf.VARIANTS)
-    value = _param(section, "value", str, "count", choices=("count", "spend"))
-    ch = _param(section, "characterization", str, "TF",
-                choices=features.CHARACTERIZATIONS)
-    cfg = cf.FactorConfig(
-        f=_param(section, "f", int, 8, low=1),
-        lr=_param(section, "lr", float, 0.02),
-        reg=_param(section, "reg", float, 0.02),
-        epochs=_param(section, "epochs", int, 20, low=1), seed=seed)
+    params = _settings(config, "cf")
+    variant, ch = params["variant"], params["characterization"]
+    cfg = cf.FactorConfig(f=params["f"], lr=params["lr"], reg=params["reg"],
+                          epochs=params["epochs"], seed=seed)
     log_name, rs = _load_records(out, "cf")
     # One rating per (user, item) pair, its values summed in row order.
     n_items = len(rs.contents)
     pairs, pair = np.unique(rs.user * n_items + rs.content,
                             return_inverse=True)
-    values = np.bincount(pair, weights=rs.cents / 100.0 if value == "spend"
-                         else None)
+    values = np.bincount(pair, weights=rs.cents / 100.0
+                         if params["value"] == "spend" else None)
     ratings = list(zip(*np.divmod(pairs, n_items), values.tolist()))
 
     clusters = static = None
@@ -402,12 +443,9 @@ def stage_cf(config: dict, out: Path, seed: int) -> None:
     except cf.CfError as exc:
         raise NumericalError(f"cf stage failed: {exc}") from None
     artifacts.write_json(out / "cf_model.json", cf.factor_model_to_dict(model))
-    _write_manifest(out, "cf", inputs, ["cf_model.json"], seed, section)
+    _write_manifest(out, "cf", inputs, ["cf_model.json"], seed,
+                    config.get("cf", {}))
 
-
-_ERRORS = {ConfigError: ("validation", EXIT_CONFIG),
-           DataError: ("data", EXIT_DATA),
-           NumericalError: ("numerical", EXIT_NUMERICAL)}
 
 STAGE_FUNCS = dict(zip(STAGES, (stage_synth, stage_ingest, stage_featurize,
                                  stage_cluster, stage_analyze, stage_ctr,
@@ -419,29 +457,21 @@ def run(config_path, out_dir=None, seed_override: int | None = None,
     """Execute configured stages in dependency order; returns an exit code."""
     try:
         config = load_config(config_path)
-        stages = [only_stage] if only_stage else config.get("stages", list(STAGES))
-        if not isinstance(stages, list):
-            raise ConfigError(f"config value 'stages' must be a list, "
-                              f"got {stages!r}")
-        for stage in stages:
-            if not isinstance(stage, str) or stage not in STAGE_FUNCS:
-                raise ConfigError(f"unknown stage {stage!r}")
-        out = out_dir or config.get("out_dir", ".")
-        if not isinstance(out, (str, os.PathLike)):
-            raise ConfigError(f"config value 'out_dir' must be a path, "
-                              f"got {out!r}")
-        out = Path(out)
+        if seed_override is not None:
+            config["seed"] = seed_override
+        if only_stage:
+            config["stages"] = [only_stage]
+        check_config(config)
+        top = _settings(config, "")
+        out = Path(out_dir or top["out_dir"])
         out.mkdir(parents=True, exist_ok=True)
-        seed = _param(config if seed_override is None
-                      else {"seed": seed_override}, "seed", int, 0, low=0)
-        for stage in stages:
-            STAGE_FUNCS[stage](config, out, seed)
+        for stage in top["stages"]:
+            STAGE_FUNCS[stage](config, out, top["seed"])
     except (ConfigError, DataError, NumericalError) as exc:
-        kind, code = _ERRORS[type(exc)]
-        print(json.dumps({"error": kind, "message": str(exc)}),
+        print(json.dumps({"error": exc.kind, "message": str(exc)}),
               file=sys.stderr)
-        return code
-    return EXIT_OK
+        return exc.exit_code
+    return 0
 
 
 def main(argv=None) -> int:

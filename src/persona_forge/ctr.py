@@ -9,7 +9,6 @@ import numpy as np
 from scipy.special import expit
 from scipy.stats import rankdata
 
-from . import artifacts
 from .features import CharacterizationMatrix, pool_by_user
 from .ingest import RecordSet
 from .mixture import KMeansModel, MixtureModel, hard_labels, soft_features
@@ -426,20 +425,3 @@ def run_ctr_experiment(items: dict[str, set[str]],
     mean_n = float(np.mean(n_rows)) if n_rows else 0.0
     return CtrEvaluation(recipe.name(), mean_auc, per_item, p, mean_n,
                          mean_n * p * p, skipped)
-
-
-def model_to_json(model: CtrItemModel) -> str:
-    payload = {
-        "item_id": model.item_id,
-        "lambda": model.lam,
-        "intercept": repr(model.intercept),
-        "weights": {str(i): repr(float(v))
-                    for i, v in enumerate(model.weights) if v != 0.0},
-        "feature_means": [repr(float(v)) for v in model.feature_means],
-        "feature_scales": [repr(float(v)) for v in model.feature_scales],
-        "n_rows": model.n_rows,
-        "n_pos": model.n_pos,
-        "kkt_violation": repr(model.kkt_violation),
-        "converged": model.converged,
-    }
-    return artifacts.to_json(payload)

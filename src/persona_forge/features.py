@@ -41,9 +41,6 @@ CHARACTERIZATION_DIMS = {ch: len(v) for ch, v in CHARACTERIZATION_LABELS.items()
 VALUE_KINDS = {"ME": "Amount", "TF": "Count", "DG": "Count", "CR": "Count",
                "TDT": "Count"}
 
-# Default cluster counts per characterization used by the CLI pipeline.
-DEFAULT_K = {"ME": 4, "TF": 4, "DG": 3, "CR": 3, "TDT": 4}
-
 
 def bin_price(rental, cents):
     """Bin prices into their per-type category (5 rental / 8 purchase bins)."""

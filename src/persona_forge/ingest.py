@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +25,7 @@ CSV_COLUMNS = (
 )
 
 MIN_RELEASE_YEAR = 1900
+MAX_RELEASE_YEAR = 2100
 
 
 class IngestError(Exception):
@@ -108,7 +108,7 @@ def format_price(cents: int) -> str:
     return f"{cents // 100}.{cents % 100:02d}"
 
 
-def _parse_row(row: dict[str, str], max_year: int) -> tuple:
+def _parse_row(row: dict[str, str]) -> tuple:
     """One validated row as its cells in CSV_COLUMNS order."""
     ts = int(row["timestamp"])
     offset = int(row["region_offset_minutes"])
@@ -122,7 +122,7 @@ def _parse_row(row: dict[str, str], max_year: int) -> tuple:
     if genre not in GENRE_INDEX:
         raise ValueError(f"unknown genre {genre!r}")
     year = int(row["release_year"])
-    if not MIN_RELEASE_YEAR <= year <= max_year:
+    if not MIN_RELEASE_YEAR <= year <= MAX_RELEASE_YEAR:
         raise ValueError(f"release_year {year} out of range")
     user_id = row["user_id"].strip()
     content_id = row["content_id"].strip()
@@ -151,7 +151,6 @@ def parse_log(path, schema: dict[str, str] | None = None,
     diagnostics: list[RowDiagnostic] = []
     seen: set[tuple[str, int, str]] = set()
     n_rows = 0
-    max_year = time.gmtime().tm_year
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -171,7 +170,7 @@ def parse_log(path, schema: dict[str, str] | None = None,
                 continue
             row = {c: raw[j] for c, j in col_idx.items()}
             try:
-                cells = _parse_row(row, max_year)
+                cells = _parse_row(row)
             except ValueError as exc:
                 diagnostics.append(RowDiagnostic(i, str(exc)))
                 continue

@@ -10,8 +10,6 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from . import artifacts
-
 log = logging.getLogger(__name__)
 
 
@@ -353,10 +351,6 @@ def model_to_dict(model: MixtureModel | KMeansModel) -> dict:
         "inertia": repr(model.inertia),
         "seed": model.seed,
     }
-
-
-def model_to_json(model: MixtureModel | KMeansModel) -> str:
-    return artifacts.to_json(model_to_dict(model))
 
 
 def model_from_json(text: str) -> MixtureModel | KMeansModel:

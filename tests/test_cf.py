@@ -4,9 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from persona_forge import cf
+from persona_forge import artifacts, cf
 from persona_forge.cf import (CfError, FactorConfig, TemporalContext, cosine,
-                              factor_model_to_json, fit_factor, jaccard,
+                              factor_model_to_dict, fit_factor, jaccard,
                               predict_similarity, predict_similarity_temporal,
                               rmse)
 
@@ -102,6 +102,15 @@ def test_fit_factor_validation():
         fit_factor(2, 2, [(0, 0, 1.0)], "z")
     with pytest.raises(CfError):
         fit_factor(2, 2, [], "vanilla")
+
+
+@pytest.mark.parametrize("variant", ["vanilla", "d"])
+def test_diverging_sgd_raises(variant):
+    n_users, n_items, ratings = _toy_ratings(seed=3)
+    clusters = np.arange(n_users) % 2
+    with pytest.raises(CfError, match="diverged in epoch 1"):
+        fit_factor(n_users, n_items, ratings, variant, clusters,
+                   config=FactorConfig(lr=5.0, epochs=3, seed=1))
 
 
 def test_vanilla_training_reduces_rmse():
@@ -234,7 +243,7 @@ def test_factor_model_json():
                                              per_user=4)
     model = fit_factor(n_users, n_items, ratings, "vanilla",
                        config=FactorConfig(epochs=2, seed=1))
-    text = factor_model_to_json(model)
+    text = artifacts.to_json(factor_model_to_dict(model))
     payload = json.loads(text)
     assert payload["variant"] == "vanilla"
-    assert factor_model_to_json(model) == text
+    assert artifacts.to_json(factor_model_to_dict(model)) == text

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -205,6 +206,27 @@ def test_invalid_synth_section_is_validation_error(tmp_path):
     ("run", {"stages": [], "out_dir": 5}),
     ("ingest", {"input": 5}),
     ("run", {"stages": ["synth"], "seed": -1}),
+    ("ctr", {"neg_ratio": 0}),
+    ("cf", {"lr": -1}),
+    ("ctr", {"test_fraction": 1.5}),
+    ("ctr", {"top_n": -3}),
+    ("analyze", {"dominance": {"k_max": -1}}),
+    ("cluster", {"restarts": 0}),
+    ("ctr", {"lambda": -1}),
+    ("analyze", {"stability": {"epsilon": -1}}),
+    ("ingest", {"filter": "no"}),
+    ("run", {"stages": ["cluster"], "clustr": {"restarts": 3}}),
+    ("cluster", {"restrats": 3}),
+    ("cluster", {"k": {"XX": 3}}),
+    ("cf", {"f": 2.7}),
+    ("synth", {"n_users": "10", "months_per_user": 1}),
+    ("synth", {"n_users": 10, "months_per_user": 1,
+               "mixtures": {"TF": {"pi": [0.5, 0.5], "nich": [1],
+                                   "theta": [[0.5, 0.5, 0, 0, 0, 0],
+                                             [0, 0, 0.5, 0.5, 0, 0]]}}}),
+    ("synth", {"n_users": 10, "months_per_user": 1, "price_mode": "me",
+               "spend_model": {"pi": [1.0], "size": 2,
+                               "centers": [[0, 2.0] + [0] * 11]}}),
 ])
 def test_bad_config_value_is_validation_error(tmp_path, capsys, stage,
                                               section):
@@ -216,6 +238,74 @@ def test_bad_config_value_is_validation_error(tmp_path, capsys, stage,
                    else tmp_path / "out") == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert json.loads(line)["error"] == "validation"
+
+
+def test_required_keys_and_nulls():
+    # a required key is needed only when its stage runs; null stands for a
+    # default only where that default is null
+    cli.check_config({"stages": ["cluster"], "synth": {"months_per_user": 1}})
+    cli.check_config({"stages": ["ingest"], "ingest": {"input": None}})
+    for config, name in [({"stages": ["synth"], "synth": {"n_users": 5}},
+                          "synth.months_per_user"),
+                         ({"stages": ["cf"], "cf": {"lr": None}}, "cf.lr")]:
+        with pytest.raises(cli.ConfigError, match=name):
+            cli.check_config(config)
+
+
+def test_bad_section_fails_before_any_stage_writes(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = _write_config(tmp_path, {**SMALL_CONFIG, "cf": {"lr": -1}})
+    assert cli.run(path, out) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "cf.lr" in json.loads(line)["message"]
+    assert not (out / "log.csv").exists()
+    assert not list(out.glob("manifest_*.json"))
+
+
+def test_readme_config_matches_code():
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    example = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    cli.check_config(json.loads(example))
+    # the config reference lists every key of the table, and nothing else
+    reference = readme.split("## Config reference", 1)[1].split("\n## ")[0]
+    rows = [line for line in reference.splitlines() if line.startswith("| `")]
+    expected = []
+    for section, key, kind, default, rule in cli.CONFIG_TABLE:
+        shown = "required" if default is cli.REQUIRED else (
+            f"`{json.dumps(default)}`")
+        rule = ", ".join(f"`{c}`" for c in rule) if isinstance(
+            rule, tuple) else rule or "—"
+        expected.append(f"| `{section}.{key}`".replace("`.", "`")
+                        + f" | {kind} | {shown} | {rule} |")
+    assert rows == expected
+
+
+def test_cluster_k_beyond_feature_rows_is_data_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = _write_config(tmp_path, {
+        "seed": 3, "stages": ["synth", "ingest", "featurize", "cluster"],
+        "synth": {"n_users": 30, "months_per_user": 1},
+        "cluster": {"k": {"TF": 5000}}})
+    assert cli.run(path, out) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "data"
+    rows = len((out / "features_TF.csv").read_text().splitlines()) - 1
+    for part in ("'TF'", "5000", f"only {rows} feature rows"):
+        assert part in error["message"]
+    assert not list(out.glob("model_*.json"))
+
+
+def test_diverging_cf_is_numerical_error(pipeline, tmp_path, capsys):
+    out = _copy_pipeline(pipeline, tmp_path)
+    (out / "cf_model.json").unlink()
+    (out / "manifest_cf.json").unlink()
+    config = _write_config(tmp_path, {"cf": {"lr": 5, "epochs": 2}})
+    assert cli.run(config, out, only_stage="cf") == 4
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "numerical"
+    assert not (out / "cf_model.json").exists()
+    assert not (out / "manifest_cf.json").exists()
 
 
 def test_missing_artifact_is_data_error(tmp_path):

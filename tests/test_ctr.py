@@ -283,11 +283,3 @@ def test_run_ctr_experiment_smoke():
     assert len(ev.per_item) + len(ev.skipped) == 4
     for auc in ev.per_item.values():
         assert 0.0 <= auc <= 1.0
-
-
-def test_model_json_is_deterministic():
-    rng = np.random.default_rng(9)
-    X = rng.normal(0, 1, (50, 3))
-    y = (rng.random(50) < 0.5).astype(float)
-    model = fit_item_model(X, y, lam=0.05, item_id="i1")
-    assert ctr.model_to_json(model) == ctr.model_to_json(model)

@@ -113,6 +113,8 @@ def test_malformed_rows_become_diagnostics(tmp_path):
     (["u1", "100", "0", "c1", "R", "1.99", "Drama"], "field count"),
     (["u1", "9" * 20, "0", "c1", "R", "1.99", "Drama", "2010"], "ts range"),
     (["u1", "100", "0", "c1", "R", "9" * 17, "Drama", "2010"], "price range"),
+    (["u1", "100", "0", "c1", "R", "1.99", "Drama",
+      str(ingest.MAX_RELEASE_YEAR + 1)], "year past bound"),
 ])
 def test_invalid_rows_rejected(tmp_path, row, why):
     path = tmp_path / "log.csv"
@@ -120,6 +122,17 @@ def test_invalid_rows_rejected(tmp_path, row, why):
     result = parse_log(path)
     assert len(result.diagnostics) == 1, why
     assert len(result.record_set) == 12
+
+
+def test_release_year_bounds_are_accepted(tmp_path):
+    # fixed constants, so whether a row parses does not depend on the clock
+    path = tmp_path / "log.csv"
+    years = [ingest.MIN_RELEASE_YEAR, ingest.MAX_RELEASE_YEAR]
+    _write_rows(path, [["u1", str(100 + j), "0", "c1", "R", "1.99", "Drama",
+                        str(year)] for j, year in enumerate(years)])
+    result = parse_log(path)
+    assert result.diagnostics == []
+    assert result.record_set.year.tolist() == years
 
 
 def test_duplicate_keys_rejected(tmp_path):

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from persona_forge import mixture
+from persona_forge import artifacts, mixture
 from persona_forge.mixture import (AssignmentSet, EMConfig, KMeansConfig,
                                    MixtureModel, e_step, fit_em, fit_kmeans,
                                    hard_labels, m_step, match_clusters,
-                                   model_from_json, model_to_json,
+                                   model_from_json, model_to_dict,
                                    penalized_loglik, permute_clusters,
                                    soft_features)
 
@@ -188,19 +188,20 @@ def test_mixture_json_roundtrip():
                  np.array([[0.7, 0.2, 0.1], [0.1, 0.2, 0.7]]))
     model, _ = fit_em(X, 2, EMConfig(restarts=2, seed=3),
                       characterization="TF")
-    back = model_from_json(model_to_json(model))
+    back = model_from_json(artifacts.to_json(model_to_dict(model)))
     assert isinstance(back, MixtureModel)
     np.testing.assert_array_equal(back.pi, model.pi)       # repr is lossless
     np.testing.assert_array_equal(back.theta, model.theta)
     assert back.characterization == "TF"
-    assert model_to_json(model) == model_to_json(model)
+    text = artifacts.to_json(model_to_dict(model))
+    assert artifacts.to_json(model_to_dict(model)) == text
 
 
 def test_kmeans_json_roundtrip():
     rng = np.random.default_rng(17)
     X = rng.normal(0, 1, (40, 4))
     model, _ = fit_kmeans(X, 2, KMeansConfig(restarts=2, seed=1), "ME")
-    back = model_from_json(model_to_json(model))
+    back = model_from_json(artifacts.to_json(model_to_dict(model)))
     np.testing.assert_array_equal(back.centers, model.centers)
     assert back.inertia == model.inertia
 
@@ -319,11 +320,11 @@ def test_fit_em_diagnostics():
     noise = np.random.default_rng(37).integers(0, 50, (100, 12))
     capped, _ = fit_em(noise, 4, EMConfig(restarts=2, max_iter=5, seed=4))
     assert not capped.converged and capped.n_iter == 5
-    payload = json.loads(model_to_json(model))
+    payload = json.loads(artifacts.to_json(model_to_dict(model)))
     assert payload["diagnostics"] == {
         "converged": True, "n_iter": model.n_iter,
         "restart_logliks": [repr(v) for v in model.restart_logliks]}
-    back = model_from_json(model_to_json(model))
+    back = model_from_json(artifacts.to_json(model_to_dict(model)))
     assert (back.converged, back.n_iter, back.restart_logliks) == (
         True, model.n_iter, model.restart_logliks)
     del payload["diagnostics"]      # a model file written without them
