@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import logging
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -12,15 +11,6 @@ from .mixture import (AssignmentSet, EMConfig, KMeansConfig, MixtureModel,
                       fit_em, fit_kmeans, match_clusters)
 
 log = logging.getLogger(__name__)
-
-
-def worker_cap() -> int:
-    """Worker count honoring the PERSONA_FORGE_THREADS environment cap."""
-    raw = os.environ.get("PERSONA_FORGE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -64,22 +54,11 @@ def stability_check(X: np.ndarray, k: int, epsilon: float, delta: float,
     if fit_config is None:
         fit_config = EMConfig(restarts=4) if method == "em" else KMeansConfig(restarts=4)
 
-    jobs = []
-    for r in range(runs):
+    results = []
+    for _ in range(runs):
         idx = rng.choice(n, size=n // 2, replace=False)
-        jobs.append((idx, replace(fit_config, seed=int(rng.integers(2 ** 31)))))
-
-    def run_one(job):
-        idx, cfg = job
-        return _fit_subsample(X[idx], k, method, cfg)
-
-    cap = worker_cap()
-    if cap > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            results = list(pool.map(run_one, jobs))
-    else:
-        results = [run_one(job) for job in jobs]
+        cfg = replace(fit_config, seed=int(rng.integers(2 ** 31)))
+        results.append(_fit_subsample(X[idx], k, method, cfg))
 
     failed = [r for r, (_, shares) in enumerate(results)
               if np.any(shares == 0)]

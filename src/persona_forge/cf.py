@@ -15,102 +15,72 @@ class CfError(Exception):
     pass
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0 or nb == 0:
-        return 0.0
-    return float(a @ b) / (na * nb)
-
-
-def jaccard(a: set, b: set) -> float:
-    if not a and not b:
-        return 0.0
-    return len(a & b) / len(a | b)
-
-
 @dataclass
 class SimilarityPrediction:
-    rating: float | None   # None when no transacting neighbor has similarity
+    rating: float | None   # None when no rated candidate has similarity
     probability: float
     candidates_examined: int = 0
 
 
-def predict_similarity(user, item, candidates, transacted, sim) -> SimilarityPrediction:
-    """Similarity-weighted neighbor prediction for one (user, item) pair.
+def predict_similarity(sims, ratings) -> SimilarityPrediction:
+    """Similarity-weighted neighbour prediction for one (user, item) pair.
 
-    `transacted` maps neighbors in U(item) to their ratings; `candidates` is
-    the full neighbor search set; `sim(user, v)` must be symmetric and
-    non-negative. The rating is the similarity-weighted mean over U(item);
-    the probability is the transacting share of total candidate similarity.
+    `sims` holds the candidates' non-negative similarities to the user and
+    `ratings` each candidate's rating of the item, nan where it has none.
+    The rating is the similarity-weighted mean over the rated candidates;
+    the probability is their share of the total candidate similarity.
     """
-    num_r = den_r = total = 0.0
-    examined = 0
-    for v in candidates:
-        if v == user:
-            continue
-        s = sim(user, v)
-        if s < 0:
-            raise CfError("similarities must be non-negative")
-        examined += 1
-        total += s
-        r = transacted.get(v)
-        if r is not None:
-            num_r += s * r
-            den_r += s
-    rating = num_r / den_r if den_r > 0 else None
+    sims = np.asarray(sims, dtype=np.float64)
+    ratings = np.asarray(ratings, dtype=np.float64)
+    if (sims < 0).any():
+        raise CfError("similarities must be non-negative")
+    rated = ~np.isnan(ratings)
+    den_r, total = float(sims[rated].sum()), float(sims.sum())
+    rating = float(sims[rated] @ ratings[rated]) / den_r if den_r > 0 else None
     probability = den_r / total if total > 0 else 0.0
-    return SimilarityPrediction(rating, probability, examined)
+    return SimilarityPrediction(rating, probability, len(sims))
 
 
-@dataclass
-class TemporalContext:
-    """Per-tenure-month data backing temporal similarity prediction."""
-    features: dict[int, dict[str, np.ndarray]]       # t -> user -> u_t
-    clusters: dict[int, dict[str, int]]              # t -> user -> label
-    transacted: dict[int, dict[str, dict[str, float]]]  # t -> item -> user -> r
-
-
-def predict_similarity_temporal(ctx: TemporalContext, user, item, horizon: int,
+def predict_similarity_temporal(keys, values, labels, ratings, user,
+                                horizon: int,
                                 weights: dict[int, float] | None = None,
-                                sim=cosine,
                                 restrict_to_cluster: bool = True
                                 ) -> SimilarityPrediction:
-    """Temporally weighted similarity prediction over months t <= horizon.
+    """Temporally weighted neighbour prediction over months t <= horizon.
 
-    Neighbor search at month t is restricted to the user's month-t cluster,
-    which is what makes the search scale with cluster size rather than with
-    the full transacting population. The probability numerator uses
-    transaction indicators so the estimate stays in [0, 1].
+    Rows are user-months as in `features_<ch>.csv` and
+    `assignments_<ch>.csv`: `keys` (user, tenure month >= 0), `values` the
+    feature rows, `labels` the hard labels, and `ratings` the row user's
+    rating of the item in that month (nan when none). A candidate is another
+    user's row in a month t where `user` has a row and weight > 0; its
+    similarity is the cosine to `user`'s month-t row (0 for a zero row)
+    times the month's weight. Restricting candidates to `user`'s month-t
+    cluster makes the search scale with the cluster's size rather than with
+    the whole population.
     """
-    num_r = den_r = den_p = 0.0
-    examined = 0
-    for t in sorted(ctx.features):
-        feats = ctx.features[t]
-        if t > horizon or user not in feats:
-            continue
-        w = 1.0 if weights is None else float(weights.get(t, 0.0))
-        if w < 0:
+    ids, months = np.asarray(keys, dtype=object).reshape(-1, 2).T
+    months = months.astype(np.int64)
+    values = np.asarray(values, dtype=np.float64)
+    own = ids == user
+    # each row's same-month row of `user`, -1 where `user` has none
+    query = np.full(int(months.max(initial=-1)) + 1, -1)
+    query[months[own]] = np.flatnonzero(own)
+    query = query[months]
+    w = np.ones(len(months))
+    if weights is not None:
+        if min(weights.values(), default=0.0) < 0:
             raise CfError("weights must be non-negative")
-        if w == 0.0:
-            continue
-        u_t = feats[user]
-        members = ctx.clusters.get(t, {})
-        label = members.get(user)
-        item_users = ctx.transacted.get(t, {}).get(item, {})
-        for v, v_t in feats.items():
-            if v == user or (restrict_to_cluster and members.get(v) != label):
-                continue
-            s = w * sim(u_t, v_t)
-            examined += 1
-            den_p += s
-            r = item_users.get(v)
-            if r is not None:
-                num_r += s * r
-                den_r += s
-    rating = num_r / den_r if den_r > 0 else None
-    probability = den_r / den_p if den_p > 0 else 0.0
-    return SimilarityPrediction(rating, probability, examined)
+        # a month missing from `weights` gets weight 0
+        w = (months[:, None] == np.array(list(weights))) @ np.array(
+            list(weights.values()), dtype=np.float64)
+    mask = (query >= 0) & ~own & (months <= horizon) & (w > 0)
+    if restrict_to_cluster:
+        mask &= np.asarray(labels) == np.asarray(labels)[query]
+    a, b = values[mask], values[query[mask]]
+    norms = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
+    cosine = np.divide(np.einsum("ij,ij->i", a, b), norms,
+                       out=np.zeros(len(a)), where=norms > 0)
+    return predict_similarity(w[mask] * cosine, np.asarray(ratings)[mask])
 
 
 # ---------------------------------------------------------------------------

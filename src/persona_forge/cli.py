@@ -48,11 +48,21 @@ def _write_manifest(out: Path, stage: str, inputs: list[str],
     })
 
 
-def _require(out: Path, name: str, stage: str) -> Path:
-    path = out / name
-    if not path.exists():
-        raise DataError(f"stage {stage!r} requires missing artifact {name!r}")
-    return path
+def _read_artifact(out: Path, stage: str, inputs: list[str], reader,
+                   name: str, *sidecars: str):
+    """`reader(out / name)`. The artifact and its `sidecars` must exist and
+    are recorded as inputs; a reader error is a DataError naming them."""
+    for part in (name, *sidecars):
+        if not (out / part).exists():
+            raise DataError(f"stage {stage!r} requires missing artifact "
+                            f"{part!r}")
+    inputs += [name, *sidecars]
+    try:
+        return reader(out / name)
+    except (OSError, ValueError, KeyError, IndexError, TypeError,
+            ingest.IngestError) as exc:
+        raise DataError(f"stage {stage!r}: corrupt artifact "
+                        f"{', '.join((name, *sidecars))}: {exc}") from None
 
 
 # Every config key, declared once: (section, key, JSON type, default, range
@@ -200,16 +210,15 @@ def stage_synth(config: dict, out: Path, seed: int) -> None:
 
 def stage_ingest(config: dict, out: Path, seed: int) -> None:
     params = _settings(config, "ingest")
+    inputs: list[str] = []
     if params["input"]:
-        path = Path(params["input"])
-        inputs: list[str] = []
+        try:
+            result = ingest.parse_log(Path(params["input"]))
+        except (ingest.IngestError, OSError, UnicodeDecodeError) as exc:
+            raise DataError(str(exc)) from None
     else:
-        path = _require(out, "log.csv", "ingest")
-        inputs = ["log.csv"]
-    try:
-        result = ingest.parse_log(path)
-    except (ingest.IngestError, OSError, UnicodeDecodeError) as exc:
-        raise DataError(str(exc)) from None
+        result = _read_artifact(out, "ingest", inputs, ingest.parse_log,
+                                "log.csv")
     rs = result.record_set
     if params["filter"]:
         rs = ingest.filter_inactive(rs)
@@ -222,16 +231,17 @@ def stage_ingest(config: dict, out: Path, seed: int) -> None:
                     config.get("ingest", {}))
 
 
-def _load_records(out: Path, stage: str) -> tuple[str, ingest.RecordSet]:
-    """(artifact name, records) of the filtered log, else the raw log."""
-    for name in ("filtered.csv", "log.csv"):
-        if (out / name).exists():
-            return name, ingest.parse_log(out / name).record_set
-    raise DataError(f"stage {stage!r} requires 'filtered.csv' or 'log.csv'")
+def _load_records(out: Path, stage: str,
+                  inputs: list[str]) -> ingest.RecordSet:
+    """The records of the filtered log, else of the raw log."""
+    name = "filtered.csv" if (out / "filtered.csv").exists() else "log.csv"
+    return _read_artifact(out, stage, inputs, ingest.parse_log,
+                          name).record_set
 
 
 def stage_featurize(config: dict, out: Path, seed: int) -> None:
-    log_name, rs = _load_records(out, "featurize")
+    inputs: list[str] = []
+    rs = _load_records(out, "featurize", inputs)
     months = features.tenure_align(rs)
     outputs = []
     for ch in features.CHARACTERIZATIONS:
@@ -239,17 +249,7 @@ def stage_featurize(config: dict, out: Path, seed: int) -> None:
         name = f"features_{ch}.csv"
         features.write_matrix(cm, out / name)
         outputs += [name, name + ".json"]
-    _write_manifest(out, "featurize", [log_name], outputs, seed, {})
-
-
-def _read_features(out: Path, ch: str, stage: str,
-                   inputs: list[str]) -> features.CharacterizationMatrix:
-    """Read `features_<ch>.csv` and its sidecar; record both as inputs."""
-    name = f"features_{ch}.csv"
-    path = _require(out, name, stage)
-    _require(out, name + ".json", stage)
-    inputs += [name, name + ".json"]
-    return features.read_matrix(path)
+    _write_manifest(out, "featurize", inputs, outputs, seed, {})
 
 
 def _write_assignments(path: Path, keys, tau: np.ndarray,
@@ -268,14 +268,19 @@ def read_assignments(path) -> tuple[list[tuple[str, int]], np.ndarray, np.ndarra
         keys.append((raw[0], int(raw[1])))
         taus.append([float(v) for v in raw[2:-1]])
         hards.append(int(raw[-1]))
-    return keys, np.array(taus), np.array(hards, dtype=np.int64)
+    taus, hards = np.array(taus), np.array(hards, dtype=np.int64)
+    if len(hards) and not 0 <= hards.min() <= hards.max() < taus.shape[1]:
+        raise ValueError(f"hard labels outside [0, {taus.shape[1]})")
+    return keys, taus, hards
 
 
 def stage_cluster(config: dict, out: Path, seed: int) -> None:
     ks = _settings(config, "cluster.k")
     restarts = _settings(config, "cluster")["restarts"]
     inputs, outputs = [], []
-    matrices = {ch: _read_features(out, ch, "cluster", inputs)
+    matrices = {ch: _read_artifact(out, "cluster", inputs,
+                                   features.read_matrix, f"features_{ch}.csv",
+                                   f"features_{ch}.csv.json")
                 for ch in features.CHARACTERIZATIONS}
     for ch, cm in matrices.items():
         if ks[ch] > len(cm.values):
@@ -306,10 +311,7 @@ def stage_cluster(config: dict, out: Path, seed: int) -> None:
                     {"k": ks, "restarts": restarts})
 
 
-def _load_model(out: Path, ch: str, stage: str, inputs: list[str]):
-    """Read `model_<ch>.json`; record it as an input."""
-    path = _require(out, f"model_{ch}.json", stage)
-    inputs.append(path.name)
+def _read_model(path: Path):
     return mixture.model_from_json(path.read_text(encoding="utf-8"))
 
 
@@ -319,9 +321,12 @@ def stage_analyze(config: dict, out: Path, seed: int) -> None:
     stab = _settings(config, "analyze.stability")
     dom = _settings(config, "analyze.dominance")
     ch = stab["characterization"]
-    cm = _read_features(out, ch, "analyze", inputs)
+    cm = _read_artifact(out, "analyze", inputs, features.read_matrix,
+                        f"features_{ch}.csv", f"features_{ch}.csv.json")
     stability = analysis.stability_check(
-        cm.values, _load_model(out, ch, "analyze", inputs).k,
+        cm.values,
+        _read_artifact(out, "analyze", inputs, _read_model,
+                       f"model_{ch}.json").k,
         epsilon=stab["epsilon"], delta=stab["delta"], runs=stab["runs"],
         seed=seed, method="kmeans" if ch == "ME" else "em")
     shown = ("epsilon_observed", "delta_observed", "runs", "passed",
@@ -330,10 +335,10 @@ def stage_analyze(config: dict, out: Path, seed: int) -> None:
                            **{k: getattr(stability, k) for k in shown}}
 
     for ch in features.CHARACTERIZATIONS:
-        name = f"assignments_{ch}.csv"
-        keys, tau, hard = read_assignments(_require(out, name, "analyze"))
+        keys, tau, hard = _read_artifact(out, "analyze", inputs,
+                                         read_assignments,
+                                         f"assignments_{ch}.csv")
         k = tau.shape[1]
-        inputs.append(name)
         dom_report = analysis.dominance_check(hard, dom["kappa"], dom["k_max"],
                                               k=k)
         report["dominance"][ch] = {
@@ -347,7 +352,8 @@ def stage_analyze(config: dict, out: Path, seed: int) -> None:
             ([repr(float(v)) for v in row] for row in mig.matrix))
         outputs.append(f"migration_{ch}.csv")
 
-        model = _load_model(out, ch, "analyze", inputs)
+        model = _read_artifact(out, "analyze", inputs, _read_model,
+                               f"model_{ch}.json")
         centers = model.theta if isinstance(model, mixture.MixtureModel) else model.centers
         table = analysis.center_report(centers,
                                        features.CHARACTERIZATION_LABELS[ch],
@@ -371,19 +377,27 @@ def stage_ctr(config: dict, out: Path, seed: int) -> None:
         lam=params["lambda"], neg_ratio=params["neg_ratio"],
         top_n=params["top_n"], test_fraction=params["test_fraction"],
         seed=seed)
-    log_name, rs = _load_records(out, "ctr")
-    inputs = [log_name]
+    inputs: list[str] = []
+    rs = _load_records(out, "ctr", inputs)
     chars = ctr.CTR_CHARACTERIZATIONS
     try:
         persona = ctr.persona_features(
-            {ch: _read_features(out, ch, "ctr", inputs) for ch in chars},
-            {ch: _load_model(out, ch, "ctr", inputs) for ch in chars})
+            {ch: _read_artifact(out, "ctr", inputs, features.read_matrix,
+                                f"features_{ch}.csv",
+                                f"features_{ch}.csv.json") for ch in chars},
+            {ch: _read_artifact(out, "ctr", inputs, _read_model,
+                                f"model_{ch}.json") for ch in chars})
     except ctr.CtrError as exc:
         raise DataError(f"stage 'ctr': {exc}") from None
     items = ctr.item_user_sets(rs)
     rows = []
     for recipe in recipes:
         evaluation = ctr.run_ctr_experiment(items, persona, recipe, exp_cfg)
+        if not evaluation.per_item:  # no test user, or every item skipped
+            raise DataError(f"stage 'ctr': recipe {evaluation.recipe!r} "
+                            f"evaluated no item ({len(evaluation.skipped)} "
+                            f"skipped: a train or test split lacked positive "
+                            f"or negative rows)")
         rows.append([recipe.mode("CR"), recipe.mode("DG"), recipe.mode("ME"),
                      repr(round(evaluation.mean_auc, 6)),
                      repr(round(evaluation.mean_n, 2)), evaluation.p,
@@ -408,7 +422,8 @@ def stage_cf(config: dict, out: Path, seed: int) -> None:
     variant, ch = params["variant"], params["characterization"]
     cfg = cf.FactorConfig(f=params["f"], lr=params["lr"], reg=params["reg"],
                           epochs=params["epochs"], seed=seed)
-    log_name, rs = _load_records(out, "cf")
+    inputs: list[str] = []
+    rs = _load_records(out, "cf", inputs)
     # One rating per (user, item) pair, its values summed in row order.
     n_items = len(rs.contents)
     pairs, pair = np.unique(rs.user * n_items + rs.content,
@@ -418,18 +433,18 @@ def stage_cf(config: dict, out: Path, seed: int) -> None:
     ratings = list(zip(*np.divmod(pairs, n_items), values.tolist()))
 
     clusters = static = None
-    inputs = [log_name]
     if variant in ("a", "b", "d"):
         name = f"assignments_{ch}.csv"
-        keys, _, hard = read_assignments(_require(out, name, "cf"))
-        inputs.append(name)
+        keys, _, hard = _read_artifact(out, "cf", inputs, read_assignments,
+                                       name)
         label: dict[str, int] = {}
         for (user, month), lab in zip(keys, hard):
             if user not in label or month == 0:
                 label[user] = int(lab)
         clusters = np.array(_per_rated_user(rs.users, label, name))
     elif variant == "c":
-        cm = _read_features(out, ch, "cf", inputs)
+        cm = _read_artifact(out, "cf", inputs, features.read_matrix,
+                            f"features_{ch}.csv", f"features_{ch}.csv.json")
         pooled = dict(zip(*features.pool_by_user(cm)))
         static = np.stack(_per_rated_user(rs.users, pooled,
                                           f"features_{ch}.csv"))

@@ -26,6 +26,7 @@ CSV_COLUMNS = (
 
 MIN_RELEASE_YEAR = 1900
 MAX_RELEASE_YEAR = 2100
+MAX_BAD_FRACTION = 0.10  # a log with more malformed rows fails as a whole
 
 
 class IngestError(Exception):
@@ -51,14 +52,13 @@ class RecordSet:
     cents: np.ndarray       # int64 fixed-point USD cents, avoids float drift
     genre: np.ndarray       # int64 index into GENRES
     year: np.ndarray        # int64 release year
-    provenance: str = "Parsed"  # "Parsed" | "Synthetic"
 
     def __len__(self) -> int:
         return len(self.user)
 
     @classmethod
     def build(cls, user_ids, timestamp, offset, content_ids, rental, cents,
-              genre, year, provenance: str = "Parsed") -> "RecordSet":
+              genre, year) -> "RecordSet":
         """Intern the ids in sorted order and sort the rows by
         (user, timestamp, content); columns in CSV_COLUMNS order."""
         users, user = _intern(user_ids)
@@ -71,7 +71,7 @@ class RecordSet:
                    np.asarray(rental, dtype=bool)[order],
                    np.asarray(cents, dtype=np.int64)[order],
                    np.asarray(genre, dtype=np.int64)[order],
-                   np.asarray(year, dtype=np.int64)[order], provenance)
+                   np.asarray(year, dtype=np.int64)[order])
 
 
 def _intern(ids) -> tuple[tuple[str, ...], np.ndarray]:
@@ -134,19 +134,13 @@ def _parse_row(row: dict[str, str]) -> tuple:
             GENRE_INDEX[genre], year)
 
 
-def parse_log(path, schema: dict[str, str] | None = None,
-              max_bad_fraction: float = 0.10) -> ParseResult:
+def parse_log(path) -> ParseResult:
     """Parse a CSV transaction log into a sorted, validated RecordSet.
 
-    `schema` maps canonical column names to the file's actual header names
-    (identity when omitted). Malformed rows are rejected with row-numbered
-    diagnostics; more than `max_bad_fraction` malformed rows is a hard failure.
+    Columns are found by their CSV_COLUMNS header names, in any order.
+    Malformed rows are rejected with row-numbered diagnostics; more than
+    MAX_BAD_FRACTION malformed rows is a hard failure.
     """
-    schema = schema or {c: c for c in CSV_COLUMNS}
-    missing = [c for c in CSV_COLUMNS if c not in schema]
-    if missing:
-        raise IngestError(f"schema missing columns {missing}")
-
     columns: list[list] = [[] for _ in CSV_COLUMNS]
     diagnostics: list[RowDiagnostic] = []
     seen: set[tuple[str, int, str]] = set()
@@ -158,11 +152,10 @@ def parse_log(path, schema: dict[str, str] | None = None,
         except StopIteration:
             raise IngestError(f"{path}: empty file, header required") from None
         col_idx = {}
-        for canon in CSV_COLUMNS:
-            actual = schema[canon]
-            if actual not in header:
-                raise IngestError(f"{path}: header missing column {actual!r}")
-            col_idx[canon] = header.index(actual)
+        for name in CSV_COLUMNS:
+            if name not in header:
+                raise IngestError(f"{path}: header missing column {name!r}")
+            col_idx[name] = header.index(name)
         for i, raw in enumerate(reader, start=1):
             n_rows += 1
             if len(raw) != len(header):
@@ -182,17 +175,17 @@ def parse_log(path, schema: dict[str, str] | None = None,
             for column, cell in zip(columns, cells):
                 column.append(cell)
 
-    if n_rows and len(diagnostics) > max_bad_fraction * n_rows:
+    if n_rows and len(diagnostics) > MAX_BAD_FRACTION * n_rows:
         raise IngestError(
             f"{path}: {len(diagnostics)}/{n_rows} rows malformed "
-            f"(limit {max_bad_fraction:.0%}); first: "
+            f"(limit {MAX_BAD_FRACTION:.0%}); first: "
             f"row {diagnostics[0].row}: {diagnostics[0].message}")
 
     return ParseResult(RecordSet.build(*columns), diagnostics)
 
 
 def write_log(rs: RecordSet, path) -> None:
-    """Emit the canonical CSV schema."""
+    """Write the log with the CSV_COLUMNS header."""
     artifacts.write_csv(path, CSV_COLUMNS, (
         [rs.users[u], ts, offset, rs.contents[c], "R" if rental else "P",
          format_price(cents), GENRES[g], year]
@@ -232,5 +225,4 @@ def filter_inactive(rs: RecordSet) -> RecordSet:
             np.asarray(rs.users, dtype=object)[rs.user[keep]],
             rs.timestamp[keep], rs.offset[keep],
             np.asarray(rs.contents, dtype=object)[rs.content[keep]],
-            rs.rental[keep], rs.cents[keep], rs.genre[keep], rs.year[keep],
-            rs.provenance)
+            rs.rental[keep], rs.cents[keep], rs.genre[keep], rs.year[keep])

@@ -323,7 +323,7 @@ def generate(cfg: GeneratorConfig) -> tuple[RecordSet, GroundTruth]:
                 rows.append((uid, int(ts), offset, content, rentals[i],
                              int(prices[i]), int(genres[i]), years[i]))
 
-    return (RecordSet.build(*zip(*rows), provenance="Synthetic"),
+    return (RecordSet.build(*zip(*rows)),
             GroundTruth(truth))
 
 

@@ -20,10 +20,10 @@ def make_record(user="u1", ts=0, offset=0, content="c1", kind="R",
     return Row(user, ts, offset, content, kind == "R", cents, genre, year)
 
 
-def make_record_set(*records, provenance="Parsed"):
+def make_record_set(*records):
     columns = [list(c) for c in zip(*records)] or [[] for _ in Row._fields]
     columns[6] = [GENRE_INDEX[g] for g in columns[6]]
-    return RecordSet.build(*columns, provenance=provenance)
+    return RecordSet.build(*columns)
 
 
 def rows(rs):

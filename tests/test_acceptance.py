@@ -377,10 +377,10 @@ def test_cf_invariances_bias_recovery_and_reductions():
         ratings = {v: float(rng.uniform(1, 5)) for v in candidates
                    if rng.random() < 0.6}
         scale = float(rng.uniform(0.1, 10.0))
-        base = cf.predict_similarity("u", "i", candidates, ratings,
-                                     lambda a, b: sims[b])
-        scaled = cf.predict_similarity("u", "i", candidates, ratings,
-                                       lambda a, b: scale * sims[b])
+        sim_col = np.array([sims[v] for v in candidates])
+        rating_col = np.array([ratings.get(v, np.nan) for v in candidates])
+        base = cf.predict_similarity(sim_col, rating_col)
+        scaled = cf.predict_similarity(scale * sim_col, rating_col)
         assert 0.0 <= base.probability <= 1.0
         assert abs(base.probability - scaled.probability) < 1e-12
         if base.rating is not None:

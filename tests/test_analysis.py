@@ -4,19 +4,7 @@ import pytest
 from persona_forge import analysis, mixture
 from persona_forge.analysis import (center_report, divisive_overlap,
                                     dominance_check, layered_fit,
-                                    migration_matrix, stability_check,
-                                    worker_cap)
-
-
-def test_worker_cap_env(monkeypatch):
-    monkeypatch.delenv("PERSONA_FORGE_THREADS", raising=False)
-    assert worker_cap() == 1
-    monkeypatch.setenv("PERSONA_FORGE_THREADS", "4")
-    assert worker_cap() == 4
-    monkeypatch.setenv("PERSONA_FORGE_THREADS", "0")
-    assert worker_cap() == 1
-    monkeypatch.setenv("PERSONA_FORGE_THREADS", "nope")
-    assert worker_cap() == 1
+                                    migration_matrix, stability_check)
 
 
 def _blob_counts(rng, n):
@@ -56,15 +44,6 @@ def test_stability_kmeans_method():
     report = stability_check(X, 2, epsilon=0.2, delta=0.1, runs=4, seed=2,
                              method="kmeans")
     assert report.passed
-
-
-def test_stability_honors_thread_cap(monkeypatch):
-    monkeypatch.setenv("PERSONA_FORGE_THREADS", "2")
-    rng = np.random.default_rng(5)
-    X = _blob_counts(rng, 400)
-    report = stability_check(X, 2, 0.1, 0.1, runs=4, seed=3,
-                             fit_config=mixture.EMConfig(restarts=2, seed=0))
-    assert report.runs == 4
 
 
 def test_dominance_check():

@@ -138,6 +138,55 @@ def test_missing_matrix_sidecar_is_data_error(pipeline, tmp_path, capsys):
     assert "features_TF.csv.json" in error["message"]
 
 
+@pytest.mark.parametrize("stage,name,corrupt", [
+    ("cluster", "features_TF.csv.json", lambda text: text[:20]),
+    # the first row's month cell
+    ("cluster", "features_TF.csv", lambda text: text.replace(",0,", ",zero,",
+                                                             1)),
+    ("ctr", "model_CR.json", lambda text: "oops"),
+    # the last row's hard label
+    ("analyze", "assignments_TF.csv",
+     lambda text: text[:text.rindex(",")] + ",x\n"),
+    ("analyze", "assignments_TF.csv",
+     lambda text: text[:text.rindex(",")] + ",99\n"),
+], ids=["cut-sidecar", "month-cell", "model-json", "hard-label",
+        "label-beyond-k"])
+def test_corrupt_artifact_is_data_error(pipeline, tmp_path, capsys, stage,
+                                        name, corrupt):
+    out = _copy_pipeline(pipeline, tmp_path)
+    path = out / name
+    text = path.read_text()
+    assert corrupt(text) != text
+    path.write_text(corrupt(text))
+    config = _write_config(tmp_path, {"ctr": {"top_n": 4},
+                                      "analyze": {"stability": {"runs": 2}}})
+    assert cli.run(config, out, only_stage=stage) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "data"
+    assert name in error["message"]
+
+
+def test_ctr_without_evaluated_items_is_data_error(tmp_path, capsys):
+    # 60 users at test_fraction 0.001 leave no test user, so no item
+    # can be evaluated; a nan AUC must not be written
+    out = tmp_path / "out"
+    path = _write_config(tmp_path, {
+        "seed": 7, "stages": ["synth", "ingest", "featurize", "cluster",
+                              "ctr"],
+        "synth": {"n_users": 60, "months_per_user": 2},
+        "cluster": {"restarts": 1},
+        "ctr": {"test_fraction": 0.001, "top_n": 3}})
+    assert cli.run(path, out) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "data"
+    assert "'c,c,c'" in error["message"]
+    assert "3 skipped" in error["message"]
+    assert not (out / "ctr_eval.csv").exists()
+    assert not (out / "manifest_ctr.json").exists()
+
+
 def test_analyze_report_contents(pipeline):
     _, out = pipeline
     report = json.loads((out / "analyze_report.json").read_text())

@@ -187,12 +187,11 @@ def test_tenure_align_matches_reference(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_filter_inactive_matches_reference(seed):
     table = random_table(seed)
-    out = filter_inactive(make_record_set(*table, provenance="Synthetic"))
+    out = filter_inactive(make_record_set(*table))
     expected = ref_filter(rows(make_record_set(*table)))
     assert 0 < len(out) < len(table)
     assert rows(out) == expected
     assert out.users == tuple(sorted({r.user_id for r in expected}))
-    assert out.provenance == "Synthetic"
 
 
 @pytest.mark.parametrize("seed", SEEDS)
