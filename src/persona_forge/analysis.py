@@ -7,8 +7,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .mixture import (AssignmentSet, EMConfig, KMeansConfig, MixtureModel,
-                      fit_em, fit_kmeans, match_clusters)
+from .mixture import (EMConfig, KMeansConfig, MixtureModel, fit_em,
+                      fit_kmeans, match_clusters)
 
 log = logging.getLogger(__name__)
 
@@ -18,8 +18,6 @@ class StabilityReport:
     epsilon_observed: float
     delta_observed: float
     runs: int
-    epsilon: float
-    delta: float
     passed: bool
     failed_runs: list[int] = field(default_factory=list)
 
@@ -50,6 +48,9 @@ def stability_check(X: np.ndarray, k: int, epsilon: float, delta: float,
         raise ValueError("stability needs at least 2 subsample runs")
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
+    if k > n // 2:
+        raise ValueError(f"k = {k} but each 50% subsample has only {n // 2} "
+                         f"of the {n} rows")
     rng = np.random.default_rng(seed)
     if fit_config is None:
         fit_config = EMConfig(restarts=4) if method == "em" else KMeansConfig(restarts=4)
@@ -75,29 +76,24 @@ def stability_check(X: np.ndarray, k: int, epsilon: float, delta: float,
             delta_obs = max(delta_obs, float(
                 np.abs(sa[rows] - sb[cols]).max()))
     passed = (not failed) and eps_obs <= epsilon and delta_obs <= delta
-    return StabilityReport(eps_obs, delta_obs, runs, epsilon, delta, passed,
-                           failed)
+    return StabilityReport(eps_obs, delta_obs, runs, passed, failed)
 
 
 @dataclass
 class DominanceReport:
     passed: bool
     shares: np.ndarray  # sorted descending
-    kappa: float
-    k_max: int
 
 
-def dominance_check(assignment: AssignmentSet | np.ndarray, kappa: float,
-                    k_max: int, k: int | None = None) -> DominanceReport:
-    """True iff every hard-cluster share is at least kappa and K <= K_max."""
-    hard = assignment.hard if isinstance(assignment, AssignmentSet) else np.asarray(assignment)
-    if k is None:
-        k = (assignment.tau.shape[1] if isinstance(assignment, AssignmentSet)
-             else int(hard.max()) + 1)
+def dominance_check(hard: np.ndarray, kappa: float, k_max: int,
+                    k: int) -> DominanceReport:
+    """True iff every share of the k hard clusters is at least kappa and
+    k <= k_max."""
+    hard = np.asarray(hard)
     shares = np.bincount(hard, minlength=k) / len(hard)
     shares = np.sort(shares)[::-1]
     passed = bool(k <= k_max and shares.min() >= kappa)
-    return DominanceReport(passed, shares, kappa, k_max)
+    return DominanceReport(passed, shares)
 
 
 @dataclass

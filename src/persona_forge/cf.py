@@ -87,6 +87,7 @@ def predict_similarity_temporal(keys, values, labels, ratings, user,
 # Latent factor models
 
 VARIANTS = ("vanilla", "a", "b", "c", "d")
+INIT_SCALE = 0.1   # factor init std, before the 1/sqrt(f) scaling
 
 
 @dataclass
@@ -96,7 +97,6 @@ class FactorConfig:
     reg: float = 0.02
     epochs: int = 50
     seed: int = 0
-    init_scale: float = 0.1
 
 
 @dataclass
@@ -194,7 +194,7 @@ def fit_factor(n_users: int, n_items: int, ratings, variant: str = "vanilla",
         return model
 
     rng = np.random.default_rng(config.seed)
-    scale = config.init_scale / np.sqrt(config.f)
+    scale = INIT_SCALE / np.sqrt(config.f)
     model = FactorModel(
         variant, mu, np.zeros(n_users), np.zeros(n_items),
         rng.normal(0.0, scale, (n_users, config.f)),

@@ -171,8 +171,8 @@ def load_config(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             config = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
@@ -323,12 +323,16 @@ def stage_analyze(config: dict, out: Path, seed: int) -> None:
     ch = stab["characterization"]
     cm = _read_artifact(out, "analyze", inputs, features.read_matrix,
                         f"features_{ch}.csv", f"features_{ch}.csv.json")
-    stability = analysis.stability_check(
-        cm.values,
-        _read_artifact(out, "analyze", inputs, _read_model,
-                       f"model_{ch}.json").k,
-        epsilon=stab["epsilon"], delta=stab["delta"], runs=stab["runs"],
-        seed=seed, method="kmeans" if ch == "ME" else "em")
+    k = _read_artifact(out, "analyze", inputs, _read_model,
+                       f"model_{ch}.json").k
+    try:
+        stability = analysis.stability_check(
+            cm.values, k, epsilon=stab["epsilon"], delta=stab["delta"],
+            runs=stab["runs"], seed=seed,
+            method="kmeans" if ch == "ME" else "em")
+    except ValueError as exc:
+        raise DataError(f"stage 'analyze': stability on facet {ch!r}: "
+                        f"{exc}") from None
     shown = ("epsilon_observed", "delta_observed", "runs", "passed",
              "failed_runs")
     report["stability"] = {"characterization": ch,
@@ -479,7 +483,11 @@ def run(config_path, out_dir=None, seed_override: int | None = None,
         check_config(config)
         top = _settings(config, "")
         out = Path(out_dir or top["out_dir"])
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out}: "
+                              f"{exc}") from None
         for stage in top["stages"]:
             STAGE_FUNCS[stage](config, out, top["seed"])
     except (ConfigError, DataError, NumericalError) as exc:

@@ -60,11 +60,10 @@ class UserPersonaFeatures:
     raw: dict[str, np.ndarray]    # ch -> (n_users, d) pooled counts/amounts
     soft: dict[str, np.ndarray]   # ch -> (n_users, K) center distances
     hard: dict[str, np.ndarray]   # ch -> (n_users,) hard labels
-    index: dict[str, int] = field(default_factory=dict)
+    index: dict[str, int] = field(init=False)
 
     def __post_init__(self):
-        if not self.index:
-            self.index = {u: i for i, u in enumerate(self.users)}
+        self.index = {u: i for i, u in enumerate(self.users)}
 
 
 def persona_features(matrices: dict[str, CharacterizationMatrix],
@@ -120,7 +119,6 @@ def _assemble(features: UserPersonaFeatures, recipe: FeatureModeRecipe,
 
 @dataclass
 class CtrDataset:
-    item_id: str
     X: np.ndarray
     y: np.ndarray
     users: list[str]
@@ -171,29 +169,22 @@ def build_dataset(items: dict[str, set[str]],
     y[:len(positives)] = 1.0
     hard_ch = recipe.hard_characterization
     hard = features.hard[hard_ch][rows] if hard_ch else None
-    return CtrDataset(item_id, X, y, users, hard, short)
+    return CtrDataset(X, y, users, hard, short)
 
 
 # ---------------------------------------------------------------------------
 # L1-penalized logistic regression via monotone proximal gradient
 
-@dataclass
-class SolverConfig:
-    max_iter: int = 2000
-    kkt_tol: float = 1e-5    # subgradient optimality tolerance
-    step0: float = 1.0
+MAX_ITER = 2000
+KKT_TOL = 1e-5    # subgradient optimality tolerance
 
 
 @dataclass
 class CtrItemModel:
-    item_id: str
     weights: np.ndarray      # in standardized feature space
     intercept: float
-    lam: float
     feature_means: np.ndarray
     feature_scales: np.ndarray
-    n_rows: int
-    n_pos: int
     kkt_violation: float
     converged: bool
 
@@ -227,16 +218,13 @@ def _soft(v: np.ndarray, t: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
-def fit_item_model(X: np.ndarray, y: np.ndarray, lam: float,
-                   config: SolverConfig | None = None,
-                   item_id: str = "") -> CtrItemModel:
+def fit_item_model(X: np.ndarray, y: np.ndarray, lam: float) -> CtrItemModel:
     """Minimize mean logistic loss + lam*||w||_1 by backtracking ISTA.
 
     Features are z-scored with the training statistics (constant columns get
     unit scale); the intercept is unpenalized. The objective is non-increasing
     across iterations.
     """
-    config = config or SolverConfig()
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n_pos = int(y.sum())
@@ -250,14 +238,14 @@ def fit_item_model(X: np.ndarray, y: np.ndarray, lam: float,
 
     w = np.zeros(X.shape[1])
     b = float(np.log(n_pos / (len(y) - n_pos)))
-    step = config.step0
+    step = 1.0
     viol = np.inf
     converged = False
     f0 = _loss(Xs @ w + b, y)
-    for _ in range(config.max_iter):
+    for _ in range(MAX_ITER):
         g, gb = smooth_gradient(w, b, Xs, y)
         viol = kkt_violation(w, g, gb, lam)
-        if viol <= config.kkt_tol:
+        if viol <= KKT_TOL:
             converged = True
             break
         while True:
@@ -275,8 +263,7 @@ def fit_item_model(X: np.ndarray, y: np.ndarray, lam: float,
                 break
         w, b, f0 = w_new, b_new, f_new
         step = min(step * 1.5, 1e4)
-    return CtrItemModel(item_id, w, b, lam, mu, sd, len(y), n_pos, viol,
-                        converged)
+    return CtrItemModel(w, b, mu, sd, viol, converged)
 
 
 def predict_scores(model: CtrItemModel, X: np.ndarray) -> np.ndarray:
@@ -286,14 +273,12 @@ def predict_scores(model: CtrItemModel, X: np.ndarray) -> np.ndarray:
 
 @dataclass
 class HardModeModel:
-    item_id: str
     submodels: dict[int, CtrItemModel]
     fallback_intercept: float
     single_class: list[int] = field(default_factory=list)
 
 
 def fit_mode_h(X: np.ndarray, y: np.ndarray, hard: np.ndarray, lam: float,
-               config: SolverConfig | None = None,
                item_id: str = "") -> HardModeModel:
     """One model per hard cluster; single-class clusters fall back to an
     intercept-only prior."""
@@ -311,9 +296,8 @@ def fit_mode_h(X: np.ndarray, y: np.ndarray, hard: np.ndarray, lam: float,
             log.debug("item %s cluster %d is single-class, intercept fallback",
                       item_id, c)
             continue
-        submodels[c] = fit_item_model(X[mask], yc, lam, config,
-                                      item_id=f"{item_id}:{c}")
-    return HardModeModel(item_id, submodels, fallback, single)
+        submodels[c] = fit_item_model(X[mask], yc, lam)
+    return HardModeModel(submodels, fallback, single)
 
 
 def predict_scores_h(model: HardModeModel, X: np.ndarray,
@@ -359,7 +343,6 @@ class CtrExperimentConfig:
     top_n: int = 100
     test_fraction: float = 0.2
     seed: int = 0
-    solver: SolverConfig = field(default_factory=SolverConfig)
 
 
 def split_users(users: list[str], test_fraction: float,
@@ -413,11 +396,10 @@ def run_ctr_experiment(items: dict[str, set[str]],
         n_rows.append(len(train.y))
         if hard_ch:
             model = fit_mode_h(train.X, train.y, train.hard, config.lam,
-                               config.solver, item_id=item)
+                               item_id=item)
             scores = predict_scores_h(model, test.X, test.hard)
         else:
-            model = fit_item_model(train.X, train.y, config.lam,
-                                   config.solver, item_id=item)
+            model = fit_item_model(train.X, train.y, config.lam)
             scores = predict_scores(model, test.X)
         per_item[item] = auc_score(test.y, scores)
 

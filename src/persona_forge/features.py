@@ -149,6 +149,8 @@ def write_matrix(cm: CharacterizationMatrix, path) -> None:
 
 
 def read_matrix(path) -> CharacterizationMatrix:
+    """Read a `write_matrix` CSV and its sidecar. A cell that is negative or
+    not finite, or not a whole number in a Count matrix, raises ValueError."""
     path = str(path)
     with open(path + ".json", encoding="utf-8") as fh:
         descriptor = json.load(fh)
@@ -159,6 +161,16 @@ def read_matrix(path) -> CharacterizationMatrix:
         rows.append([float(v) for v in raw[2:]])
     labels = tuple(descriptor["labels"])
     values = np.array(rows, dtype=np.float64) if rows else np.zeros((0, len(labels)))
+    whole = descriptor["value_kind"] == "Count"
+    bad = ~(np.isfinite(values) & (values >= 0))
+    if whole:
+        bad |= values != np.floor(values)
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        kind = "whole number" if whole else "finite number"
+        raise ValueError(f"{path}: row {r + 1} cell v{c} = "
+                         f"{float(values[r, c])!r} is not a non-negative "
+                         f"{kind}")
     return CharacterizationMatrix(descriptor["characterization"], labels,
                                   keys, values, descriptor["value_kind"])
 

@@ -12,13 +12,16 @@ from scipy.spatial.distance import cdist
 
 log = logging.getLogger(__name__)
 
+SMOOTHING = 0.5          # Laplace smoothing on theta
+KMEANS_MAX_ITER = 300
+KMEANS_TOL = 1e-10       # total squared center movement
+
 
 @dataclass
 class EMConfig:
     max_iter: int = 500
     tol: float = 1e-8        # relative objective change
     restarts: int = 10
-    smoothing: float = 0.5   # Laplace smoothing on theta
     seed: int = 0
 
 
@@ -34,7 +37,7 @@ class MixtureModel:
     pi: np.ndarray
     theta: np.ndarray
     loglik_trace: list[float] = field(default_factory=list)
-    smoothing: float = 0.5
+    smoothing: float = SMOOTHING
     seed: int = 0
     characterization: str = ""
     reseed_iters: list[int] = field(default_factory=list)  # empty-cluster events
@@ -57,8 +60,6 @@ class AssignmentSet:
 
 @dataclass
 class KMeansConfig:
-    max_iter: int = 300
-    tol: float = 1e-10
     restarts: int = 10
     seed: int = 0
 
@@ -116,7 +117,7 @@ def penalized_loglik(model: MixtureModel, X: np.ndarray) -> float:
                                         np.asarray(X, dtype=np.float64))[1])
 
 
-def m_step(tau: np.ndarray, X: np.ndarray, smoothing: float = 0.5,
+def m_step(tau: np.ndarray, X: np.ndarray, smoothing: float = SMOOTHING,
            reseed: bool = True, counts: np.ndarray | None = None
            ) -> tuple[np.ndarray, np.ndarray]:
     """Weighted-MLE update of (pi, theta) with additive smoothing on theta.
@@ -214,9 +215,9 @@ def fit_em(X: np.ndarray, k: int, config: EMConfig | None = None,
         labels = _hard_assign(P, centers)
         tau = np.zeros((n, k))
         tau[np.arange(n), labels] = 1.0
-        pi, theta = m_step(tau, X, config.smoothing)
-        model = MixtureModel(k, d, pi, theta, [], config.smoothing,
-                             config.seed, characterization)
+        pi, theta = m_step(tau, X)
+        model = MixtureModel(k, d, pi, theta, [], SMOOTHING, config.seed,
+                             characterization)
         tau, lse = _posterior(model, U)
         ll = _penalized(model, lse, counts)
         model.loglik_trace.append(ll)
@@ -227,8 +228,8 @@ def fit_em(X: np.ndarray, k: int, config: EMConfig | None = None,
             if do_reseed:
                 model.reseed_iters.append(it)
                 reseed_budget -= starved
-            model.pi, model.theta = m_step(tau, U, config.smoothing,
-                                           reseed=do_reseed, counts=counts)
+            model.pi, model.theta = m_step(tau, U, reseed=do_reseed,
+                                           counts=counts)
             tau, lse = _posterior(model, U)
             ll_new = _penalized(model, lse, counts)
             model.loglik_trace.append(ll_new)
@@ -264,7 +265,7 @@ def fit_kmeans(X: np.ndarray, k: int, config: KMeansConfig | None = None,
     for _ in range(max(1, config.restarts)):
         centers = _kmeanspp_seed(X, k, rng)
         labels = _hard_assign(X, centers)
-        for _ in range(config.max_iter):
+        for _ in range(KMEANS_MAX_ITER):
             new_centers = centers.copy()
             for j in range(k):
                 mask = labels == j
@@ -276,7 +277,7 @@ def fit_kmeans(X: np.ndarray, k: int, config: KMeansConfig | None = None,
             new_labels = _hard_assign(X, new_centers)
             moved = float(((new_centers - centers) ** 2).sum())
             centers, labels = new_centers, new_labels
-            if moved <= config.tol:
+            if moved <= KMEANS_TOL:
                 break
         inertia = float(((X - centers[labels]) ** 2).sum())
         if inertia < best_inertia:

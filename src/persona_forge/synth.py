@@ -112,10 +112,9 @@ class GeneratorConfig:
     spend_model: SpendModel | None = None
     price_mode: str = "tf"        # "tf": prices follow the TF label;
                                   # "me": amounts follow the spend model
-    poisson_mean: float | tuple[float, ...] = 6.0  # per spend-cluster when tuple
+    poisson_mean: float = 6.0     # transactions per month, price_mode "tf"
     migration_rate: float = 0.0
     items_per_cell: int = 1       # content ids per (genre, recency) cell
-    base_ts: int = BASE_EPOCH
 
     def __post_init__(self):
         if self.n_users < 1 or self.months_per_user < 1:
@@ -128,9 +127,8 @@ class GeneratorConfig:
             raise GeneratorError("price_mode 'me' requires a spend model")
         if not 0.0 <= self.migration_rate <= 1.0:
             raise GeneratorError("migration_rate must be in [0, 1]")
-        means = np.atleast_1d(np.asarray(self.poisson_mean, dtype=np.float64))
-        if np.any(means <= 0):
-            raise GeneratorError("Poisson means must be positive")
+        if not self.poisson_mean > 0:  # also rejects nan
+            raise GeneratorError("poisson_mean must be positive")
         if self.items_per_cell < 1:
             raise GeneratorError("items_per_cell must be positive")
         for ch in self.mixtures:
@@ -217,10 +215,9 @@ def generate(cfg: GeneratorConfig) -> tuple[RecordSet, GroundTruth]:
     30-day month so tenure alignment reproduces the planted month indices.
     """
     rng = np.random.default_rng(cfg.seed)
-    means = np.atleast_1d(np.asarray(cfg.poisson_mean, dtype=np.float64))
     truth: dict[str, dict[tuple[str, int], int]] = {ch: {} for ch in cfg.planted}
     rows: list[tuple] = []  # cells in CSV_COLUMNS order
-    base_day = cfg.base_ts // 86400
+    base_day = BASE_EPOCH // 86400
     uid_width = max(6, len(str(cfg.n_users - 1)))
 
     for u in range(cfg.n_users):
@@ -237,8 +234,6 @@ def generate(cfg: GeneratorConfig) -> tuple[RecordSet, GroundTruth]:
             for m in range(months):
                 truth[ch][(uid, m)] = int(lab[m])
 
-        spend_labels = (labels["ME"] if cfg.price_mode == "me"
-                        else labels["TF"])
         tdt_mix = cfg.mixtures.get("TDT")
         dg_mix = cfg.mixtures.get("DG")
         cr_mix = cfg.mixtures.get("CR")
@@ -246,9 +241,8 @@ def generate(cfg: GeneratorConfig) -> tuple[RecordSet, GroundTruth]:
         birth = None
         seen: set[tuple[int, str]] = set()
         for m in range(months):
-            mean = float(means[spend_labels[m] % len(means)])
             if cfg.price_mode == "tf":
-                n = int(rng.poisson(mean))
+                n = int(rng.poisson(cfg.poisson_mean))
                 if m == 0:
                     n = max(1, n)
                 if n == 0:
@@ -274,7 +268,6 @@ def generate(cfg: GeneratorConfig) -> tuple[RecordSet, GroundTruth]:
                     prices, rentals = [lo], [ME_IS_RENTAL[b]]
                 if not prices:
                     continue
-                n = len(prices)
 
             n = len(prices)
             if dg_mix is not None:

@@ -140,7 +140,8 @@ def test_stability_dominance_and_overspecified_failure():
     assert report.passed, (report.epsilon_observed, report.delta_observed)
 
     _, assign = mixture.fit_em(X, 4, mixture.EMConfig(restarts=6, seed=3))
-    dom = analysis.dominance_check(assign, kappa=0.02, k_max=6)
+    dom = analysis.dominance_check(assign.hard, kappa=0.02, k_max=6,
+                                   k=assign.tau.shape[1])
     assert dom.passed, dom.shares
 
     failures = sum(

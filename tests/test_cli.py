@@ -138,6 +138,13 @@ def test_missing_matrix_sidecar_is_data_error(pipeline, tmp_path, capsys):
     assert "features_TF.csv.json" in error["message"]
 
 
+def _first_row_last_cell(value):
+    def corrupt(text):
+        header, first, rest = text.split("\n", 2)
+        return "\n".join([header, first[:first.rindex(",") + 1] + value, rest])
+    return corrupt
+
+
 @pytest.mark.parametrize("stage,name,corrupt", [
     ("cluster", "features_TF.csv.json", lambda text: text[:20]),
     # the first row's month cell
@@ -149,8 +156,10 @@ def test_missing_matrix_sidecar_is_data_error(pipeline, tmp_path, capsys):
      lambda text: text[:text.rindex(",")] + ",x\n"),
     ("analyze", "assignments_TF.csv",
      lambda text: text[:text.rindex(",")] + ",99\n"),
+    ("cluster", "features_TF.csv", _first_row_last_cell("-3")),
+    ("cluster", "features_TF.csv", _first_row_last_cell("nan")),
 ], ids=["cut-sidecar", "month-cell", "model-json", "hard-label",
-        "label-beyond-k"])
+        "label-beyond-k", "negative-cell", "nan-cell"])
 def test_corrupt_artifact_is_data_error(pipeline, tmp_path, capsys, stage,
                                         name, corrupt):
     out = _copy_pipeline(pipeline, tmp_path)
@@ -206,8 +215,29 @@ def test_ctr_eval_table(pipeline):
     assert p_ccc > p_sss  # raw counts are wider than soft distances
 
 
-def test_missing_config_is_validation_error(tmp_path):
-    assert cli.run(tmp_path / "nope.json", tmp_path) == 2
+@pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])
+def test_missing_config_is_validation_error(tmp_path, capsys, kind):
+    path = tmp_path / "config.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not utf-8":
+        path.write_bytes(b'{"seed": "\xff"}')
+    assert cli.run(path, tmp_path / "out") == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "validation"
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_out_over_file_is_validation_error(tmp_path, capsys, under):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep")
+    path = _write_config(tmp_path, {"stages": ["synth"],
+                                    "synth": {"n_users": 5,
+                                              "months_per_user": 1}})
+    assert cli.run(path, blocker / "out" if under else blocker) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "validation"
+    assert blocker.read_text() == "keep"
 
 
 def test_bad_json_is_validation_error(tmp_path):
@@ -343,6 +373,25 @@ def test_cluster_k_beyond_feature_rows_is_data_error(tmp_path, capsys):
     for part in ("'TF'", "5000", f"only {rows} feature rows"):
         assert part in error["message"]
     assert not list(out.glob("model_*.json"))
+
+
+def test_stability_k_beyond_subsample_is_data_error(tmp_path, capsys):
+    # k = 4 fits the 6 feature rows but not a 50% stability subsample
+    out = tmp_path / "out"
+    path = _write_config(tmp_path, {
+        "seed": 3, "stages": ["synth", "ingest", "featurize", "cluster",
+                              "analyze"],
+        "synth": {"n_users": 6, "months_per_user": 1},
+        "cluster": {"k": {"TF": 4}},
+        "analyze": {"stability": {"characterization": "TF", "runs": 2}}})
+    assert cli.run(path, out) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "data"
+    rows = len((out / "features_TF.csv").read_text().splitlines()) - 1
+    for part in ("'TF'", "k = 4", f"only {rows // 2} of the {rows} rows"):
+        assert part in error["message"]
+    assert not (out / "analyze_report.json").exists()
 
 
 def test_diverging_cf_is_numerical_error(pipeline, tmp_path, capsys):

@@ -3,10 +3,10 @@ import pytest
 
 from conftest import rows
 from persona_forge import ctr, features, mixture, synth
-from persona_forge.ctr import (CtrError, FeatureModeRecipe, SolverConfig,
-                               auc_score, build_dataset, feature_layout,
-                               fit_item_model, fit_mode_h, item_user_sets,
-                               kkt_violation, persona_features, predict_scores,
+from persona_forge.ctr import (CtrError, FeatureModeRecipe, auc_score,
+                               build_dataset, feature_layout, fit_item_model,
+                               fit_mode_h, item_user_sets, kkt_violation,
+                               persona_features, predict_scores,
                                predict_scores_h, smooth_gradient, split_users,
                                top_items)
 
@@ -154,7 +154,7 @@ def test_fit_item_model_converges_with_kkt():
     X = rng.normal(0, 1, (300, 8))
     w_true = np.array([2.0, -1.5, 0, 0, 1.0, 0, 0, 0])
     y = (rng.random(300) < 1 / (1 + np.exp(-(X @ w_true)))).astype(float)
-    model = fit_item_model(X, y, lam=0.01, config=SolverConfig())
+    model = fit_item_model(X, y, lam=0.01)
     assert model.converged
     assert model.kkt_violation <= 1e-5
     scores = predict_scores(model, X)

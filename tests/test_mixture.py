@@ -236,8 +236,8 @@ def _reference_fit_em(X, k, config):
         labels = mixture._hard_assign(P, mixture._kmeanspp_seed(P, k, rng))
         tau = np.zeros((n, k))
         tau[np.arange(n), labels] = 1.0
-        model = MixtureModel(k, d, *m_step(tau, X, config.smoothing), [],
-                             config.smoothing, config.seed)
+        model = MixtureModel(k, d, *m_step(tau, X, mixture.SMOOTHING), [],
+                             mixture.SMOOTHING, config.seed)
         ll = posterior_and_loglik(model)[1]
         model.loglik_trace.append(ll)
         reseed_budget = 3 * k
@@ -248,7 +248,7 @@ def _reference_fit_em(X, k, config):
             if do_reseed:
                 model.reseed_iters.append(it)
                 reseed_budget -= starved
-            model.pi, model.theta = m_step(tau, X, config.smoothing,
+            model.pi, model.theta = m_step(tau, X, mixture.SMOOTHING,
                                            reseed=do_reseed)
             ll_new = posterior_and_loglik(model)[1]
             model.loglik_trace.append(ll_new)

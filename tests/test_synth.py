@@ -50,6 +50,8 @@ def test_config_validation():
     with pytest.raises(GeneratorError):
         GeneratorConfig(5, 1, mixtures={"TF": TF}, poisson_mean=0.0)
     with pytest.raises(GeneratorError):
+        GeneratorConfig(5, 1, mixtures={"TF": TF}, poisson_mean=float("nan"))
+    with pytest.raises(GeneratorError):
         GeneratorConfig(5, 1, mixtures={"TF": TF, "ME": TF})
     with pytest.raises(GeneratorError):
         GeneratorConfig(5, 1, mixtures={"TF": TF}, items_per_cell=0)
