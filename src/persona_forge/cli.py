@@ -152,6 +152,14 @@ def check_config(config: dict) -> None:
                 if member not in rule:
                     raise ConfigError(f"config value {name!r} takes only "
                                       f"{list(rule)}, got {member!r}")
+    if objects["ctr"].get("recipes") == []:
+        raise ConfigError("config value 'ctr.recipes' must not be empty")
+    for recipe in objects["ctr"].get("recipes", ()):
+        try:
+            ctr.FeatureModeRecipe(dict(recipe))
+        except (ctr.CtrError, TypeError, ValueError) as exc:
+            raise ConfigError(f"config value 'ctr.recipes' holds an invalid "
+                              f"recipe {recipe!r}: {exc}") from None
 
 
 def _settings(config: dict, section: str) -> dict:
@@ -268,8 +276,10 @@ def read_assignments(path) -> tuple[list[tuple[str, int]], np.ndarray, np.ndarra
         keys.append((raw[0], int(raw[1])))
         taus.append([float(v) for v in raw[2:-1]])
         hards.append(int(raw[-1]))
+    if not keys:
+        raise ValueError("no assignment rows")
     taus, hards = np.array(taus), np.array(hards, dtype=np.int64)
-    if len(hards) and not 0 <= hards.min() <= hards.max() < taus.shape[1]:
+    if not 0 <= hards.min() <= hards.max() < taus.shape[1]:
         raise ValueError(f"hard labels outside [0, {taus.shape[1]})")
     return keys, taus, hards
 
@@ -311,8 +321,22 @@ def stage_cluster(config: dict, out: Path, seed: int) -> None:
                     {"k": ks, "restarts": restarts})
 
 
-def _read_model(path: Path):
-    return mixture.model_from_json(path.read_text(encoding="utf-8"))
+def _read_model(path: Path, ch: str):
+    """A model of facet `ch`: its characterization and width must match."""
+    model = mixture.model_from_json(path.read_text(encoding="utf-8"))
+    d = (model.d if isinstance(model, mixture.MixtureModel)
+         else model.centers.shape[1])
+    if (model.characterization, d) != (ch, features.CHARACTERIZATION_DIMS[ch]):
+        raise ValueError(f"a model of facet {model.characterization!r} with "
+                         f"d = {d}, not of {ch!r} with d = "
+                         f"{features.CHARACTERIZATION_DIMS[ch]}")
+    return model
+
+
+def _read_models(out: Path, stage: str, inputs: list[str], chars) -> dict:
+    return {ch: _read_artifact(out, stage, inputs,
+                               lambda path, ch=ch: _read_model(path, ch),
+                               f"model_{ch}.json") for ch in chars}
 
 
 def stage_analyze(config: dict, out: Path, seed: int) -> None:
@@ -323,12 +347,11 @@ def stage_analyze(config: dict, out: Path, seed: int) -> None:
     ch = stab["characterization"]
     cm = _read_artifact(out, "analyze", inputs, features.read_matrix,
                         f"features_{ch}.csv", f"features_{ch}.csv.json")
-    k = _read_artifact(out, "analyze", inputs, _read_model,
-                       f"model_{ch}.json").k
+    models = _read_models(out, "analyze", inputs, features.CHARACTERIZATIONS)
     try:
         stability = analysis.stability_check(
-            cm.values, k, epsilon=stab["epsilon"], delta=stab["delta"],
-            runs=stab["runs"], seed=seed,
+            cm.values, models[ch].k, epsilon=stab["epsilon"],
+            delta=stab["delta"], runs=stab["runs"], seed=seed,
             method="kmeans" if ch == "ME" else "em")
     except ValueError as exc:
         raise DataError(f"stage 'analyze': stability on facet {ch!r}: "
@@ -356,8 +379,7 @@ def stage_analyze(config: dict, out: Path, seed: int) -> None:
             ([repr(float(v)) for v in row] for row in mig.matrix))
         outputs.append(f"migration_{ch}.csv")
 
-        model = _read_artifact(out, "analyze", inputs, _read_model,
-                               f"model_{ch}.json")
+        model = models[ch]
         centers = model.theta if isinstance(model, mixture.MixtureModel) else model.centers
         table = analysis.center_report(centers,
                                        features.CHARACTERIZATION_LABELS[ch],
@@ -367,16 +389,13 @@ def stage_analyze(config: dict, out: Path, seed: int) -> None:
 
     artifacts.write_json(out / "analyze_report.json", report)
     outputs.append("analyze_report.json")
-    _write_manifest(out, "analyze", sorted(set(inputs)), outputs, seed,
+    _write_manifest(out, "analyze", inputs, outputs, seed,
                     config.get("analyze", {}))
 
 
 def stage_ctr(config: dict, out: Path, seed: int) -> None:
     params = _settings(config, "ctr")
-    try:
-        recipes = [ctr.FeatureModeRecipe(dict(r)) for r in params["recipes"]]
-    except (ctr.CtrError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid ctr recipe: {exc}") from None
+    recipes = [ctr.FeatureModeRecipe(dict(r)) for r in params["recipes"]]
     exp_cfg = ctr.CtrExperimentConfig(
         lam=params["lambda"], neg_ratio=params["neg_ratio"],
         top_n=params["top_n"], test_fraction=params["test_fraction"],
@@ -389,8 +408,7 @@ def stage_ctr(config: dict, out: Path, seed: int) -> None:
             {ch: _read_artifact(out, "ctr", inputs, features.read_matrix,
                                 f"features_{ch}.csv",
                                 f"features_{ch}.csv.json") for ch in chars},
-            {ch: _read_artifact(out, "ctr", inputs, _read_model,
-                                f"model_{ch}.json") for ch in chars})
+            _read_models(out, "ctr", inputs, chars))
     except ctr.CtrError as exc:
         raise DataError(f"stage 'ctr': {exc}") from None
     items = ctr.item_user_sets(rs)

@@ -87,33 +87,15 @@ def persona_features(matrices: dict[str, CharacterizationMatrix],
     return UserPersonaFeatures(users or [], raw, soft, hard)
 
 
-def feature_layout(recipe: FeatureModeRecipe,
-                   features: UserPersonaFeatures) -> list[tuple[str, str, int]]:
-    """(characterization, mode, width) blocks in table column order."""
-    layout = []
-    for ch in CTR_CHARACTERIZATIONS:
-        mode = recipe.mode(ch)
-        if mode == "c":
-            width = features.raw[ch].shape[1]
-        elif mode == "s":
-            width = features.soft[ch].shape[1]
-        else:  # "h" partitions rows, "-" omits: neither adds columns
-            width = 0
-        layout.append((ch, mode, width))
-    return layout
-
-
-def _assemble(features: UserPersonaFeatures, recipe: FeatureModeRecipe,
-              user_rows: np.ndarray) -> np.ndarray:
-    blocks = []
-    for ch in CTR_CHARACTERIZATIONS:
-        mode = recipe.mode(ch)
-        if mode == "c":
-            blocks.append(features.raw[ch][user_rows])
-        elif mode == "s":
-            blocks.append(features.soft[ch][user_rows])
+def design(features: UserPersonaFeatures,
+           recipe: FeatureModeRecipe) -> np.ndarray:
+    """(n_users, p) design matrix: the recipe's raw ('c') and soft ('s')
+    blocks in table column order; 'h' partitions rows and '-' omits, so
+    neither adds columns."""
+    blocks = [features.raw[ch] if recipe.mode(ch) == "c" else features.soft[ch]
+              for ch in CTR_CHARACTERIZATIONS if recipe.mode(ch) in ("c", "s")]
     if not blocks:
-        return np.zeros((len(user_rows), 0))
+        return np.zeros((len(features.users), 0))
     return np.concatenate(blocks, axis=1)
 
 
@@ -122,7 +104,7 @@ class CtrDataset:
     X: np.ndarray
     y: np.ndarray
     users: list[str]
-    hard: np.ndarray | None         # partition labels when recipe uses 'h'
+    hard: np.ndarray                # partition labels, all 0 without 'h'
     negatives_short: bool = False   # fewer eligible negatives than requested
 
 
@@ -164,11 +146,12 @@ def build_dataset(items: dict[str, set[str]],
         negatives = [candidates[i] for i in sorted(pick)]
     users = positives + negatives
     rows = np.array([features.index[u] for u in users], dtype=np.int64)
-    X = _assemble(features, recipe, rows)
+    X = design(features, recipe)[rows]
     y = np.zeros(len(users))
     y[:len(positives)] = 1.0
     hard_ch = recipe.hard_characterization
-    hard = features.hard[hard_ch][rows] if hard_ch else None
+    hard = (features.hard[hard_ch][rows] if hard_ch
+            else np.zeros(len(rows), dtype=np.int64))
     return CtrDataset(X, y, users, hard, short)
 
 
@@ -204,14 +187,9 @@ def smooth_gradient(w: np.ndarray, b: float, X: np.ndarray,
 def kkt_violation(w: np.ndarray, grad: np.ndarray, grad_b: float,
                   lam: float) -> float:
     """Max violation of the L1 subgradient optimality conditions."""
-    viol = abs(grad_b)
-    zero = w == 0
-    if np.any(zero):
-        viol = max(viol, float(np.maximum(np.abs(grad[zero]) - lam, 0.0).max()))
-    if np.any(~zero):
-        viol = max(viol, float(
-            np.abs(grad[~zero] + lam * np.sign(w[~zero])).max()))
-    return viol
+    viol = np.where(w == 0, np.maximum(np.abs(grad) - lam, 0.0),
+                    np.abs(grad + lam * np.sign(w)))
+    return max(abs(grad_b), float(viol.max(initial=0.0)))
 
 
 def _soft(v: np.ndarray, t: float) -> np.ndarray:
@@ -280,8 +258,8 @@ class HardModeModel:
 
 def fit_mode_h(X: np.ndarray, y: np.ndarray, hard: np.ndarray, lam: float,
                item_id: str = "") -> HardModeModel:
-    """One model per hard cluster; single-class clusters fall back to an
-    intercept-only prior."""
+    """One model per hard cluster (a single one for a recipe without 'h');
+    single-class clusters fall back to an intercept-only prior."""
     hard = np.asarray(hard)
     pooled_pos = max(1, int(y.sum()))
     pooled_neg = max(1, int(len(y) - y.sum()))
@@ -372,8 +350,7 @@ def run_ctr_experiment(items: dict[str, set[str]],
     train_users, test_users = split_users(features.users,
                                           config.test_fraction, config.seed)
     chosen = top_items(items, config.top_n)
-    p = sum(w for _, _, w in feature_layout(recipe, features))
-    hard_ch = recipe.hard_characterization
+    p = design(features, recipe).shape[1]
 
     per_item: dict[str, float] = {}
     skipped: list[str] = []
@@ -387,21 +364,14 @@ def run_ctr_experiment(items: dict[str, set[str]],
                              neg_ratio=config.neg_ratio,
                              seed=config.seed * 100003 + j + 1,
                              eligible_users=test_users)
-        if test.y.sum() == 0 or test.y.sum() == len(test.y):
-            skipped.append(item)
-            continue
-        if train.y.sum() == 0 or train.y.sum() == len(train.y):
-            skipped.append(item)
+        if any(ds.y.sum() in (0, len(ds.y)) for ds in (test, train)):
+            skipped.append(item)  # a split lacks positive or negative rows
             continue
         n_rows.append(len(train.y))
-        if hard_ch:
-            model = fit_mode_h(train.X, train.y, train.hard, config.lam,
-                               item_id=item)
-            scores = predict_scores_h(model, test.X, test.hard)
-        else:
-            model = fit_item_model(train.X, train.y, config.lam)
-            scores = predict_scores(model, test.X)
-        per_item[item] = auc_score(test.y, scores)
+        model = fit_mode_h(train.X, train.y, train.hard, config.lam,
+                           item_id=item)
+        per_item[item] = auc_score(test.y,
+                                   predict_scores_h(model, test.X, test.hard))
 
     mean_auc = float(np.mean(list(per_item.values()))) if per_item else float("nan")
     mean_n = float(np.mean(n_rows)) if n_rows else 0.0

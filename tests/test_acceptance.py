@@ -292,9 +292,7 @@ def test_feature_mode_tradeoff_pattern():
     assert ccc.mean_auc - results["-,c,c"].mean_auc >= 0.05
     # dimension strictly decreases counts -> soft -> omitted, per block
     for ch in ctr.CTR_CHARACTERIZATIONS:
-        widths = [dict((c, w) for c, _, w in
-                       ctr.feature_layout(ctr.FeatureModeRecipe({ch: m}),
-                                          feats))[ch]
+        widths = [ctr.design(feats, ctr.FeatureModeRecipe({ch: m})).shape[1]
                   for m in ("c", "s", "-")]
         assert widths[0] > widths[1] > widths[2]
     assert time.perf_counter() - t0 < 600.0

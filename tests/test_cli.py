@@ -145,6 +145,18 @@ def _first_row_last_cell(value):
     return corrupt
 
 
+def _widen_model(text):
+    # a well-formed model one bin wider than its facet
+    model = json.loads(text)
+    model["d"] += 1
+    model["theta"] = [row + ["0.0"] for row in model["theta"]]
+    return json.dumps(model)
+
+
+def _relabel_model(text):
+    return text.replace('"characterization": "CR"', '"characterization": "DG"')
+
+
 @pytest.mark.parametrize("stage,name,corrupt", [
     ("cluster", "features_TF.csv.json", lambda text: text[:20]),
     # the first row's month cell
@@ -158,8 +170,16 @@ def _first_row_last_cell(value):
      lambda text: text[:text.rindex(",")] + ",99\n"),
     ("cluster", "features_TF.csv", _first_row_last_cell("-3")),
     ("cluster", "features_TF.csv", _first_row_last_cell("nan")),
+    ("ctr", "model_CR.json", _widen_model),
+    ("ctr", "model_CR.json", _relabel_model),
+    ("analyze", "model_CR.json", _widen_model),
+    ("analyze", "model_CR.json", _relabel_model),
+    ("analyze", "assignments_TF.csv", lambda text: text.split("\n", 1)[0]
+     + "\n"),
 ], ids=["cut-sidecar", "month-cell", "model-json", "hard-label",
-        "label-beyond-k", "negative-cell", "nan-cell"])
+        "label-beyond-k", "negative-cell", "nan-cell", "ctr-model-width",
+        "ctr-model-facet", "analyze-model-width", "analyze-model-facet",
+        "header-only"])
 def test_corrupt_artifact_is_data_error(pipeline, tmp_path, capsys, stage,
                                         name, corrupt):
     out = _copy_pipeline(pipeline, tmp_path)
@@ -306,6 +326,7 @@ def test_invalid_synth_section_is_validation_error(tmp_path):
     ("synth", {"n_users": 10, "months_per_user": 1, "price_mode": "me",
                "spend_model": {"pi": [1.0], "size": 2,
                                "centers": [[0, 2.0] + [0] * 11]}}),
+    ("ctr", {"recipes": []}),
 ])
 def test_bad_config_value_is_validation_error(tmp_path, capsys, stage,
                                               section):
@@ -331,12 +352,18 @@ def test_required_keys_and_nulls():
             cli.check_config(config)
 
 
-def test_bad_section_fails_before_any_stage_writes(tmp_path, capsys):
+@pytest.mark.parametrize("section,value,name", [
+    ("cf", {"lr": -1}, "cf.lr"),
+    ("ctr", {"recipes": [{"CR": "c"}, {"CR": "h", "DG": "h"}]},
+     "ctr.recipes"),
+], ids=["cf-lr", "ctr-recipe"])
+def test_bad_section_fails_before_any_stage_writes(tmp_path, capsys, section,
+                                                   value, name):
     out = tmp_path / "out"
-    path = _write_config(tmp_path, {**SMALL_CONFIG, "cf": {"lr": -1}})
+    path = _write_config(tmp_path, {**SMALL_CONFIG, section: value})
     assert cli.run(path, out) == 2
     (line,) = capsys.readouterr().err.splitlines()
-    assert "cf.lr" in json.loads(line)["message"]
+    assert name in json.loads(line)["message"]
     assert not (out / "log.csv").exists()
     assert not list(out.glob("manifest_*.json"))
 

@@ -3,9 +3,10 @@ import pytest
 
 from conftest import rows
 from persona_forge import ctr, features, mixture, synth
-from persona_forge.ctr import (CtrError, FeatureModeRecipe, auc_score,
-                               build_dataset, feature_layout, fit_item_model,
-                               fit_mode_h, item_user_sets, kkt_violation,
+from persona_forge.ctr import (CTR_CHARACTERIZATIONS, CtrError,
+                               FeatureModeRecipe, auc_score, build_dataset,
+                               design, fit_item_model, fit_mode_h,
+                               item_user_sets, kkt_violation,
                                persona_features, predict_scores,
                                predict_scores_h, smooth_gradient, split_users,
                                top_items)
@@ -71,13 +72,20 @@ def test_persona_features_user_mismatch():
         persona_features(matrices, models)
 
 
+def _layout(recipe, feats):
+    """(characterization, mode, width) blocks in table column order."""
+    return [(ch, recipe.mode(ch),
+             design(feats, FeatureModeRecipe({ch: recipe.mode(ch)})).shape[1])
+            for ch in CTR_CHARACTERIZATIONS]
+
+
 def test_feature_layout_widths():
     matrices, models, _ = _toy_features()
     feats = persona_features(matrices, models)
-    layout = feature_layout(FeatureModeRecipe(
+    layout = _layout(FeatureModeRecipe(
         {"CR": "c", "DG": "s", "ME": "-"}), feats)
     assert layout == [("CR", "c", 5), ("DG", "s", 3), ("ME", "-", 0)]
-    layout = feature_layout(FeatureModeRecipe(
+    layout = _layout(FeatureModeRecipe(
         {"CR": "h", "DG": "c", "ME": "c"}), feats)
     assert [w for _, _, w in layout] == [0, 16, 13]
 
@@ -209,6 +217,32 @@ def test_constant_columns_are_safe():
     assert np.isfinite(predict_scores(model, X)).all()
 
 
+def _reference_kkt_violation(w, grad, grad_b, lam):
+    """The two-pass form: zero and nonzero weights indexed separately."""
+    viol = abs(grad_b)
+    zero = w == 0
+    if np.any(zero):
+        viol = max(viol, float(np.maximum(np.abs(grad[zero]) - lam, 0.0).max()))
+    if np.any(~zero):
+        viol = max(viol, float(
+            np.abs(grad[~zero] + lam * np.sign(w[~zero])).max()))
+    return viol
+
+
+def test_kkt_violation_matches_two_pass_reference():
+    rng = np.random.default_rng(11)
+    for trial in range(500):
+        p = int(rng.integers(0, 9))
+        w = rng.normal(0, 1, p) * (rng.random(p) < 0.5)  # about half zero
+        grad = rng.normal(0, 0.1, p)
+        grad_b = float(rng.normal(0, 0.05))
+        lam = float(10 ** rng.uniform(-4, 0))
+        if trial % 5 == 0:  # a zero weight's |grad| at exactly lam
+            grad[w == 0] = lam
+        assert (kkt_violation(w, grad, grad_b, lam)
+                == _reference_kkt_violation(w, grad, grad_b, lam))
+
+
 def test_kkt_violation_zero_at_subgradient_optimum():
     # w=0 with |grad| <= lam satisfies the stationarity conditions exactly
     w = np.zeros(3)
@@ -283,3 +317,59 @@ def test_run_ctr_experiment_smoke():
     assert len(ev.per_item) + len(ev.skipped) == 4
     for auc in ev.per_item.values():
         assert 0.0 <= auc <= 1.0
+
+
+def _reference_run_ctr_experiment(items, features, recipe, config):
+    """The two-path loop: a plain fit without 'h', per-cluster fits with it;
+    p summed from per-mode block widths."""
+    train_users, test_users = split_users(features.users,
+                                          config.test_fraction, config.seed)
+    p = sum(features.raw[ch].shape[1] if recipe.mode(ch) == "c"
+            else features.soft[ch].shape[1] if recipe.mode(ch) == "s" else 0
+            for ch in CTR_CHARACTERIZATIONS)
+    per_item, skipped, n_rows = {}, [], []
+    for j, item in enumerate(top_items(items, config.top_n)):
+        train = build_dataset(items, features, recipe, item,
+                              neg_ratio=config.neg_ratio,
+                              seed=config.seed * 100003 + j,
+                              eligible_users=train_users)
+        test = build_dataset(items, features, recipe, item,
+                             neg_ratio=config.neg_ratio,
+                             seed=config.seed * 100003 + j + 1,
+                             eligible_users=test_users)
+        if test.y.sum() == 0 or test.y.sum() == len(test.y):
+            skipped.append(item)
+            continue
+        if train.y.sum() == 0 or train.y.sum() == len(train.y):
+            skipped.append(item)
+            continue
+        n_rows.append(len(train.y))
+        if recipe.hard_characterization:
+            model = fit_mode_h(train.X, train.y, train.hard, config.lam)
+            scores = predict_scores_h(model, test.X, test.hard)
+        else:
+            model = fit_item_model(train.X, train.y, config.lam)
+            scores = predict_scores(model, test.X)
+        per_item[item] = auc_score(test.y, scores)
+    mean_n = float(np.mean(n_rows)) if n_rows else 0.0
+    return per_item, skipped, p, mean_n
+
+
+@pytest.mark.parametrize("modes", ["c,c,c", "s,s,s", "h,c,c", "-,-,-",
+                                   "-,h,-"])
+def test_run_ctr_experiment_matches_two_path_reference(modes):
+    rng = np.random.default_rng(8)
+    matrices, models, users = _toy_features()
+    feats = persona_features(matrices, models)
+    items = {f"i{k}": {u for u in users if rng.random() < 0.4}
+             for k in range(6)}
+    items = {k: v for k, v in items.items() if v}
+    recipe = FeatureModeRecipe(dict(zip(CTR_CHARACTERIZATIONS,
+                                        modes.split(","))))
+    cfg = ctr.CtrExperimentConfig(lam=0.01, neg_ratio=2, top_n=6,
+                                  test_fraction=0.3, seed=1)
+    ev = ctr.run_ctr_experiment(items, feats, recipe, cfg)
+    per_item, skipped, p, mean_n = _reference_run_ctr_experiment(
+        items, feats, recipe, cfg)
+    assert ev.per_item and ev.per_item == per_item
+    assert (ev.skipped, ev.p, ev.mean_n) == (skipped, p, mean_n)
