@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import functools
 import json
 import sys
 from pathlib import Path
@@ -48,21 +49,21 @@ def _write_manifest(out: Path, stage: str, inputs: list[str],
     })
 
 
-def _read_artifact(out: Path, stage: str, inputs: list[str], reader,
-                   name: str, *sidecars: str):
+def _read_artifact(out: Path, inputs: list[str], reader, name: str,
+                   *sidecars: str):
     """`reader(out / name)`. The artifact and its `sidecars` must exist and
-    are recorded as inputs; a reader error is a DataError naming them."""
+    are recorded as inputs; a reader error is a DataError naming them. `run`
+    hands each stage this function with `out` and `inputs` bound."""
     for part in (name, *sidecars):
         if not (out / part).exists():
-            raise DataError(f"stage {stage!r} requires missing artifact "
-                            f"{part!r}")
+            raise DataError(f"requires missing artifact {part!r}")
     inputs += [name, *sidecars]
     try:
         return reader(out / name)
     except (OSError, ValueError, KeyError, IndexError, TypeError,
             ingest.IngestError) as exc:
-        raise DataError(f"stage {stage!r}: corrupt artifact "
-                        f"{', '.join((name, *sidecars))}: {exc}") from None
+        raise DataError(f"corrupt artifact {', '.join((name, *sidecars))}: "
+                        f"{exc}") from None
 
 
 # Every config key, declared once: (section, key, JSON type, default, range
@@ -163,15 +164,21 @@ def check_config(config: dict) -> None:
 
 
 def _settings(config: dict, section: str) -> dict:
-    """`section` of a config that passed `check_config`, defaults filled in."""
+    """`section` of a config that passed `check_config`, defaults filled in,
+    each declared subsection under its key."""
+    given = config
     for part in filter(None, section.split(".")):
-        config = config.get(part, {})
+        given = given.get(part, {})
     values = {}
     for row_section, key, kind, default, _ in CONFIG_TABLE:
         if row_section == section:
-            value = config.get(key)
+            value = given.get(key)
             values[key] = (default if value is None
                            else float(value) if kind == "float" else value)
+    for sub in _SECTIONS[1:]:
+        parent, _, key = sub.rpartition(".")
+        if parent == section:
+            values[key] = _settings(config, sub)
     return values
 
 
@@ -188,11 +195,11 @@ def load_config(path) -> dict:
     return config
 
 
-def stage_synth(config: dict, out: Path, seed: int) -> None:
+def stage_synth(config: dict, out: Path, seed: int, read) -> list[str]:
     params = _settings(config, "synth")
     mixtures = synth.default_mixtures()
     try:
-        for ch, spec in _settings(config, "synth.mixtures").items():
+        for ch, spec in params.pop("mixtures").items():
             if spec is not None:
                 mixtures[ch] = synth.PlantedMixture(
                     np.array(spec["pi"]), np.array(spec["theta"]),
@@ -212,21 +219,13 @@ def stage_synth(config: dict, out: Path, seed: int) -> None:
     rs, gt = synth.generate(gen_cfg)
     ingest.write_log(rs, out / "log.csv")
     synth.write_ground_truth(gt, out / "ground_truth.csv")
-    _write_manifest(out, "synth", [], ["log.csv", "ground_truth.csv"],
-                    seed, config.get("synth", {}))
+    return ["log.csv", "ground_truth.csv"]
 
 
-def stage_ingest(config: dict, out: Path, seed: int) -> None:
+def stage_ingest(config: dict, out: Path, seed: int, read) -> list[str]:
     params = _settings(config, "ingest")
-    inputs: list[str] = []
-    if params["input"]:
-        try:
-            result = ingest.parse_log(Path(params["input"]))
-        except (ingest.IngestError, OSError, UnicodeDecodeError) as exc:
-            raise DataError(str(exc)) from None
-    else:
-        result = _read_artifact(out, "ingest", inputs, ingest.parse_log,
-                                "log.csv")
+    source = params["input"] and str(Path(params["input"]).absolute())
+    result = read(ingest.parse_log, source or "log.csv")
     rs = result.record_set
     if params["filter"]:
         rs = ingest.filter_inactive(rs)
@@ -234,22 +233,11 @@ def stage_ingest(config: dict, out: Path, seed: int) -> None:
     artifacts.write_json(out / "ingest_diagnostics.json",
                          [{"row": d.row, "message": d.message}
                           for d in result.diagnostics])
-    _write_manifest(out, "ingest", inputs,
-                    ["filtered.csv", "ingest_diagnostics.json"], seed,
-                    config.get("ingest", {}))
+    return ["filtered.csv", "ingest_diagnostics.json"]
 
 
-def _load_records(out: Path, stage: str,
-                  inputs: list[str]) -> ingest.RecordSet:
-    """The records of the filtered log, else of the raw log."""
-    name = "filtered.csv" if (out / "filtered.csv").exists() else "log.csv"
-    return _read_artifact(out, stage, inputs, ingest.parse_log,
-                          name).record_set
-
-
-def stage_featurize(config: dict, out: Path, seed: int) -> None:
-    inputs: list[str] = []
-    rs = _load_records(out, "featurize", inputs)
+def stage_featurize(config: dict, out: Path, seed: int, read) -> list[str]:
+    rs = read(ingest.parse_log, "filtered.csv").record_set
     months = features.tenure_align(rs)
     outputs = []
     for ch in features.CHARACTERIZATIONS:
@@ -257,7 +245,7 @@ def stage_featurize(config: dict, out: Path, seed: int) -> None:
         name = f"features_{ch}.csv"
         features.write_matrix(cm, out / name)
         outputs += [name, name + ".json"]
-    _write_manifest(out, "featurize", inputs, outputs, seed, {})
+    return outputs
 
 
 def _write_assignments(path: Path, keys, tau: np.ndarray,
@@ -270,7 +258,9 @@ def _write_assignments(path: Path, keys, tau: np.ndarray,
          for (user, month), row, label in zip(keys, tau, hard)))
 
 
-def read_assignments(path) -> tuple[list[tuple[str, int]], np.ndarray, np.ndarray]:
+def read_assignments(path, k: int | None = None
+                     ) -> tuple[list[tuple[str, int]], np.ndarray, np.ndarray]:
+    """An `assignments_<ch>.csv`; with `k` given, it must have `k` clusters."""
     keys, taus, hards = [], [], []
     for raw in artifacts.read_csv(path):
         keys.append((raw[0], int(raw[1])))
@@ -281,21 +271,47 @@ def read_assignments(path) -> tuple[list[tuple[str, int]], np.ndarray, np.ndarra
     taus, hards = np.array(taus), np.array(hards, dtype=np.int64)
     if not 0 <= hards.min() <= hards.max() < taus.shape[1]:
         raise ValueError(f"hard labels outside [0, {taus.shape[1]})")
+    if k not in (None, taus.shape[1]):
+        raise ValueError(f"{taus.shape[1]} clusters, not the model's K = {k}")
     return keys, taus, hards
 
 
-def stage_cluster(config: dict, out: Path, seed: int) -> None:
-    ks = _settings(config, "cluster.k")
-    restarts = _settings(config, "cluster")["restarts"]
-    inputs, outputs = [], []
-    matrices = {ch: _read_artifact(out, "cluster", inputs,
-                                   features.read_matrix, f"features_{ch}.csv",
-                                   f"features_{ch}.csv.json")
+def _check_facet(ch: str, found: str, d: int) -> None:
+    """Raise a ValueError unless facet `found` of width `d` is facet `ch`."""
+    if (found, d) != (ch, features.CHARACTERIZATION_DIMS[ch]):
+        raise ValueError(f"facet {found!r} with d = {d}, not {ch!r} with "
+                         f"d = {features.CHARACTERIZATION_DIMS[ch]}")
+
+
+def _read_features(read, ch: str) -> features.CharacterizationMatrix:
+    def checked(path):
+        cm = features.read_matrix(path)
+        _check_facet(ch, cm.characterization, cm.d)
+        return cm
+    return read(checked, f"features_{ch}.csv", f"features_{ch}.csv.json")
+
+
+def _read_models(read, chars) -> dict:
+    def checked(path, ch):
+        model = mixture.model_from_json(path.read_text(encoding="utf-8"))
+        _check_facet(ch, model.characterization,
+                     model.d if isinstance(model, mixture.MixtureModel)
+                     else model.centers.shape[1])
+        return model
+    return {ch: read(functools.partial(checked, ch=ch), f"model_{ch}.json")
+            for ch in chars}
+
+
+def stage_cluster(config: dict, out: Path, seed: int, read) -> list[str]:
+    params = _settings(config, "cluster")
+    ks, restarts = params["k"], params["restarts"]
+    matrices = {ch: _read_features(read, ch)
                 for ch in features.CHARACTERIZATIONS}
     for ch, cm in matrices.items():
         if ks[ch] > len(cm.values):
-            raise DataError(f"stage 'cluster': facet {ch!r} has k = {ks[ch]} "
-                            f"but only {len(cm.values)} feature rows")
+            raise DataError(f"facet {ch!r} has k = {ks[ch]} but only "
+                            f"{len(cm.values)} feature rows")
+    fits = {}
     try:
         for ch, cm in matrices.items():
             if ch == "ME":
@@ -311,60 +327,41 @@ def stage_cluster(config: dict, out: Path, seed: int) -> None:
                     mixture.EMConfig(restarts=restarts, seed=seed),
                     characterization=ch)
                 tau, hard = assign.tau, assign.hard
-            artifacts.write_json(out / f"model_{ch}.json",
-                                 mixture.model_to_dict(model))
-            _write_assignments(out / f"assignments_{ch}.csv", cm.keys, tau, hard)
-            outputs += [f"model_{ch}.json", f"assignments_{ch}.csv"]
+            fits[ch] = model, tau, hard
     except (ValueError, FloatingPointError) as exc:
-        raise NumericalError(f"cluster stage failed: {exc}") from None
-    _write_manifest(out, "cluster", inputs, outputs, seed,
-                    {"k": ks, "restarts": restarts})
+        raise NumericalError(f"fit failed: {exc}") from None
+    outputs = []
+    for ch, (model, tau, hard) in fits.items():
+        artifacts.write_json(out / f"model_{ch}.json",
+                             mixture.model_to_dict(model))
+        _write_assignments(out / f"assignments_{ch}.csv", matrices[ch].keys,
+                           tau, hard)
+        outputs += [f"model_{ch}.json", f"assignments_{ch}.csv"]
+    return outputs
 
 
-def _read_model(path: Path, ch: str):
-    """A model of facet `ch`: its characterization and width must match."""
-    model = mixture.model_from_json(path.read_text(encoding="utf-8"))
-    d = (model.d if isinstance(model, mixture.MixtureModel)
-         else model.centers.shape[1])
-    if (model.characterization, d) != (ch, features.CHARACTERIZATION_DIMS[ch]):
-        raise ValueError(f"a model of facet {model.characterization!r} with "
-                         f"d = {d}, not of {ch!r} with d = "
-                         f"{features.CHARACTERIZATION_DIMS[ch]}")
-    return model
-
-
-def _read_models(out: Path, stage: str, inputs: list[str], chars) -> dict:
-    return {ch: _read_artifact(out, stage, inputs,
-                               lambda path, ch=ch: _read_model(path, ch),
-                               f"model_{ch}.json") for ch in chars}
-
-
-def stage_analyze(config: dict, out: Path, seed: int) -> None:
-    inputs, outputs = [], []
-    report: dict = {"dominance": {}, "migration_support": {}}
-    stab = _settings(config, "analyze.stability")
-    dom = _settings(config, "analyze.dominance")
-    ch = stab["characterization"]
-    cm = _read_artifact(out, "analyze", inputs, features.read_matrix,
-                        f"features_{ch}.csv", f"features_{ch}.csv.json")
-    models = _read_models(out, "analyze", inputs, features.CHARACTERIZATIONS)
+def stage_analyze(config: dict, out: Path, seed: int, read) -> list[str]:
+    params = _settings(config, "analyze")
+    stab, dom = params["stability"], params["dominance"]
+    ch, chars = stab["characterization"], features.CHARACTERIZATIONS
+    cm = _read_features(read, ch)
+    models = _read_models(read, chars)
+    assigned = {c: read(functools.partial(read_assignments, k=models[c].k),
+                        f"assignments_{c}.csv") for c in chars}
     try:
         stability = analysis.stability_check(
             cm.values, models[ch].k, epsilon=stab["epsilon"],
             delta=stab["delta"], runs=stab["runs"], seed=seed,
             method="kmeans" if ch == "ME" else "em")
     except ValueError as exc:
-        raise DataError(f"stage 'analyze': stability on facet {ch!r}: "
-                        f"{exc}") from None
+        raise DataError(f"stability on facet {ch!r}: {exc}") from None
     shown = ("epsilon_observed", "delta_observed", "runs", "passed",
              "failed_runs")
-    report["stability"] = {"characterization": ch,
-                           **{k: getattr(stability, k) for k in shown}}
-
-    for ch in features.CHARACTERIZATIONS:
-        keys, tau, hard = _read_artifact(out, "analyze", inputs,
-                                         read_assignments,
-                                         f"assignments_{ch}.csv")
+    report: dict = {"dominance": {}, "migration_support": {},
+                    "stability": {"characterization": ch,
+                                  **{k: getattr(stability, k) for k in shown}}}
+    outputs = []
+    for ch, (keys, tau, hard) in assigned.items():
         k = tau.shape[1]
         dom_report = analysis.dominance_check(hard, dom["kappa"], dom["k_max"],
                                               k=k)
@@ -377,7 +374,6 @@ def stage_analyze(config: dict, out: Path, seed: int) -> None:
         artifacts.write_csv(
             out / f"migration_{ch}.csv", [f"to_{j}" for j in range(k)],
             ([repr(float(v)) for v in row] for row in mig.matrix))
-        outputs.append(f"migration_{ch}.csv")
 
         model = models[ch]
         centers = model.theta if isinstance(model, mixture.MixtureModel) else model.centers
@@ -385,41 +381,35 @@ def stage_analyze(config: dict, out: Path, seed: int) -> None:
                                        features.CHARACTERIZATION_LABELS[ch],
                                        as_percent=ch != "ME")
         artifacts.write_csv(out / f"centers_{ch}.csv", table[0], table[1:])
-        outputs.append(f"centers_{ch}.csv")
+        outputs += [f"migration_{ch}.csv", f"centers_{ch}.csv"]
 
     artifacts.write_json(out / "analyze_report.json", report)
-    outputs.append("analyze_report.json")
-    _write_manifest(out, "analyze", inputs, outputs, seed,
-                    config.get("analyze", {}))
+    return outputs + ["analyze_report.json"]
 
 
-def stage_ctr(config: dict, out: Path, seed: int) -> None:
+def stage_ctr(config: dict, out: Path, seed: int, read) -> list[str]:
     params = _settings(config, "ctr")
     recipes = [ctr.FeatureModeRecipe(dict(r)) for r in params["recipes"]]
     exp_cfg = ctr.CtrExperimentConfig(
         lam=params["lambda"], neg_ratio=params["neg_ratio"],
         top_n=params["top_n"], test_fraction=params["test_fraction"],
         seed=seed)
-    inputs: list[str] = []
-    rs = _load_records(out, "ctr", inputs)
+    rs = read(ingest.parse_log, "filtered.csv").record_set
     chars = ctr.CTR_CHARACTERIZATIONS
     try:
         persona = ctr.persona_features(
-            {ch: _read_artifact(out, "ctr", inputs, features.read_matrix,
-                                f"features_{ch}.csv",
-                                f"features_{ch}.csv.json") for ch in chars},
-            _read_models(out, "ctr", inputs, chars))
+            {ch: _read_features(read, ch) for ch in chars},
+            _read_models(read, chars))
     except ctr.CtrError as exc:
-        raise DataError(f"stage 'ctr': {exc}") from None
+        raise DataError(str(exc)) from None
     items = ctr.item_user_sets(rs)
     rows = []
     for recipe in recipes:
         evaluation = ctr.run_ctr_experiment(items, persona, recipe, exp_cfg)
         if not evaluation.per_item:  # no test user, or every item skipped
-            raise DataError(f"stage 'ctr': recipe {evaluation.recipe!r} "
-                            f"evaluated no item ({len(evaluation.skipped)} "
-                            f"skipped: a train or test split lacked positive "
-                            f"or negative rows)")
+            raise DataError(f"recipe {evaluation.recipe!r} evaluated no item "
+                            f"({len(evaluation.skipped)} skipped: a train or "
+                            f"test split lacked positive or negative rows)")
         rows.append([recipe.mode("CR"), recipe.mode("DG"), recipe.mode("ME"),
                      repr(round(evaluation.mean_auc, 6)),
                      repr(round(evaluation.mean_n, 2)), evaluation.p,
@@ -427,25 +417,23 @@ def stage_ctr(config: dict, out: Path, seed: int) -> None:
     artifacts.write_csv(out / "ctr_eval.csv",
                         ["recency", "genre", "economic", "F", "n", "p",
                          "O_proxy"], rows)
-    _write_manifest(out, "ctr", inputs, ["ctr_eval.csv"], seed,
-                    config.get("ctr", {}))
+    return ["ctr_eval.csv"]
 
 
 def _per_rated_user(users, table: dict, name: str) -> list:
     missing = [u for u in users if u not in table]
     if missing:
-        raise DataError(f"stage 'cf': {len(missing)} rated user(s) have "
-                        f"no row in {name!r}, first {missing[0]!r}")
+        raise DataError(f"{len(missing)} rated user(s) have no row in "
+                        f"{name!r}, first {missing[0]!r}")
     return [table[u] for u in users]
 
 
-def stage_cf(config: dict, out: Path, seed: int) -> None:
+def stage_cf(config: dict, out: Path, seed: int, read) -> list[str]:
     params = _settings(config, "cf")
     variant, ch = params["variant"], params["characterization"]
     cfg = cf.FactorConfig(f=params["f"], lr=params["lr"], reg=params["reg"],
                           epochs=params["epochs"], seed=seed)
-    inputs: list[str] = []
-    rs = _load_records(out, "cf", inputs)
+    rs = read(ingest.parse_log, "filtered.csv").record_set
     # One rating per (user, item) pair, its values summed in row order.
     n_items = len(rs.contents)
     pairs, pair = np.unique(rs.user * n_items + rs.content,
@@ -457,16 +445,14 @@ def stage_cf(config: dict, out: Path, seed: int) -> None:
     clusters = static = None
     if variant in ("a", "b", "d"):
         name = f"assignments_{ch}.csv"
-        keys, _, hard = _read_artifact(out, "cf", inputs, read_assignments,
-                                       name)
+        keys, _, hard = read(read_assignments, name)
         label: dict[str, int] = {}
         for (user, month), lab in zip(keys, hard):
             if user not in label or month == 0:
                 label[user] = int(lab)
         clusters = np.array(_per_rated_user(rs.users, label, name))
     elif variant == "c":
-        cm = _read_artifact(out, "cf", inputs, features.read_matrix,
-                            f"features_{ch}.csv", f"features_{ch}.csv.json")
+        cm = _read_features(read, ch)
         pooled = dict(zip(*features.pool_by_user(cm)))
         static = np.stack(_per_rated_user(rs.users, pooled,
                                           f"features_{ch}.csv"))
@@ -478,10 +464,9 @@ def stage_cf(config: dict, out: Path, seed: int) -> None:
         model = cf.fit_factor(len(rs.users), n_items, ratings, variant,
                               clusters, static, cfg)
     except cf.CfError as exc:
-        raise NumericalError(f"cf stage failed: {exc}") from None
+        raise NumericalError(f"training failed: {exc}") from None
     artifacts.write_json(out / "cf_model.json", cf.factor_model_to_dict(model))
-    _write_manifest(out, "cf", inputs, ["cf_model.json"], seed,
-                    config.get("cf", {}))
+    return ["cf_model.json"]
 
 
 STAGE_FUNCS = dict(zip(STAGES, (stage_synth, stage_ingest, stage_featurize,
@@ -491,7 +476,9 @@ STAGE_FUNCS = dict(zip(STAGES, (stage_synth, stage_ingest, stage_featurize,
 
 def run(config_path, out_dir=None, seed_override: int | None = None,
         only_stage: str | None = None) -> int:
-    """Execute configured stages in dependency order; returns an exit code."""
+    """Execute configured stages in dependency order; returns an exit code.
+    A stage reads every input through `read`, before it writes any file, and
+    returns its outputs' names; `run` writes its manifest."""
     try:
         config = load_config(config_path)
         if seed_override is not None:
@@ -507,7 +494,15 @@ def run(config_path, out_dir=None, seed_override: int | None = None,
             raise ConfigError(f"cannot create output directory {out}: "
                               f"{exc}") from None
         for stage in top["stages"]:
-            STAGE_FUNCS[stage](config, out, top["seed"])
+            inputs: list[str] = []
+            try:
+                outputs = STAGE_FUNCS[stage](
+                    config, out, top["seed"],
+                    functools.partial(_read_artifact, out, inputs))
+            except (DataError, NumericalError) as exc:
+                raise type(exc)(f"stage {stage!r}: {exc}") from None
+            _write_manifest(out, stage, inputs, outputs, top["seed"],
+                            _settings(config, stage))
     except (ConfigError, DataError, NumericalError) as exc:
         print(json.dumps({"error": exc.kind, "message": str(exc)}),
               file=sys.stderr)

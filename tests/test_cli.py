@@ -69,10 +69,90 @@ def test_manifests_carry_verifiable_hashes(pipeline):
         assert f"features_{ch}.csv.json" in ctr_inputs, ch
 
 
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_manifests_name_what_each_stage_wrote(pipeline, tmp_path):
+    # one stage at a time: each writes its manifest's outputs and the
+    # manifest, nothing else, and the files equal those of one full run
+    _, full = pipeline
+    out = tmp_path / "out"
+    config = _write_config(tmp_path, SMALL_CONFIG)
+    for stage in SMALL_CONFIG["stages"]:
+        before = set(out.iterdir()) if out.exists() else set()
+        assert cli.run(config, out, only_stage=stage) == 0
+        name = f"manifest_{stage}.json"
+        manifest = json.loads((out / name).read_text())
+        assert {p.name for p in set(out.iterdir()) - before} == {
+            name, *manifest["outputs"]}, stage
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        p.name for p in full.iterdir())
+    for path in out.iterdir():
+        assert path.read_bytes() == (full / path.name).read_bytes(), path.name
+    # params are the resolved settings, defaults included
+    params = {stage: json.loads((out / f"manifest_{stage}.json").read_text())
+              ["params"] for stage in ("cluster", "cf", "featurize")}
+    assert params["cluster"] == {"k": {"ME": 4, "TF": 4, "DG": 3, "CR": 3,
+                                       "TDT": 4}, "restarts": 3}
+    assert params["cf"] == {"variant": "a", "value": "count",
+                            "characterization": "TF", "f": 4, "lr": 0.02,
+                            "reg": 0.02, "epochs": 3}
+    assert params["featurize"] == {}
+
+
+def test_outside_ingest_input_is_recorded(pipeline, tmp_path, monkeypatch):
+    _, full = pipeline
+    shutil.copyfile(full / "log.csv", tmp_path / "source.csv")
+    monkeypatch.chdir(tmp_path)  # a relative input is read from here
+    config = _write_config(tmp_path, {"stages": ["ingest"],
+                                      "ingest": {"input": "source.csv"}})
+    assert cli.run(config, tmp_path / "out") == 0
+    manifest = json.loads((tmp_path / "out" / "manifest_ingest.json")
+                          .read_text())
+    source = tmp_path / "source.csv"
+    assert manifest["inputs"] == {str(source): _sha256(source)}
+    assert manifest["params"] == {"input": "source.csv", "filter": True}
+    assert ((tmp_path / "out" / "filtered.csv").read_bytes()
+            == (full / "filtered.csv").read_bytes())
+
+
 def _copy_pipeline(pipeline, tmp_path):
     code, out = pipeline
     assert code == 0
     return shutil.copytree(out, tmp_path / "out")
+
+
+@pytest.mark.parametrize("stage", ["featurize", "ctr", "cf"])
+def test_later_stage_without_filtered_log_is_data_error(pipeline, tmp_path,
+                                                        capsys, stage):
+    # log.csv is there, but only ingest reads it
+    out = _copy_pipeline(pipeline, tmp_path)
+    (out / "filtered.csv").unlink()
+    config = _write_config(tmp_path, {"ctr": {"top_n": 4}})
+    assert cli.run(config, out, only_stage=stage) == 3
+    error = json.loads(capsys.readouterr().err)
+    assert error == {"error": "data", "message": f"stage {stage!r}: requires "
+                     "missing artifact 'filtered.csv'"}
+
+
+@pytest.mark.parametrize("stage,ch", [("cluster", "TF"), ("analyze", "TF"),
+                                      ("ctr", "CR"), ("cf", "TF")])
+def test_features_of_another_facet_are_data_error(pipeline, tmp_path, capsys,
+                                                  stage, ch):
+    # a well-formed DG matrix and sidecar in the place of another facet's
+    out = _copy_pipeline(pipeline, tmp_path)
+    for suffix in ("", ".json"):
+        shutil.copyfile(out / f"features_DG.csv{suffix}",
+                        out / f"features_{ch}.csv{suffix}")
+    config = _write_config(tmp_path, {"ctr": {"top_n": 4},
+                                      "cf": {"variant": "c", "epochs": 1}})
+    assert cli.run(config, out, only_stage=stage) == 3
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "data"
+    for part in (f"stage {stage!r}: ", f"features_{ch}.csv", "facet 'DG'",
+                 f"not {ch!r}"):
+        assert part in error["message"]
 
 
 @pytest.mark.parametrize("variant", ["vanilla", "a", "b", "c", "d"])
@@ -157,6 +237,13 @@ def _relabel_model(text):
     return text.replace('"characterization": "CR"', '"characterization": "DG"')
 
 
+def _drop_last_cluster(text):
+    # well-formed assignments of one cluster fewer than the model's K = 4
+    rows = [line.split(",") for line in text.splitlines()]
+    return "".join(",".join(row[:-2] + [row[-1].replace("3", "0")]) + "\n"
+                   for row in rows)
+
+
 @pytest.mark.parametrize("stage,name,corrupt", [
     ("cluster", "features_TF.csv.json", lambda text: text[:20]),
     # the first row's month cell
@@ -176,10 +263,11 @@ def _relabel_model(text):
     ("analyze", "model_CR.json", _relabel_model),
     ("analyze", "assignments_TF.csv", lambda text: text.split("\n", 1)[0]
      + "\n"),
+    ("analyze", "assignments_TF.csv", _drop_last_cluster),
 ], ids=["cut-sidecar", "month-cell", "model-json", "hard-label",
         "label-beyond-k", "negative-cell", "nan-cell", "ctr-model-width",
         "ctr-model-facet", "analyze-model-width", "analyze-model-facet",
-        "header-only"])
+        "header-only", "k-below-model"])
 def test_corrupt_artifact_is_data_error(pipeline, tmp_path, capsys, stage,
                                         name, corrupt):
     out = _copy_pipeline(pipeline, tmp_path)
@@ -187,13 +275,21 @@ def test_corrupt_artifact_is_data_error(pipeline, tmp_path, capsys, stage,
     text = path.read_text()
     assert corrupt(text) != text
     path.write_text(corrupt(text))
+    # the stage reads every input before it writes: none of its files return
+    manifest = out / f"manifest_{stage}.json"
+    written = [manifest, *(out / n for n in json.loads(manifest.read_text())
+                           ["outputs"])]
+    for file in written:
+        file.unlink()
     config = _write_config(tmp_path, {"ctr": {"top_n": 4},
                                       "analyze": {"stability": {"runs": 2}}})
     assert cli.run(config, out, only_stage=stage) == 3
     (line,) = capsys.readouterr().err.splitlines()
     error = json.loads(line)
     assert error["error"] == "data"
+    assert error["message"].startswith(f"stage {stage!r}: ")
     assert name in error["message"]
+    assert [f.name for f in written if f.exists()] == []
 
 
 def test_ctr_without_evaluated_items_is_data_error(tmp_path, capsys):
