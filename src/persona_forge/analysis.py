@@ -103,18 +103,14 @@ class MigrationMatrix:
     support: np.ndarray  # (K, K) raw transition counts
 
 
-def migration_matrix(keys: list[tuple[str, int]], labels: np.ndarray, k: int,
-                     characterization: str = "") -> MigrationMatrix:
-    """Pooled first-order transitions between consecutive tenure months."""
-    by_user: dict[str, dict[int, int]] = {}
-    for (user, month), label in zip(keys, labels):
-        by_user.setdefault(user, {})[month] = int(label)
-    counts = np.zeros((k, k), dtype=np.int64)
-    for months in by_user.values():
-        for m, a in months.items():
-            b = months.get(m + 1)
-            if b is not None:
-                counts[a, b] += 1
+def migration_matrix(user: np.ndarray, month: np.ndarray, labels: np.ndarray,
+                     k: int, characterization: str = "") -> MigrationMatrix:
+    """Pooled first-order transitions between consecutive tenure months of
+    user-month rows sorted by (user, month)."""
+    user, month, labels = (np.asarray(a) for a in (user, month, labels))
+    step = (user[1:] == user[:-1]) & (month[1:] == month[:-1] + 1)
+    counts = np.bincount(labels[:-1][step] * k + labels[1:][step],
+                         minlength=k * k).reshape(k, k)
     totals = counts.sum(axis=1, keepdims=True)
     matrix = np.divide(counts, totals, out=np.zeros((k, k)),
                        where=totals > 0)

@@ -41,31 +41,30 @@ def predict_similarity(sims, ratings) -> SimilarityPrediction:
     return SimilarityPrediction(rating, probability, len(sims))
 
 
-def predict_similarity_temporal(keys, values, labels, ratings, user,
-                                horizon: int,
+def predict_similarity_temporal(user, month, values, labels, ratings,
+                                query: int, horizon: int,
                                 weights: dict[int, float] | None = None,
                                 restrict_to_cluster: bool = True
                                 ) -> SimilarityPrediction:
     """Temporally weighted neighbour prediction over months t <= horizon.
 
     Rows are user-months as in `features_<ch>.csv` and
-    `assignments_<ch>.csv`: `keys` (user, tenure month >= 0), `values` the
-    feature rows, `labels` the hard labels, and `ratings` the row user's
-    rating of the item in that month (nan when none). A candidate is another
-    user's row in a month t where `user` has a row and weight > 0; its
-    similarity is the cosine to `user`'s month-t row (0 for a zero row)
-    times the month's weight. Restricting candidates to `user`'s month-t
-    cluster makes the search scale with the cluster's size rather than with
-    the whole population.
+    `assignments_<ch>.csv`: `user` the row's user code, `month` its tenure
+    month (>= 0), `values` the feature rows, `labels` the hard labels, and
+    `ratings` the row user's rating of the item in that month (nan when
+    none). A candidate is another user's row in a month t where user code
+    `query` has a row and weight > 0; its similarity is the cosine to
+    `query`'s month-t row (0 for a zero row) times the month's weight.
+    Restricting candidates to `query`'s month-t cluster makes the search
+    scale with the cluster's size rather than with the whole population.
     """
-    ids, months = np.asarray(keys, dtype=object).reshape(-1, 2).T
-    months = months.astype(np.int64)
+    months = np.asarray(month, dtype=np.int64)
     values = np.asarray(values, dtype=np.float64)
-    own = ids == user
-    # each row's same-month row of `user`, -1 where `user` has none
-    query = np.full(int(months.max(initial=-1)) + 1, -1)
-    query[months[own]] = np.flatnonzero(own)
-    query = query[months]
+    own = np.asarray(user) == query
+    # each row's same-month row of `query`, -1 where `query` has none
+    same = np.full(int(months.max(initial=-1)) + 1, -1)
+    same[months[own]] = np.flatnonzero(own)
+    same = same[months]
     w = np.ones(len(months))
     if weights is not None:
         if min(weights.values(), default=0.0) < 0:
@@ -73,10 +72,10 @@ def predict_similarity_temporal(keys, values, labels, ratings, user,
         # a month missing from `weights` gets weight 0
         w = (months[:, None] == np.array(list(weights))) @ np.array(
             list(weights.values()), dtype=np.float64)
-    mask = (query >= 0) & ~own & (months <= horizon) & (w > 0)
+    mask = (same >= 0) & ~own & (months <= horizon) & (w > 0)
     if restrict_to_cluster:
-        mask &= np.asarray(labels) == np.asarray(labels)[query]
-    a, b = values[mask], values[query[mask]]
+        mask &= np.asarray(labels) == np.asarray(labels)[same]
+    a, b = values[mask], values[same[mask]]
     norms = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
     cosine = np.divide(np.einsum("ij,ij->i", a, b), norms,
                        out=np.zeros(len(a)), where=norms > 0)

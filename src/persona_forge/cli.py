@@ -248,32 +248,27 @@ def stage_featurize(config: dict, out: Path, seed: int, read) -> list[str]:
     return outputs
 
 
-def _write_assignments(path: Path, keys, tau: np.ndarray,
-                       hard: np.ndarray) -> None:
-    artifacts.write_csv(
-        path,
-        ["user_id", "month_index"] + [f"tau_{j}" for j in range(tau.shape[1])]
-        + ["hard"],
-        ([user, month] + [repr(float(v)) for v in row] + [int(label)]
-         for (user, month), row, label in zip(keys, tau, hard)))
+def _write_assignments(path: Path, cm: features.CharacterizationMatrix,
+                       tau: np.ndarray, hard: np.ndarray) -> None:
+    features.write_rows(
+        path, cm, [f"tau_{j}" for j in range(tau.shape[1])] + ["hard"],
+        ([repr(float(v)) for v in row] + [int(label)]
+         for row, label in zip(tau, hard)))
 
 
-def read_assignments(path, k: int | None = None
-                     ) -> tuple[list[tuple[str, int]], np.ndarray, np.ndarray]:
-    """An `assignments_<ch>.csv`; with `k` given, it must have `k` clusters."""
-    keys, taus, hards = [], [], []
-    for raw in artifacts.read_csv(path):
-        keys.append((raw[0], int(raw[1])))
-        taus.append([float(v) for v in raw[2:-1]])
-        hards.append(int(raw[-1]))
-    if not keys:
+def read_assignments(path, k: int | None = None):
+    """An `assignments_<ch>.csv` as (users, user, month, tau, hard); with `k`
+    given, it must have `k` clusters."""
+    users, user, month, cells = features.read_rows(path)
+    if not cells:
         raise ValueError("no assignment rows")
-    taus, hards = np.array(taus), np.array(hards, dtype=np.int64)
+    taus = np.array([[float(v) for v in row[:-1]] for row in cells])
+    hards = np.array([int(row[-1]) for row in cells], dtype=np.int64)
     if not 0 <= hards.min() <= hards.max() < taus.shape[1]:
         raise ValueError(f"hard labels outside [0, {taus.shape[1]})")
     if k not in (None, taus.shape[1]):
         raise ValueError(f"{taus.shape[1]} clusters, not the model's K = {k}")
-    return keys, taus, hards
+    return users, user, month, taus, hards
 
 
 def _check_facet(ch: str, found: str, d: int) -> None:
@@ -334,8 +329,8 @@ def stage_cluster(config: dict, out: Path, seed: int, read) -> list[str]:
     for ch, (model, tau, hard) in fits.items():
         artifacts.write_json(out / f"model_{ch}.json",
                              mixture.model_to_dict(model))
-        _write_assignments(out / f"assignments_{ch}.csv", matrices[ch].keys,
-                           tau, hard)
+        _write_assignments(out / f"assignments_{ch}.csv", matrices[ch], tau,
+                           hard)
         outputs += [f"model_{ch}.json", f"assignments_{ch}.csv"]
     return outputs
 
@@ -361,7 +356,7 @@ def stage_analyze(config: dict, out: Path, seed: int, read) -> list[str]:
                     "stability": {"characterization": ch,
                                   **{k: getattr(stability, k) for k in shown}}}
     outputs = []
-    for ch, (keys, tau, hard) in assigned.items():
+    for ch, (_, user, month, tau, hard) in assigned.items():
         k = tau.shape[1]
         dom_report = analysis.dominance_check(hard, dom["kappa"], dom["k_max"],
                                               k=k)
@@ -369,7 +364,7 @@ def stage_analyze(config: dict, out: Path, seed: int, read) -> list[str]:
             "passed": dom_report.passed,
             "shares": [round(float(s), 6) for s in dom_report.shares],
         }
-        mig = analysis.migration_matrix(keys, hard, k, ch)
+        mig = analysis.migration_matrix(user, month, hard, k, ch)
         report["migration_support"][ch] = int(mig.support.sum())
         artifacts.write_csv(
             out / f"migration_{ch}.csv", [f"to_{j}" for j in range(k)],
@@ -420,12 +415,15 @@ def stage_ctr(config: dict, out: Path, seed: int, read) -> list[str]:
     return ["ctr_eval.csv"]
 
 
-def _per_rated_user(users, table: dict, name: str) -> list:
-    missing = [u for u in users if u not in table]
-    if missing:
+def _rated_rows(rated, users, name: str) -> np.ndarray:
+    """The index in sorted `users` of each sorted `rated` user; object
+    arrays, since a "U" array drops trailing NULs."""
+    rated, users = (np.asarray(ids, dtype=object) for ids in (rated, users))
+    missing = rated[~np.isin(rated, users)]
+    if len(missing):
         raise DataError(f"{len(missing)} rated user(s) have no row in "
                         f"{name!r}, first {missing[0]!r}")
-    return [table[u] for u in users]
+    return np.searchsorted(users, rated)
 
 
 def stage_cf(config: dict, out: Path, seed: int, read) -> list[str]:
@@ -445,17 +443,14 @@ def stage_cf(config: dict, out: Path, seed: int, read) -> list[str]:
     clusters = static = None
     if variant in ("a", "b", "d"):
         name = f"assignments_{ch}.csv"
-        keys, _, hard = read(read_assignments, name)
-        label: dict[str, int] = {}
-        for (user, month), lab in zip(keys, hard):
-            if user not in label or month == 0:
-                label[user] = int(lab)
-        clusters = np.array(_per_rated_user(rs.users, label, name))
+        users, user, _, _, hard = read(read_assignments, name)
+        # a user's first row is their month-0 row
+        first = hard[np.searchsorted(user, np.arange(len(users)))]
+        clusters = first[_rated_rows(rs.users, users, name)]
     elif variant == "c":
         cm = _read_features(read, ch)
-        pooled = dict(zip(*features.pool_by_user(cm)))
-        static = np.stack(_per_rated_user(rs.users, pooled,
-                                          f"features_{ch}.csv"))
+        static = features.pool_by_user(cm)[
+            _rated_rows(rs.users, cm.users, f"features_{ch}.csv")]
         totals = static.sum(axis=1, keepdims=True)
         static = np.divide(static, totals, out=np.zeros_like(static),
                            where=totals > 0)

@@ -56,7 +56,7 @@ class FeatureModeRecipe:
 @dataclass
 class UserPersonaFeatures:
     """Per-user pooled characterization vectors plus fitted-model summaries."""
-    users: list[str]
+    users: tuple[str, ...]
     raw: dict[str, np.ndarray]    # ch -> (n_users, d) pooled counts/amounts
     soft: dict[str, np.ndarray]   # ch -> (n_users, K) center distances
     hard: dict[str, np.ndarray]   # ch -> (n_users,) hard labels
@@ -70,21 +70,18 @@ def persona_features(matrices: dict[str, CharacterizationMatrix],
                      models: dict[str, MixtureModel | KMeansModel]
                      ) -> UserPersonaFeatures:
     """Pool each user's months and compute soft/hard persona summaries."""
-    users: list[str] | None = None
+    users = matrices[CTR_CHARACTERIZATIONS[0]].users
     raw: dict[str, np.ndarray] = {}
     soft: dict[str, np.ndarray] = {}
     hard: dict[str, np.ndarray] = {}
     for ch in CTR_CHARACTERIZATIONS:
-        ch_users, X = pool_by_user(matrices[ch])
-        if users is None:
-            users = ch_users
-        elif users != ch_users:
+        if matrices[ch].users != users:
             raise CtrError("characterization matrices cover different users")
-        raw[ch] = X
+        raw[ch] = X = pool_by_user(matrices[ch])
         model = models[ch]
         soft[ch] = soft_features(model, X)
         hard[ch] = hard_labels(model, X)
-    return UserPersonaFeatures(users or [], raw, soft, hard)
+    return UserPersonaFeatures(users, raw, soft, hard)
 
 
 def design(features: UserPersonaFeatures,

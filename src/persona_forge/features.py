@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import artifacts
-from .ingest import GENRES, RecordSet
+from .ingest import GENRES, RecordSet, _intern
 from .ingest import tenure_align  # noqa: F401  (re-export)
 
 # Price bins in cents; interval bins are left-open/right-closed, with a
@@ -87,7 +87,10 @@ def bin_timeday(timestamp, region_offset_minutes):
 class CharacterizationMatrix:
     characterization: str
     labels: tuple[str, ...]
-    keys: list[tuple[str, int]]   # (user_id, month_index), sorted
+    users: tuple[str, ...]        # sorted distinct user ids
+    user: np.ndarray              # int64 codes into `users`
+    month: np.ndarray             # int64 tenure months; rows sorted by
+                                  # (user, month) without repeats
     values: np.ndarray            # (n, d); counts or USD amounts
     value_kind: str               # "Count" | "Amount"
 
@@ -96,8 +99,9 @@ class CharacterizationMatrix:
         return len(self.labels)
 
     def __post_init__(self):
-        if self.values.shape != (len(self.keys), self.d):
-            raise ValueError("matrix shape does not match keys/labels")
+        if (self.values.shape != (len(self.user), self.d)
+                or len(self.month) != len(self.user)):
+            raise ValueError("matrix shape does not match rows/labels")
 
 
 _FACET_BINS = {  # each row's bin index, per characterization
@@ -124,10 +128,34 @@ def aggregate(rs: RecordSet, months: np.ndarray,
     values = values.reshape(len(keys), d).astype(np.float64)
     if ch == "ME":
         values /= 100.0  # cents summed exactly in float64, reported in USD
-    return CharacterizationMatrix(
-        ch, CHARACTERIZATION_LABELS[ch],
-        [(rs.users[k // span], k % span) for k in keys.tolist()],
-        values, VALUE_KINDS[ch])
+    return CharacterizationMatrix(ch, CHARACTERIZATION_LABELS[ch], rs.users,
+                                  keys // span, keys % span, values,
+                                  VALUE_KINDS[ch])
+
+
+def write_rows(path, cm: CharacterizationMatrix, names, cells) -> None:
+    """A user-month CSV: the rows of `cm` as user_id,month_index, then the
+    `names` columns, each row's text in `cells`."""
+    artifacts.write_csv(
+        path, ["user_id", "month_index", *names],
+        ([cm.users[u], m, *row] for u, m, row in
+         zip(cm.user.tolist(), cm.month.tolist(), cells)))
+
+
+def read_rows(path):
+    """A `write_rows` CSV as (users, user, month, each row's other cells).
+    Rows must strictly increase in (user_id, month_index) from month 0."""
+    rows = list(artifacts.read_csv(path))
+    users, user = _intern([row[0] for row in rows])
+    month = np.array([int(row[1]) for row in rows], dtype=np.int64)
+    step = np.diff(user)
+    behind = np.flatnonzero((step < 0) | ((step == 0) & (np.diff(month) <= 0)))
+    if len(behind):  # 1-based data rows
+        raise ValueError(f"row {behind[0] + 2} does not follow row "
+                         f"{behind[0] + 1} in (user_id, month_index) order")
+    if (month < 0).any():
+        raise ValueError("negative month_index")
+    return users, user, month, [row[2:] for row in rows]
 
 
 def write_matrix(cm: CharacterizationMatrix, path) -> None:
@@ -137,10 +165,8 @@ def write_matrix(cm: CharacterizationMatrix, path) -> None:
     """
     path = str(path)
     cell = int if cm.value_kind == "Count" else float
-    artifacts.write_csv(
-        path, ["user_id", "month_index"] + [f"v{i}" for i in range(cm.d)],
-        ([user, month] + [repr(cell(v)) for v in row]
-         for (user, month), row in zip(cm.keys, cm.values)))
+    write_rows(path, cm, [f"v{i}" for i in range(cm.d)],
+               ([repr(cell(v)) for v in row] for row in cm.values))
     artifacts.write_json(path + ".json", {
         "characterization": cm.characterization,
         "labels": list(cm.labels),
@@ -154,13 +180,11 @@ def read_matrix(path) -> CharacterizationMatrix:
     path = str(path)
     with open(path + ".json", encoding="utf-8") as fh:
         descriptor = json.load(fh)
-    keys: list[tuple[str, int]] = []
-    rows: list[list[float]] = []
-    for raw in artifacts.read_csv(path):
-        keys.append((raw[0], int(raw[1])))
-        rows.append([float(v) for v in raw[2:]])
+    users, user, month, cells = read_rows(path)
     labels = tuple(descriptor["labels"])
-    values = np.array(rows, dtype=np.float64) if rows else np.zeros((0, len(labels)))
+    values = (np.array([[float(v) for v in row] for row in cells],
+                       dtype=np.float64) if cells
+              else np.zeros((0, len(labels))))
     whole = descriptor["value_kind"] == "Count"
     bad = ~(np.isfinite(values) & (values >= 0))
     if whole:
@@ -172,19 +196,12 @@ def read_matrix(path) -> CharacterizationMatrix:
                          f"{float(values[r, c])!r} is not a non-negative "
                          f"{kind}")
     return CharacterizationMatrix(descriptor["characterization"], labels,
-                                  keys, values, descriptor["value_kind"])
+                                  users, user, month, values,
+                                  descriptor["value_kind"])
 
 
-def pool_by_user(cm: CharacterizationMatrix) -> tuple[list[str], np.ndarray]:
-    """Sum each user's monthly rows in month order; (sorted users, rows)."""
-    pooled: dict[str, np.ndarray] = {}
-    for (user, _), row in zip(cm.keys, cm.values):
-        acc = pooled.get(user)
-        if acc is None:
-            pooled[user] = row.copy()
-        else:
-            acc += row
-    users = sorted(pooled)
-    if not users:
-        return users, np.zeros((0, cm.d))
-    return users, np.stack([pooled[u] for u in users])
+def pool_by_user(cm: CharacterizationMatrix) -> np.ndarray:
+    """(len(cm.users), d): each user's monthly rows summed in month order."""
+    pooled = np.zeros((len(cm.users), cm.d))
+    np.add.at(pooled, cm.user, cm.values)
+    return pooled

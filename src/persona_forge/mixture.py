@@ -172,9 +172,13 @@ def _kmeanspp_seed(P: np.ndarray, k: int, rng) -> np.ndarray:
     return centers
 
 
+def _sq_distances(P: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, k) squared distances, one centre at a time: no n × k × d array."""
+    return np.stack([((P - c) ** 2).sum(axis=1) for c in centers], axis=1)
+
+
 def _hard_assign(P: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    d2 = ((P[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    return np.argmin(d2, axis=1)
+    return np.argmin(_sq_distances(P, centers), axis=1)
 
 
 def _distinct_rows(X: np.ndarray
@@ -298,8 +302,7 @@ def soft_features(model: MixtureModel | KMeansModel, X: np.ndarray) -> np.ndarra
         points, centers = _proportions(X), model.theta
     else:
         points, centers = X, model.centers
-    diff = points[:, None, :] - centers[None, :, :]
-    return np.sqrt((diff ** 2).sum(axis=2))
+    return np.sqrt(_sq_distances(points, centers))
 
 
 def hard_labels(model: MixtureModel | KMeansModel, X: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import artifacts
+from .features import CHARACTERIZATION_DIMS
 from .ingest import MONTH_SECONDS, RecordSet
 
 SIMPLEX_TOL = 1e-12
@@ -48,6 +49,12 @@ class GeneratorError(Exception):
     """Raised for infeasible or invalid generator configurations."""
 
 
+def _check_niche(niche, k):
+    if not all(isinstance(j, (int, np.integer)) and not isinstance(j, bool)
+               and 0 <= j < k for j in niche):
+        raise GeneratorError(f"niche clusters must be ints in [0, {k})")
+
+
 def _check_simplex(vec, what):
     vec = np.asarray(vec, dtype=np.float64)
     if vec.ndim != 1 or np.any(vec < 0) or abs(vec.sum() - 1.0) > SIMPLEX_TOL:
@@ -69,8 +76,7 @@ class PlantedMixture:
             raise GeneratorError("theta shape does not match pi")
         for j, row in enumerate(self.theta):
             _check_simplex(row, f"theta row {j}")
-        if any(not 0 <= j < len(self.pi) for j in self.niche):
-            raise GeneratorError("niche cluster index out of range")
+        _check_niche(self.niche, len(self.pi))
 
     @property
     def k(self) -> int:
@@ -91,6 +97,7 @@ class SpendModel:
             raise GeneratorError("spend centers must be (K, 13)")
         if np.any(self.centers < 0):
             raise GeneratorError("spend centers must be non-negative")
+        _check_niche(self.niche, len(self.pi))
         for j in range(len(self.pi)):
             for b in (0, 5):
                 if self.centers[j, b] > 0:
@@ -131,9 +138,13 @@ class GeneratorConfig:
             raise GeneratorError("poisson_mean must be positive")
         if self.items_per_cell < 1:
             raise GeneratorError("items_per_cell must be positive")
-        for ch in self.mixtures:
+        for ch, mix in self.mixtures.items():
             if ch not in ("TF", "DG", "CR", "TDT"):
                 raise GeneratorError(f"cannot plant characterization {ch!r}")
+            if mix.theta.shape[1] != CHARACTERIZATION_DIMS[ch]:
+                raise GeneratorError(f"{ch} theta rows have "
+                                     f"{mix.theta.shape[1]} bins, not "
+                                     f"{CHARACTERIZATION_DIMS[ch]}")
 
     @property
     def planted(self) -> tuple[str, ...]:
@@ -148,9 +159,10 @@ class GroundTruth:
     """True cluster label per user per tenure month, per characterization."""
     labels: dict[str, dict[tuple[str, int], int]]
 
-    def label_array(self, ch: str, keys: list[tuple[str, int]]) -> np.ndarray:
+    def label_array(self, ch: str, users, user, month) -> np.ndarray:
         table = self.labels[ch]
-        return np.array([table[k] for k in keys], dtype=np.int64)
+        return np.array([table[users[u], m] for u, m in
+                         zip(user.tolist(), month.tolist())], dtype=np.int64)
 
 
 def _sample_labels(rng, mix, months, migration_rate):

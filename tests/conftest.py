@@ -1,5 +1,7 @@
 from typing import NamedTuple
 
+import numpy as np
+
 from persona_forge.ingest import GENRE_INDEX, GENRES, RecordSet
 
 
@@ -24,6 +26,23 @@ def make_record_set(*records):
     columns = [list(c) for c in zip(*records)] or [[] for _ in Row._fields]
     columns[6] = [GENRE_INDEX[g] for g in columns[6]]
     return RecordSet.build(*columns)
+
+
+def random_user_months(rng):
+    """Rows (users, user, month) sorted by (user, month) of up to 7 users,
+    each with 1-4 of the months 0-5: months with gaps, single-row users,
+    and sometimes no rows at all."""
+    months = [np.sort(rng.choice(6, int(rng.integers(1, 5)), replace=False))
+              for _ in range(int(rng.integers(0, 8)))]
+    users = tuple(f"u{j}" for j in range(len(months)))
+    user = np.repeat(np.arange(len(months)), [len(m) for m in months])
+    return users, user, np.concatenate([np.zeros(0, np.int64), *months])
+
+
+def user_months(cm):
+    """A matrix's rows as (user_id, month) pairs, in row order."""
+    return [(cm.users[u], m)
+            for u, m in zip(cm.user.tolist(), cm.month.tolist())]
 
 
 def rows(rs):

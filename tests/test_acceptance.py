@@ -99,7 +99,7 @@ def test_planted_recovery_frequency_and_spending():
     assert np.abs(model.pi[np.argsort(to_true)] - pi).max() <= 0.02
     order = np.argsort(to_true)
     assert np.abs(model.theta[order] - synth.DEFAULT_TF_THETA).max() <= 0.02
-    truth = gt.label_array("TF", cm.keys)
+    truth = gt.label_array("TF", cm.users, cm.user, cm.month)
     assert (labels == truth).mean() >= 0.95
 
     # spending clusters under the published per-bin dollar centers
@@ -117,7 +117,7 @@ def test_planted_recovery_frequency_and_spending():
     assert center_err.max() <= 1.0  # matched centers within one dollar (l2)
     shares = np.bincount(labels, minlength=4) / len(labels)
     assert np.abs(shares - synth.DEFAULT_ME_PI).max() <= 0.02
-    truth = gt.label_array("ME", cm.keys)
+    truth = gt.label_array("ME", cm.users, cm.user, cm.month)
     assert (labels == truth).mean() >= 0.95
 
     assert time.perf_counter() - t0 < 120.0
@@ -167,7 +167,7 @@ def test_migration_matrix_recovers_planted_rate():
     model, assign = mixture.fit_em(cm.values, 4,
                                    mixture.EMConfig(restarts=6, seed=3), "TF")
     _, labels = _relabel(model.theta, synth.DEFAULT_TF_THETA, assign.hard)
-    mm = analysis.migration_matrix(cm.keys, labels, 4, "TF")
+    mm = analysis.migration_matrix(cm.user, cm.month, labels, 4, "TF")
     assert mm.support.sum() >= 20000
     diag = np.diag(mm.matrix)
     assert abs(diag[2] - 0.5) <= 0.05       # niche row: 1 - migration_rate

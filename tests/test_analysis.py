@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import random_user_months
 from persona_forge import analysis, mixture
 from persona_forge.analysis import (center_report, divisive_overlap,
                                     dominance_check, layered_fit,
@@ -58,18 +59,50 @@ def test_dominance_check():
 
 
 def test_migration_matrix_hand_traced():
-    keys = [("a", 0), ("a", 1), ("a", 2), ("b", 0), ("b", 2), ("c", 0),
-            ("c", 1)]
+    # users a, b, c at months a 0-2, b 0 and 2, c 0-1
+    user = np.array([0, 0, 0, 1, 1, 2, 2])
+    month = np.array([0, 1, 2, 0, 2, 0, 1])
     labels = np.array([0, 0, 1, 1, 0, 1, 1])
-    mm = migration_matrix(keys, labels, 2, "TF")
+    mm = migration_matrix(user, month, labels, 2, "TF")
     # transitions: a 0->0, a 0->1, c 1->1; b months 0 and 2 are not consecutive
     assert mm.support.tolist() == [[1, 1], [0, 1]]
     np.testing.assert_allclose(mm.matrix, [[0.5, 0.5], [0.0, 1.0]])
     assert mm.characterization == "TF"
 
 
+def _reference_migration_matrix(keys, labels, k):
+    """Transitions counted over per-user month dicts, rows in any order."""
+    by_user = {}
+    for (user, month), label in zip(keys, labels):
+        by_user.setdefault(user, {})[month] = int(label)
+    counts = np.zeros((k, k), dtype=np.int64)
+    for months in by_user.values():
+        for m, a in months.items():
+            b = months.get(m + 1)
+            if b is not None:
+                counts[a, b] += 1
+    totals = counts.sum(axis=1, keepdims=True)
+    return counts, np.divide(counts, totals, out=np.zeros((k, k)),
+                             where=totals > 0)
+
+
+def test_migration_matrix_matches_reference():
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        users, user, month = random_user_months(rng)
+        k = int(rng.integers(1, 7))
+        labels = rng.integers(0, k, len(user))
+        mm = migration_matrix(user, month, labels, k)
+        support, matrix = _reference_migration_matrix(
+            [(users[u], m) for u, m in zip(user, month)], labels, k)
+        assert mm.support.dtype == support.dtype
+        assert mm.support.tolist() == support.tolist()
+        assert mm.matrix.tobytes() == matrix.tobytes()
+
+
 def test_migration_matrix_unsupported_row_is_zero():
-    mm = migration_matrix([("a", 0), ("a", 1)], np.array([0, 0]), 3)
+    mm = migration_matrix(np.array([0, 0]), np.array([0, 1]),
+                          np.array([0, 0]), 3)
     np.testing.assert_allclose(mm.matrix[1], 0.0)
     np.testing.assert_allclose(mm.matrix[2], 0.0)
 

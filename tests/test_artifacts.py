@@ -7,7 +7,7 @@ layout fails here.
 
 import numpy as np
 
-from conftest import make_record, make_record_set, rows
+from conftest import make_record, make_record_set, rows, user_months
 from persona_forge import artifacts, cli
 from persona_forge.features import (TF_LABELS, CharacterizationMatrix,
                                     read_matrix, write_matrix)
@@ -32,7 +32,7 @@ def test_log_format(tmp_path):
 
 def test_count_matrix_format(tmp_path):
     cm = CharacterizationMatrix(
-        "TF", TF_LABELS, [("u1", 0), ("u1", 1)],
+        "TF", TF_LABELS, ("u1",), np.array([0, 0]), np.array([0, 1]),
         np.array([[1.0, 0, 2, 0, 0, 0], [0, 3, 0, 0, 0, 12]]), "Count")
     path = tmp_path / "features_TF.csv"
     write_matrix(cm, path)
@@ -47,7 +47,8 @@ def test_count_matrix_format(tmp_path):
 
 def test_amount_matrix_format(tmp_path):
     cm = CharacterizationMatrix(
-        "ME", ("R 1-3", "P >20"), [("u1", 0), ("u2", 2)],
+        "ME", ("R 1-3", "P >20"), ("u1", "u2"), np.array([0, 1]),
+        np.array([0, 2]),
         np.array([[1.99, 0.1], [20.0, 1 / 3]]), "Amount")
     path = tmp_path / "features_ME.csv"
     write_matrix(cm, path)
@@ -58,20 +59,22 @@ def test_amount_matrix_format(tmp_path):
         b'{\n  "characterization": "ME",\n  "labels": [\n'
         b'    "R 1-3",\n    "P >20"\n  ],\n  "value_kind": "Amount"\n}\n')
     back = read_matrix(path)
-    assert back.keys == cm.keys
+    assert user_months(back) == user_months(cm)
     np.testing.assert_array_equal(back.values, cm.values)
 
 
 def test_assignments_format(tmp_path):
     path = tmp_path / "assignments_TF.csv"
-    keys = [("u1", 0), ("u2", 1)]
+    cm = CharacterizationMatrix("TF", ("x",), ("u1", "u2"), np.array([0, 1]),
+                                np.array([0, 1]), np.zeros((2, 1)), "Count")
     tau = np.array([[0.25, 0.75], [1.0, 0.0]])
-    cli._write_assignments(path, keys, tau, np.array([1, 0]))
+    cli._write_assignments(path, cm, tau, np.array([1, 0]))
     assert path.read_bytes() == (b"user_id,month_index,tau_0,tau_1,hard\n"
                                  b"u1,0,0.25,0.75,1\n"
                                  b"u2,1,1.0,0.0,0\n")
-    back_keys, back_tau, back_hard = cli.read_assignments(path)
-    assert back_keys == keys
+    users, user, month, back_tau, back_hard = cli.read_assignments(path)
+    assert (users, user.tolist(), month.tolist()) == (cm.users, [0, 1],
+                                                      [0, 1])
     np.testing.assert_array_equal(back_tau, tau)
     assert back_hard.tolist() == [1, 0]
 

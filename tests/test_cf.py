@@ -125,49 +125,50 @@ def test_predict_similarity_matches_reference():
 
 
 def test_temporal_prediction_restricts_to_cluster():
-    keys = [("a", 0), ("b", 0), ("u", 0), ("z", 0)]
+    # users a, b, u, z (codes 0-3) in month 0; the query is u
+    user, month = [0, 1, 2, 3], [0, 0, 0, 0]
     values = [[1.0, 0.1], [0.9, 0.2], [1.0, 0.0], [0.0, 0.0]]
     labels = [0, 1, 0, 0]
     ratings = [3.0, 5.0, np.nan, 1.0]
-    pred = predict_similarity_temporal(keys, values, labels, ratings, "u",
-                                       horizon=0)
+    pred = predict_similarity_temporal(user, month, values, labels, ratings,
+                                       2, horizon=0)
     # the same-cluster neighbours a and z; z's zero row has similarity 0
     assert pred.candidates_examined == 2
     assert pred.rating == pytest.approx(3.0)
     assert pred.probability == pytest.approx(1.0)
-    wide = predict_similarity_temporal(keys, values, labels, ratings, "u",
-                                       horizon=0, restrict_to_cluster=False)
+    wide = predict_similarity_temporal(user, month, values, labels, ratings,
+                                       2, horizon=0, restrict_to_cluster=False)
     assert wide.candidates_examined == 3
 
 
 def test_temporal_probability_is_bounded():
     rng = np.random.default_rng(0)
-    keys = [(f"v{j}", t) for j in range(8) for t in range(3)]
-    keys += [("u", t) for t in range(3)]
-    ratings = [1.0 if v in ("v0", "v1", "v2", "v3") else np.nan
-               for v, _ in keys]
-    values = rng.random((len(keys), 3))
-    labels = np.zeros(len(keys), dtype=np.int64)
+    # users v0-v7 (codes 0-7) and the query u (code 8), months 0-2 each
+    user, month = np.repeat(np.arange(9), 3), np.tile(np.arange(3), 9)
+    ratings = np.where(user < 4, 1.0, np.nan)
+    values = rng.random((len(user), 3))
+    labels = np.zeros(len(user), dtype=np.int64)
     for horizon in range(3):
-        pred = predict_similarity_temporal(keys, values, labels, ratings,
-                                           "u", horizon)
+        pred = predict_similarity_temporal(user, month, values, labels,
+                                           ratings, 8, horizon)
         assert 0.0 <= pred.probability <= 1.0
 
 
 def test_temporal_weights_and_horizon():
-    keys = [("a", 0), ("u", 0), ("b", 1), ("u", 1)]
+    # rows a0, u0, b1, u1 with codes a 0, b 1, u 2; the query is u
+    user, month = [0, 2, 1, 2], [0, 0, 1, 1]
     values = np.ones((4, 2))
     labels = [0, 0, 0, 0]
     ratings = [2.0, np.nan, 4.0, np.nan]
-    only0 = predict_similarity_temporal(keys, values, labels, ratings, "u",
-                                        horizon=0)
+    only0 = predict_similarity_temporal(user, month, values, labels, ratings,
+                                        2, horizon=0)
     assert only0.rating == pytest.approx(2.0)
-    both = predict_similarity_temporal(keys, values, labels, ratings, "u",
-                                       horizon=1, weights={0: 1.0, 1: 3.0})
+    both = predict_similarity_temporal(user, month, values, labels, ratings,
+                                       2, horizon=1, weights={0: 1.0, 1: 3.0})
     assert both.rating == pytest.approx((2.0 + 3 * 4.0) / 4.0)
     with pytest.raises(CfError):
-        predict_similarity_temporal(keys, values, labels, ratings, "u", 1,
-                                    weights={0: -1.0})
+        predict_similarity_temporal(user, month, values, labels, ratings, 2,
+                                    1, weights={0: -1.0})
 
 
 def _random_rows(rng):
@@ -194,10 +195,13 @@ def test_temporal_prediction_matches_reference():
     for _ in range(600):
         keys, values, labels, ratings, user, horizon, weights = (
             _random_rows(rng))
+        ids = sorted({v for v, _ in keys} | {user})
+        codes = [ids.index(v) for v, _ in keys]
+        months = [t for _, t in keys]
         for restrict in (True, False):
-            pred = predict_similarity_temporal(keys, values, labels, ratings,
-                                               user, horizon, weights,
-                                               restrict)
+            pred = predict_similarity_temporal(codes, months, values, labels,
+                                               ratings, ids.index(user),
+                                               horizon, weights, restrict)
             ref = _reference_predict_similarity_temporal(
                 *_month_dicts(keys, values, labels, ratings), user, horizon,
                 weights, restrict)
@@ -214,18 +218,21 @@ def test_temporal_prediction_on_pipeline_rows():
                                                               seed=0))
     # the row user's count of the most rented item in that month
     item = int(np.bincount(rs.content).argmax())
-    row = {key: j for j, key in enumerate(cm.keys)}
-    ratings = np.full(len(cm.keys), np.nan)
+    # cm.users is rs.users, so both share user codes
+    row = {key: j for j, key in enumerate(zip(cm.user.tolist(),
+                                              cm.month.tolist()))}
+    ratings = np.full(len(cm.user), np.nan)
     for u, t in zip(rs.user[rs.content == item].tolist(),
                     months[rs.content == item].tolist()):
-        j = row[(rs.users[u], t)]
+        j = row[(u, t)]
         ratings[j] = (0.0 if np.isnan(ratings[j]) else ratings[j]) + 1.0
-    user = cm.keys[0][0]
-    narrow = predict_similarity_temporal(cm.keys, cm.values, assign.hard,
-                                         ratings, user, horizon=1)
-    wide = predict_similarity_temporal(cm.keys, cm.values, assign.hard,
-                                       ratings, user, horizon=1,
-                                       restrict_to_cluster=False)
+    query = int(cm.user[0])
+    narrow = predict_similarity_temporal(cm.user, cm.month, cm.values,
+                                         assign.hard, ratings, query,
+                                         horizon=1)
+    wide = predict_similarity_temporal(cm.user, cm.month, cm.values,
+                                       assign.hard, ratings, query,
+                                       horizon=1, restrict_to_cluster=False)
     assert 0 < narrow.candidates_examined < wide.candidates_examined
     for pred in (narrow, wide):
         assert 0.0 <= pred.probability <= 1.0

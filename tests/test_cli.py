@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from persona_forge import cli
+from persona_forge import cf, cli, ingest
 
 SMALL_CONFIG = {
     "seed": 7,
@@ -237,6 +237,16 @@ def _relabel_model(text):
     return text.replace('"characterization": "CR"', '"characterization": "DG"')
 
 
+def _swap_first_rows(text):
+    header, first, second, rest = text.split("\n", 3)
+    return "\n".join([header, second, first, rest])
+
+
+def _repeat_first_row(text):
+    header, first, rest = text.split("\n", 2)
+    return "\n".join([header, first, first, rest])
+
+
 def _drop_last_cluster(text):
     # well-formed assignments of one cluster fewer than the model's K = 4
     rows = [line.split(",") for line in text.splitlines()]
@@ -264,10 +274,17 @@ def _drop_last_cluster(text):
     ("analyze", "assignments_TF.csv", lambda text: text.split("\n", 1)[0]
      + "\n"),
     ("analyze", "assignments_TF.csv", _drop_last_cluster),
+    *((stage, name, corrupt)
+      for stage, name in (("cluster", "features_CR.csv"),
+                          ("analyze", "assignments_TF.csv"),
+                          ("cf", "assignments_TF.csv"))
+      for corrupt in (_swap_first_rows, _repeat_first_row)),
 ], ids=["cut-sidecar", "month-cell", "model-json", "hard-label",
         "label-beyond-k", "negative-cell", "nan-cell", "ctr-model-width",
         "ctr-model-facet", "analyze-model-width", "analyze-model-facet",
-        "header-only", "k-below-model"])
+        "header-only", "k-below-model",
+        *(f"{stage}-{case}" for stage in ("cluster", "analyze", "cf-a")
+          for case in ("unsorted-rows", "repeated-row"))])
 def test_corrupt_artifact_is_data_error(pipeline, tmp_path, capsys, stage,
                                         name, corrupt):
     out = _copy_pipeline(pipeline, tmp_path)
@@ -282,7 +299,8 @@ def test_corrupt_artifact_is_data_error(pipeline, tmp_path, capsys, stage,
     for file in written:
         file.unlink()
     config = _write_config(tmp_path, {"ctr": {"top_n": 4},
-                                      "analyze": {"stability": {"runs": 2}}})
+                                      "analyze": {"stability": {"runs": 2}},
+                                      "cf": {"variant": "a", "epochs": 1}})
     assert cli.run(config, out, only_stage=stage) == 3
     (line,) = capsys.readouterr().err.splitlines()
     error = json.loads(line)
@@ -290,6 +308,36 @@ def test_corrupt_artifact_is_data_error(pipeline, tmp_path, capsys, stage,
     assert error["message"].startswith(f"stage {stage!r}: ")
     assert name in error["message"]
     assert [f.name for f in written if f.exists()] == []
+
+
+def test_cf_labels_each_user_by_their_month_0_row(pipeline, tmp_path,
+                                                 monkeypatch):
+    out = _copy_pipeline(pipeline, tmp_path)
+    path = out / "assignments_TF.csv"
+    header, *lines = path.read_text().splitlines()
+    rows = [line.split(",") for line in lines]
+    k = len(rows[0]) - 3
+    month0 = {}
+    for row in rows:  # every later row gets a label unlike its month-0 row
+        if row[1] == "0":
+            month0[row[0]] = int(row[-1])
+        else:
+            row[-1] = str((month0[row[0]] + 1) % k)
+    assert len(month0) < len(rows)
+    path.write_text("".join(",".join(row) + "\n" for row in [[header], *rows]))
+    seen = []
+    fit = cf.fit_factor
+
+    def spy(n_users, n_items, ratings, variant, clusters, *rest):
+        seen.append(clusters)
+        return fit(n_users, n_items, ratings, variant, clusters, *rest)
+
+    monkeypatch.setattr(cf, "fit_factor", spy)
+    config = _write_config(tmp_path, {"cf": {"variant": "a", "epochs": 1}})
+    assert cli.run(config, out, only_stage="cf") == 0
+    rated = ingest.parse_log(out / "filtered.csv").record_set.users
+    (clusters,) = seen
+    assert clusters.tolist() == [month0[u] for u in rated]
 
 
 def test_ctr_without_evaluated_items_is_data_error(tmp_path, capsys):
@@ -423,6 +471,14 @@ def test_invalid_synth_section_is_validation_error(tmp_path):
                "spend_model": {"pi": [1.0], "size": 2,
                                "centers": [[0, 2.0] + [0] * 11]}}),
     ("ctr", {"recipes": []}),
+    # theta rows of 2 bins for the 6-bin TF facet
+    ("synth", {"n_users": 10, "months_per_user": 1,
+               "mixtures": {"TF": {"pi": [0.5, 0.5],
+                                   "theta": [[0.5, 0.5], [0.5, 0.5]]}}}),
+    ("synth", {"n_users": 10, "months_per_user": 1,
+               "mixtures": {"TF": {"pi": [0.5, 0.5], "niche": [0.5],
+                                   "theta": [[0.5, 0.5, 0, 0, 0, 0],
+                                             [0, 0, 0.5, 0.5, 0, 0]]}}}),
 ])
 def test_bad_config_value_is_validation_error(tmp_path, capsys, stage,
                                               section):

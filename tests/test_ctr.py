@@ -32,32 +32,32 @@ def _toy_features():
     models = {}
     specs = {"CR": 5, "DG": 16, "ME": 13}
     users = [f"u{i}" for i in range(30)]
+    by_name = sorted(range(30), key=users.__getitem__)
     for ch, d in specs.items():
-        keys, rows = [], []
-        for u in users:
-            for m in (0, 1):
-                keys.append((u, m))
-                rows.append(rng.integers(0, 5, d).astype(float))
+        # users[i]'s months 0 and 1 are rows 2i and 2i + 1 of X
+        X = np.stack([rng.integers(0, 5, d).astype(float) for _ in range(60)])
         matrices[ch] = features.CharacterizationMatrix(
-            ch, tuple(f"x{i}" for i in range(d)), keys, np.stack(rows),
+            ch, tuple(f"x{i}" for i in range(d)), tuple(sorted(users)),
+            np.repeat(np.arange(30), 2), np.tile([0, 1], 30),
+            X.reshape(30, 2, d)[by_name].reshape(60, d),
             "Amount" if ch == "ME" else "Count")
         if ch == "ME":
             models[ch], _ = mixture.fit_kmeans(
-                matrices[ch].values, 3, mixture.KMeansConfig(restarts=2, seed=1))
+                X, 3, mixture.KMeansConfig(restarts=2, seed=1))
         else:
             models[ch], _ = mixture.fit_em(
-                matrices[ch].values, 3, mixture.EMConfig(restarts=2, seed=1))
+                X, 3, mixture.EMConfig(restarts=2, seed=1))
     return matrices, models, users
 
 
 def test_persona_features_pools_months():
     matrices, models, users = _toy_features()
     feats = persona_features(matrices, models)
-    assert feats.users == sorted(users)
+    assert feats.users == tuple(sorted(users))
     u = feats.users[0]
     i = feats.index[u]
-    manual = sum(row for (user, _), row in
-                 zip(matrices["CR"].keys, matrices["CR"].values) if user == u)
+    cm = matrices["CR"]
+    manual = cm.values[cm.user == cm.users.index(u)].sum(axis=0)
     np.testing.assert_allclose(feats.raw["CR"][i], manual)
     assert feats.soft["CR"].shape == (30, 3)
     assert feats.hard["DG"].shape == (30,)
@@ -67,7 +67,8 @@ def test_persona_features_user_mismatch():
     matrices, models, _ = _toy_features()
     bad = matrices["DG"]
     matrices["DG"] = features.CharacterizationMatrix(
-        "DG", bad.labels, bad.keys[:-2], bad.values[:-2], "Count")
+        "DG", bad.labels, bad.users[:-1], bad.user[:-2], bad.month[:-2],
+        bad.values[:-2], "Count")
     with pytest.raises(CtrError):
         persona_features(matrices, models)
 

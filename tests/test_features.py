@@ -3,7 +3,8 @@ import datetime
 import numpy as np
 import pytest
 
-from conftest import make_record, make_record_set
+from conftest import (make_record, make_record_set, random_user_months,
+                      user_months)
 from persona_forge import features
 from persona_forge.features import (aggregate, bin_frequency, bin_price,
                                     bin_recency, bin_timeday, me_index,
@@ -131,7 +132,7 @@ def test_aggregate_hand_traced():
     months = tenure_align(rs)
 
     me = aggregate(rs, months, "ME")
-    assert me.keys == [("a", 0), ("a", 1), ("b", 0)]
+    assert user_months(me) == [("a", 0), ("a", 1), ("b", 0)]
     assert me.value_kind == "Amount"
     row_a0 = np.zeros(13)
     row_a0[2] = 2.50   # rental (1,3]
@@ -167,7 +168,7 @@ def test_aggregate_empty():
     rs = make_record_set()
     cm = aggregate(rs, tenure_align(rs), "TF")
     assert cm.values.shape == (0, 6)
-    assert cm.keys == []
+    assert user_months(cm) == []
 
 
 def test_me_amounts_are_exact_cents():
@@ -177,6 +178,36 @@ def test_me_amounts_are_exact_cents():
     rs = make_record_set(*recs)
     cm = aggregate(rs, tenure_align(rs), "ME")
     assert cm.values[0][1] == 0.03
+
+
+def _reference_pool_by_user(keys, values):
+    """Each user's rows summed in row order through a dict; (users, rows)."""
+    pooled = {}
+    for (user, _), row in zip(keys, values):
+        acc = pooled.get(user)
+        if acc is None:
+            pooled[user] = row.copy()
+        else:
+            acc += row
+    users = sorted(pooled)
+    if not users:
+        return users, np.zeros((0, values.shape[1]))
+    return users, np.stack([pooled[u] for u in users])
+
+
+def test_pool_by_user_matches_reference():
+    rng = np.random.default_rng(4)
+    for _ in range(300):
+        users, user, month = random_user_months(rng)
+        d = int(rng.integers(1, 14))
+        # USD amounts: sums whose bits depend on the order of addition
+        values = np.round(rng.exponential(7.0, (len(user), d)), 2)
+        cm = features.CharacterizationMatrix("ME", ("x",) * d, users, user,
+                                             month, values, "Amount")
+        ref_users, ref = _reference_pool_by_user(
+            [(users[u], m) for u, m in zip(user, month)], values)
+        assert tuple(ref_users) == cm.users
+        assert features.pool_by_user(cm).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("ch", features.CHARACTERIZATIONS)
@@ -198,6 +229,6 @@ def test_matrix_io_roundtrip(tmp_path, ch):
     back = read_matrix(path)
     assert back.characterization == cm.characterization
     assert back.labels == cm.labels
-    assert back.keys == cm.keys
+    assert user_months(back) == user_months(cm)
     assert back.value_kind == cm.value_kind
     np.testing.assert_array_equal(back.values, cm.values)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import rows
+from conftest import rows, user_months
 from persona_forge import features, synth
 from persona_forge.features import (bin_frequency, bin_recency, bin_timeday,
                                     me_index, tenure_align)
@@ -74,30 +74,25 @@ def test_every_user_month_has_transactions_and_anchor():
     # tenure alignment reproduces planted user-months (later months may draw
     # zero transactions, so observed keys form a subset)
     planted = set(gt.labels["TF"])
-    assert set(cm.keys) <= planted
+    assert set(user_months(cm)) <= planted
     users = {u for u, _ in planted}
-    assert {(u, 0) for u in users} <= set(cm.keys)
+    assert {(u, 0) for u in users} <= set(user_months(cm))
     # the first of each user's rows is their earliest: the tenure birth
     starts = np.flatnonzero(np.r_[True, rs.user[1:] != rs.user[:-1]])
     assert np.array_equal(np.minimum.reduceat(rs.timestamp, starts),
                           rs.timestamp[starts])
 
 
-def _row_keys(rs):
-    return [(rs.users[u], m)
-            for u, m in zip(rs.user.tolist(), tenure_align(rs).tolist())]
-
-
 def test_records_respect_planted_labels():
     cfg = default_config(25, 2, seed=3)
     rs, gt = generate(cfg)
-    keys = _row_keys(rs)
+    months = tenure_align(rs)
     mix = cfg.mixtures
     bins = {"TF": bin_frequency(rs.rental, rs.cents), "DG": rs.genre,
             "CR": bin_recency(rs.year),
             "TDT": bin_timeday(rs.timestamp, rs.offset)}
     for ch, b in bins.items():
-        labels = gt.label_array(ch, keys)
+        labels = gt.label_array(ch, rs.users, rs.user, months)
         assert np.all(mix[ch].theta[labels, b] > 0), ch
 
 
@@ -106,7 +101,7 @@ def test_me_mode_spend_lands_in_planted_bins():
                          spend_model=synth.default_spend_model())
     rs, gt = generate(cfg)
     centers = cfg.spend_model.centers
-    labels = gt.label_array("ME", _row_keys(rs))
+    labels = gt.label_array("ME", rs.users, rs.user, tenure_align(rs))
     assert np.all(centers[labels, me_index(rs.rental, rs.cents)] > 0)
 
 
@@ -184,9 +179,9 @@ def test_ground_truth_io_roundtrip(tmp_path):
 def test_label_array_ordering():
     rs, gt = generate(default_config(15, 2, seed=7))
     cm = features.aggregate(rs, tenure_align(rs), "TF")
-    arr = gt.label_array("TF", cm.keys)
-    assert arr.shape == (len(cm.keys),)
-    assert arr[0] == gt.labels["TF"][cm.keys[0]]
+    arr = gt.label_array("TF", cm.users, cm.user, cm.month)
+    assert arr.shape == (len(cm.user),)
+    assert arr[0] == gt.labels["TF"][user_months(cm)[0]]
 
 
 def test_default_me_pi_is_normalized():
