@@ -143,7 +143,7 @@ class FactorModel:
 
 def _columns(ratings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Contiguous (users, items, values) columns of (u, i, r) triples."""
-    u, i, r = np.array(list(ratings), dtype=np.float64).reshape(-1, 3).T.copy()
+    u, i, r = np.asarray(ratings, dtype=np.float64).reshape(-1, 3).T.copy()
     return u.astype(np.int64), i.astype(np.int64), r
 
 
@@ -153,7 +153,8 @@ def fit_factor(n_users: int, n_items: int, ratings, variant: str = "vanilla",
                config: FactorConfig | None = None) -> FactorModel:
     """SGD fit of a biased latent factor model, optionally persona-augmented.
 
-    `ratings` is a sequence of (user_index, item_index, value). Variants a, b
+    `ratings` holds (user_index, item_index, value) rows, an (n, 3) array or
+    a sequence of triples; `len(ratings)` is the rating count. Variants a, b
     and d read `clusters`, one int label per user (for a and b a negative
     label means no cluster); variant c reads `static`, one row per user.
     """
@@ -182,9 +183,10 @@ def fit_factor(n_users: int, n_items: int, ratings, variant: str = "vanilla",
                 log.warning("variant d cluster %d has no ratings; "
                             "falls back to global mean", c)
                 continue
-            sub = list(zip(users[rows], items[rows], values[rows]))
             cfg = replace(config, seed=config.seed + c + 1)
-            submodels[c] = fit_factor(n_users, n_items, sub, "vanilla", config=cfg)
+            submodels[c] = fit_factor(n_users, n_items,
+                                      np.column_stack(columns)[rows],
+                                      "vanilla", config=cfg)
         model = FactorModel("d", mu, np.zeros(n_users), np.zeros(n_items),
                             np.zeros((n_users, 1)), np.zeros((n_items, 1)),
                             clusters=clusters, submodels=submodels,

@@ -397,6 +397,8 @@ def stage_ctr(config: dict, out: Path, seed: int, read) -> list[str]:
             _read_models(read, chars))
     except ctr.CtrError as exc:
         raise DataError(str(exc)) from None
+    if rs.users != persona.users:
+        raise DataError("filtered.csv and features_CR.csv hold different users")
     items = ctr.item_user_sets(rs)
     rows = []
     for recipe in recipes:
@@ -438,7 +440,7 @@ def stage_cf(config: dict, out: Path, seed: int, read) -> list[str]:
                             return_inverse=True)
     values = np.bincount(pair, weights=rs.cents / 100.0
                          if params["value"] == "spend" else None)
-    ratings = list(zip(*np.divmod(pairs, n_items), values.tolist()))
+    ratings = np.column_stack([*np.divmod(pairs, n_items), values])
 
     clusters = static = None
     if variant in ("a", "b", "d"):
@@ -488,7 +490,7 @@ def run(config_path, out_dir=None, seed_override: int | None = None,
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {out}: "
                               f"{exc}") from None
-        for stage in top["stages"]:
+        for stage in [s for s in STAGES if s in top["stages"]]:
             inputs: list[str] = []
             try:
                 outputs = STAGE_FUNCS[stage](

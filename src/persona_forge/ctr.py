@@ -60,10 +60,6 @@ class UserPersonaFeatures:
     raw: dict[str, np.ndarray]    # ch -> (n_users, d) pooled counts/amounts
     soft: dict[str, np.ndarray]   # ch -> (n_users, K) center distances
     hard: dict[str, np.ndarray]   # ch -> (n_users,) hard labels
-    index: dict[str, int] = field(init=False)
-
-    def __post_init__(self):
-        self.index = {u: i for i, u in enumerate(self.users)}
 
 
 def persona_features(matrices: dict[str, CharacterizationMatrix],
@@ -100,37 +96,40 @@ def design(features: UserPersonaFeatures,
 class CtrDataset:
     X: np.ndarray
     y: np.ndarray
-    users: list[str]
+    rows: np.ndarray                # user codes into `features.users`
     hard: np.ndarray                # partition labels, all 0 without 'h'
     negatives_short: bool = False   # fewer eligible negatives than requested
 
 
-def item_user_sets(rs: RecordSet) -> dict[str, set[str]]:
-    order = np.argsort(rs.content, kind="stable")
-    codes, starts = np.unique(rs.content[order], return_index=True)
-    users = np.asarray(rs.users, dtype=object)[rs.user[order]]
-    return {rs.contents[c]: set(group)
-            for c, group in zip(codes.tolist(), np.split(users, starts[1:]))}
+def item_user_sets(rs: RecordSet) -> dict[str, np.ndarray]:
+    """Each item's sorted distinct user codes into `rs.users`."""
+    n_users = len(rs.users)
+    content, user = np.divmod(np.unique(rs.content * n_users + rs.user),
+                              n_users)
+    codes, starts = np.unique(content, return_index=True)
+    return {rs.contents[c]: group
+            for c, group in zip(codes.tolist(), np.split(user, starts[1:]))}
 
 
-def build_dataset(items: dict[str, set[str]],
+def build_dataset(items: dict[str, np.ndarray],
                   features: UserPersonaFeatures, recipe: FeatureModeRecipe,
                   item_id: str, neg_ratio: int = 5, seed: int = 0,
-                  eligible_users: list[str] | None = None) -> CtrDataset:
+                  eligible_users: np.ndarray | None = None) -> CtrDataset:
     """Labeled per-item rows: transacting users plus sampled non-transactors.
 
-    `items` maps each item to its users (`item_user_sets`). `eligible_users`
-    restricts both classes (e.g. to a train or test split); negatives are
-    sampled uniformly without replacement.
+    `items` maps each item to its user codes into `features.users`
+    (`item_user_sets`). `eligible_users`, sorted distinct codes, restricts
+    both classes (e.g. to a train or test split); negatives are sampled
+    uniformly without replacement.
     """
     if neg_ratio < 1:
         raise CtrError("neg_ratio must be at least 1")
     if item_id not in items:
         raise CtrError(f"item {item_id!r} has no transactions")
-    universe = eligible_users if eligible_users is not None else features.users
-    universe = [u for u in universe if u in features.index]
-    positives = sorted(u for u in universe if u in items[item_id])
-    candidates = sorted(u for u in universe if u not in items[item_id])
+    universe = (np.arange(len(features.users)) if eligible_users is None
+                else np.asarray(eligible_users, dtype=np.int64))
+    bought = np.isin(universe, items[item_id])
+    positives, candidates = universe[bought], universe[~bought]
     wanted = neg_ratio * len(positives)
     rng = np.random.default_rng(seed)
     short = wanted > len(candidates)
@@ -140,16 +139,15 @@ def build_dataset(items: dict[str, set[str]],
                   len(candidates), wanted)
     else:
         pick = rng.choice(len(candidates), size=wanted, replace=False)
-        negatives = [candidates[i] for i in sorted(pick)]
-    users = positives + negatives
-    rows = np.array([features.index[u] for u in users], dtype=np.int64)
+        negatives = candidates[np.sort(pick)]
+    rows = np.concatenate([positives, negatives])
     X = design(features, recipe)[rows]
-    y = np.zeros(len(users))
+    y = np.zeros(len(rows))
     y[:len(positives)] = 1.0
     hard_ch = recipe.hard_characterization
     hard = (features.hard[hard_ch][rows] if hard_ch
             else np.zeros(len(rows), dtype=np.int64))
-    return CtrDataset(X, y, users, hard, short)
+    return CtrDataset(X, y, rows, hard, short)
 
 
 # ---------------------------------------------------------------------------
@@ -320,23 +318,20 @@ class CtrExperimentConfig:
     seed: int = 0
 
 
-def split_users(users: list[str], test_fraction: float,
-                seed: int) -> tuple[list[str], list[str]]:
-    rng = np.random.default_rng(seed)
-    order = list(users)
-    rng.shuffle(order)
-    n_test = int(round(test_fraction * len(order)))
-    test = sorted(order[:n_test])
-    train = sorted(order[n_test:])
-    return train, test
+def split_users(n_users: int, test_fraction: float,
+                seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted (train, test) user codes of a seeded random split."""
+    order = np.random.default_rng(seed).permutation(n_users)
+    n_test = int(round(test_fraction * n_users))
+    return np.sort(order[n_test:]), np.sort(order[:n_test])
 
 
-def top_items(items: dict[str, set[str]], top_n: int) -> list[str]:
+def top_items(items: dict[str, np.ndarray], top_n: int) -> list[str]:
     ranked = sorted(items, key=lambda i: (-len(items[i]), i))
     return ranked[:top_n]
 
 
-def run_ctr_experiment(items: dict[str, set[str]],
+def run_ctr_experiment(items: dict[str, np.ndarray],
                        features: UserPersonaFeatures,
                        recipe: FeatureModeRecipe,
                        config: CtrExperimentConfig | None = None
@@ -344,7 +339,7 @@ def run_ctr_experiment(items: dict[str, set[str]],
     """Train per-item models on a user-disjoint split and report mean AUC
     over the most popular items."""
     config = config or CtrExperimentConfig()
-    train_users, test_users = split_users(features.users,
+    train_users, test_users = split_users(len(features.users),
                                           config.test_fraction, config.seed)
     chosen = top_items(items, config.top_n)
     p = design(features, recipe).shape[1]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -310,13 +310,6 @@ def hard_labels(model: MixtureModel | KMeansModel, X: np.ndarray) -> np.ndarray:
     if isinstance(model, MixtureModel):
         return np.argmax(e_step(model, X), axis=1)
     return _hard_assign(np.asarray(X, dtype=np.float64), model.centers)
-
-
-def permute_clusters(model: MixtureModel, perm) -> MixtureModel:
-    """Relabel clusters; log-likelihood is invariant under this."""
-    perm = np.asarray(perm)
-    return replace(model, pi=model.pi[perm], theta=model.theta[perm],
-                   loglik_trace=list(model.loglik_trace))
 
 
 def match_clusters(centers_a: np.ndarray, centers_b: np.ndarray,

@@ -157,12 +157,14 @@ class GeneratorConfig:
 @dataclass
 class GroundTruth:
     """True cluster label per user per tenure month, per characterization."""
-    labels: dict[str, dict[tuple[str, int], int]]
+    users: tuple[str, ...]          # sorted ids
+    labels: dict[str, np.ndarray]   # ch -> (n_users, months) int64
 
     def label_array(self, ch: str, users, user, month) -> np.ndarray:
-        table = self.labels[ch]
-        return np.array([table[users[u], m] for u, m in
-                         zip(user.tolist(), month.tolist())], dtype=np.int64)
+        """Labels of the rows whose `user` codes index `users`."""
+        code = {u: i for i, u in enumerate(self.users)}
+        codes = np.array([code[u] for u in users], dtype=np.int64)
+        return self.labels[ch][codes[user], month]
 
 
 def _sample_labels(rng, mix, months, migration_rate):
@@ -227,15 +229,16 @@ def generate(cfg: GeneratorConfig) -> tuple[RecordSet, GroundTruth]:
     30-day month so tenure alignment reproduces the planted month indices.
     """
     rng = np.random.default_rng(cfg.seed)
-    truth: dict[str, dict[tuple[str, int], int]] = {ch: {} for ch in cfg.planted}
+    months = cfg.months_per_user
+    truth = {ch: np.empty((cfg.n_users, months), dtype=np.int64)
+             for ch in cfg.planted}
     rows: list[tuple] = []  # cells in CSV_COLUMNS order
     base_day = BASE_EPOCH // 86400
     uid_width = max(6, len(str(cfg.n_users - 1)))
+    uids = tuple(f"u{u:0{uid_width}d}" for u in range(cfg.n_users))
 
-    for u in range(cfg.n_users):
-        uid = f"u{u:0{uid_width}d}"
+    for u, uid in enumerate(uids):
         offset = int(REGION_OFFSETS[rng.integers(len(REGION_OFFSETS))])
-        months = cfg.months_per_user
 
         labels = {ch: _sample_labels(rng, mix, months, cfg.migration_rate)
                   for ch, mix in cfg.mixtures.items()}
@@ -243,8 +246,7 @@ def generate(cfg: GeneratorConfig) -> tuple[RecordSet, GroundTruth]:
             labels["ME"] = _sample_labels(rng, cfg.spend_model, months,
                                           cfg.migration_rate)
         for ch, lab in labels.items():
-            for m in range(months):
-                truth[ch][(uid, m)] = int(lab[m])
+            truth[ch][u] = lab
 
         tdt_mix = cfg.mixtures.get("TDT")
         dg_mix = cfg.mixtures.get("DG")
@@ -329,7 +331,7 @@ def generate(cfg: GeneratorConfig) -> tuple[RecordSet, GroundTruth]:
                              int(prices[i]), int(genres[i]), years[i]))
 
     return (RecordSet.build(*zip(*rows)),
-            GroundTruth(truth))
+            GroundTruth(uids, truth))
 
 
 def write_ground_truth(gt: GroundTruth, path) -> None:
@@ -337,14 +339,8 @@ def write_ground_truth(gt: GroundTruth, path) -> None:
         path, ["user_id", "month_index", "characterization", "label"],
         ([user, month, ch, label]
          for ch in sorted(gt.labels)
-         for (user, month), label in sorted(gt.labels[ch].items())))
-
-
-def read_ground_truth(path) -> GroundTruth:
-    labels: dict[str, dict[tuple[str, int], int]] = {}
-    for user, month, ch, label in artifacts.read_csv(path):
-        labels.setdefault(ch, {})[(user, int(month))] = int(label)
-    return GroundTruth(labels)
+         for user, row in zip(gt.users, gt.labels[ch].tolist())
+         for month, label in enumerate(row)))
 
 
 # ---------------------------------------------------------------------------

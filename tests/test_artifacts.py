@@ -12,8 +12,7 @@ from persona_forge import artifacts, cli
 from persona_forge.features import (TF_LABELS, CharacterizationMatrix,
                                     read_matrix, write_matrix)
 from persona_forge.ingest import parse_log, write_log
-from persona_forge.synth import (GroundTruth, read_ground_truth,
-                                 write_ground_truth)
+from persona_forge.synth import GroundTruth, write_ground_truth
 
 
 def test_log_format(tmp_path):
@@ -80,17 +79,20 @@ def test_assignments_format(tmp_path):
 
 
 def test_ground_truth_format(tmp_path):
-    gt = GroundTruth({"TF": {("u2", 0): 1, ("u1", 1): 0, ("u1", 0): 3},
-                      "DG": {("u1", 0): 2}})
+    gt = GroundTruth(("u1", "u2"), {"TF": np.array([[3, 0], [1, 2]]),
+                                    "DG": np.array([[2, 1], [0, 0]])})
     path = tmp_path / "ground_truth.csv"
     write_ground_truth(gt, path)
     assert path.read_bytes() == (
         b"user_id,month_index,characterization,label\n"
         b"u1,0,DG,2\n"
+        b"u1,1,DG,1\n"
+        b"u2,0,DG,0\n"
+        b"u2,1,DG,0\n"
         b"u1,0,TF,3\n"
         b"u1,1,TF,0\n"
-        b"u2,0,TF,1\n")
-    assert read_ground_truth(path).labels == gt.labels
+        b"u2,0,TF,1\n"
+        b"u2,1,TF,2\n")
 
 
 def test_json_format(tmp_path):

@@ -247,6 +247,13 @@ def _repeat_first_row(text):
     return "\n".join([header, first, first, rest])
 
 
+def _drop_first_user(text):
+    header, first, *rows = text.splitlines()
+    user = first.split(",")[0]
+    return "\n".join([header, *(r for r in rows
+                                if r.split(",")[0] != user)]) + "\n"
+
+
 def _drop_last_cluster(text):
     # well-formed assignments of one cluster fewer than the model's K = 4
     rows = [line.split(",") for line in text.splitlines()]
@@ -274,6 +281,7 @@ def _drop_last_cluster(text):
     ("analyze", "assignments_TF.csv", lambda text: text.split("\n", 1)[0]
      + "\n"),
     ("analyze", "assignments_TF.csv", _drop_last_cluster),
+    ("ctr", "filtered.csv", _drop_first_user),
     *((stage, name, corrupt)
       for stage, name in (("cluster", "features_CR.csv"),
                           ("analyze", "assignments_TF.csv"),
@@ -282,7 +290,7 @@ def _drop_last_cluster(text):
 ], ids=["cut-sidecar", "month-cell", "model-json", "hard-label",
         "label-beyond-k", "negative-cell", "nan-cell", "ctr-model-width",
         "ctr-model-facet", "analyze-model-width", "analyze-model-facet",
-        "header-only", "k-below-model",
+        "header-only", "k-below-model", "ctr-filtered-users",
         *(f"{stage}-{case}" for stage in ("cluster", "analyze", "cf-a")
           for case in ("unsorted-rows", "repeated-row"))])
 def test_corrupt_artifact_is_data_error(pipeline, tmp_path, capsys, stage,
@@ -619,6 +627,33 @@ def test_corrupt_log_is_data_error(tmp_path):
     path = _write_config(tmp_path, {"stages": ["ingest"],
                                     "ingest": {"input": str(bad)}})
     assert cli.run(path, tmp_path / "out") == 3
+
+
+def test_stages_run_in_pipeline_order_once(tmp_path, monkeypatch):
+    synth = {"n_users": 20, "months_per_user": 1}
+    for name, stages in (("ordered", ["synth", "ingest", "featurize"]),
+                         ("shuffled", ["featurize", "ingest", "synth"])):
+        config = _write_config(tmp_path, {"stages": stages, "synth": synth},
+                               f"{name}.json")
+        assert cli.run(config, tmp_path / name) == 0
+    ordered, shuffled = tmp_path / "ordered", tmp_path / "shuffled"
+    names = sorted(p.name for p in ordered.iterdir())
+    assert names == sorted(p.name for p in shuffled.iterdir())
+    for name in names:
+        assert (ordered / name).read_bytes() == (shuffled / name).read_bytes()
+    calls = []
+    stage_synth = cli.STAGE_FUNCS["synth"]
+
+    def spy(*args):
+        calls.append(args)
+        return stage_synth(*args)
+
+    monkeypatch.setitem(cli.STAGE_FUNCS, "synth", spy)
+    config = _write_config(tmp_path, {"stages": ["synth", "synth", "ingest"],
+                                      "synth": synth}, "repeated.json")
+    assert cli.run(config, tmp_path / "repeated") == 0
+    assert len(calls) == 1
+    assert (tmp_path / "repeated" / "manifest_ingest.json").exists()
 
 
 def test_seed_override_changes_synth(tmp_path):

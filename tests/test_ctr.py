@@ -3,6 +3,7 @@ import pytest
 
 from conftest import rows
 from persona_forge import ctr, features, mixture, synth
+from persona_forge.ingest import RecordSet
 from persona_forge.ctr import (CTR_CHARACTERIZATIONS, CtrError,
                                FeatureModeRecipe, auc_score, build_dataset,
                                design, fit_item_model, fit_mode_h,
@@ -54,11 +55,9 @@ def test_persona_features_pools_months():
     matrices, models, users = _toy_features()
     feats = persona_features(matrices, models)
     assert feats.users == tuple(sorted(users))
-    u = feats.users[0]
-    i = feats.index[u]
     cm = matrices["CR"]
-    manual = cm.values[cm.user == cm.users.index(u)].sum(axis=0)
-    np.testing.assert_allclose(feats.raw["CR"][i], manual)
+    manual = cm.values[cm.user == 0].sum(axis=0)
+    np.testing.assert_allclose(feats.raw["CR"][0], manual)
     assert feats.soft["CR"].shape == (30, 3)
     assert feats.hard["DG"].shape == (30,)
 
@@ -92,23 +91,24 @@ def test_feature_layout_widths():
 
 
 def test_build_dataset_labels_and_negatives():
-    matrices, models, users = _toy_features()
+    matrices, models, _ = _toy_features()
     feats = persona_features(matrices, models)
-    items = {"i0": set(users[:4])}
+    items = {"i0": np.array([3, 9, 17, 28])}
     recipe = FeatureModeRecipe({"CR": "c", "DG": "-", "ME": "-"})
     ds = build_dataset(items, feats, recipe, "i0", neg_ratio=2, seed=1)
     assert ds.y.sum() == 4
     assert len(ds.y) == 12
     assert not ds.negatives_short
     assert ds.X.shape == (12, 5)
-    for u, y in zip(ds.users, ds.y):
+    assert ds.rows[:4].tolist() == [3, 9, 17, 28]
+    for u, y in zip(ds.rows, ds.y):
         assert (u in items["i0"]) == bool(y)
 
 
 def test_build_dataset_negatives_short():
-    matrices, models, users = _toy_features()
+    matrices, models, _ = _toy_features()
     feats = persona_features(matrices, models)
-    items = {"i0": set(users[:25])}
+    items = {"i0": np.arange(25)}
     recipe = FeatureModeRecipe({"CR": "c"})
     ds = build_dataset(items, feats, recipe, "i0", neg_ratio=5, seed=1)
     assert ds.negatives_short
@@ -116,14 +116,15 @@ def test_build_dataset_negatives_short():
 
 
 def test_build_dataset_eligible_users_restrict():
-    matrices, models, users = _toy_features()
+    matrices, models, _ = _toy_features()
     feats = persona_features(matrices, models)
-    items = {"i0": set(users[:10])}
-    eligible = sorted(users)[:15]
+    items = {"i0": np.arange(0, 30, 3)}
+    eligible = np.arange(15)
     recipe = FeatureModeRecipe({"CR": "c"})
     ds = build_dataset(items, feats, recipe, "i0", neg_ratio=1, seed=1,
                        eligible_users=eligible)
-    assert set(ds.users) <= set(eligible)
+    assert set(ds.rows.tolist()) <= set(eligible.tolist())
+    assert ds.y.sum() == 5
 
 
 def test_build_dataset_validation():
@@ -133,7 +134,8 @@ def test_build_dataset_validation():
     with pytest.raises(CtrError):
         build_dataset({}, feats, recipe, "missing")
     with pytest.raises(CtrError):
-        build_dataset({"i0": {"u0"}}, feats, recipe, "i0", neg_ratio=0)
+        build_dataset({"i0": np.array([0])}, feats, recipe, "i0",
+                      neg_ratio=0)
 
 
 def test_smooth_gradient_matches_finite_differences():
@@ -280,19 +282,19 @@ def test_mode_h_single_class_fallback():
 
 
 def test_top_items_ranking_and_tie_break():
-    items = {"b": {"u1", "u2"}, "a": {"u1", "u2"}, "c": {"u1", "u2", "u3"}}
+    items = {"b": np.array([1, 2]), "a": np.array([1, 2]),
+             "c": np.array([1, 2, 3])}
     assert top_items(items, 2) == ["c", "a"]
     assert top_items(items, 10) == ["c", "a", "b"]
 
 
 def test_split_users_deterministic_and_disjoint():
-    users = [f"u{i}" for i in range(50)]
-    train1, test1 = split_users(users, 0.2, seed=3)
-    train2, test2 = split_users(users, 0.2, seed=3)
-    assert (train1, test1) == (train2, test2)
+    train1, test1 = split_users(50, 0.2, seed=3)
+    train2, test2 = split_users(50, 0.2, seed=3)
+    np.testing.assert_array_equal(train1, train2)
+    np.testing.assert_array_equal(test1, test2)
     assert len(test1) == 10
-    assert set(train1) | set(test1) == set(users)
-    assert not set(train1) & set(test1)
+    assert sorted(np.concatenate([train1, test1]).tolist()) == list(range(50))
 
 
 def test_item_user_sets_from_records():
@@ -300,16 +302,154 @@ def test_item_user_sets_from_records():
     expected = {}
     for r in rows(rs):
         expected.setdefault(r.content_id, set()).add(r.user_id)
-    assert item_user_sets(rs) == expected
+    items = item_user_sets(rs)
+    assert {item: {rs.users[u] for u in codes.tolist()}
+            for item, codes in items.items()} == expected
+    for codes in items.values():
+        assert np.all(np.diff(codes) > 0)
+
+
+def _reference_item_user_sets(rs):
+    """Each item's set of user ids."""
+    order = np.argsort(rs.content, kind="stable")
+    codes, starts = np.unique(rs.content[order], return_index=True)
+    users = np.asarray(rs.users, dtype=object)[rs.user[order]]
+    return {rs.contents[c]: set(group)
+            for c, group in zip(codes.tolist(), np.split(users, starts[1:]))}
+
+
+def _reference_split_users(users, test_fraction, seed):
+    """Sorted (train, test) id lists from a shuffled copy of `users`."""
+    rng = np.random.default_rng(seed)
+    order = list(users)
+    rng.shuffle(order)
+    n_test = int(round(test_fraction * len(order)))
+    return sorted(order[n_test:]), sorted(order[:n_test])
+
+
+def _reference_build_dataset(items, features, recipe, item_id, neg_ratio,
+                             seed, eligible_users):
+    """`build_dataset` on id sets and id lists; returns the row ids."""
+    index = {u: i for i, u in enumerate(features.users)}
+    universe = eligible_users if eligible_users is not None else features.users
+    universe = [u for u in universe if u in index]
+    positives = sorted(u for u in universe if u in items[item_id])
+    candidates = sorted(u for u in universe if u not in items[item_id])
+    wanted = neg_ratio * len(positives)
+    rng = np.random.default_rng(seed)
+    short = wanted > len(candidates)
+    if short:
+        negatives = candidates
+    else:
+        pick = rng.choice(len(candidates), size=wanted, replace=False)
+        negatives = [candidates[i] for i in sorted(pick)]
+    users = positives + negatives
+    rows = np.array([index[u] for u in users], dtype=np.int64)
+    X = design(features, recipe)[rows]
+    y = np.zeros(len(users))
+    y[:len(positives)] = 1.0
+    hard_ch = recipe.hard_characterization
+    hard = (features.hard[hard_ch][rows] if hard_ch
+            else np.zeros(len(rows), dtype=np.int64))
+    return X, y, users, hard, short
+
+
+def _random_record_set(rng):
+    n = int(rng.integers(1, 40))
+    users = [f"u{j}" for j in range(int(rng.integers(1, 12)))]
+    contents = [f"c{j}" for j in range(int(rng.integers(1, 6)))]
+    return RecordSet.build(
+        rng.choice(users, n).tolist(), rng.integers(0, 50, n),
+        np.zeros(n, np.int64), rng.choice(contents, n).tolist(),
+        rng.random(n) < 0.5, rng.integers(1, 900, n), rng.integers(0, 16, n),
+        rng.integers(1970, 2016, n))
+
+
+def _random_persona_features(rng, users):
+    n = len(users)
+    widths = {"CR": 5, "DG": 16, "ME": 13}
+    return ctr.UserPersonaFeatures(
+        users, {ch: rng.random((n, d)) for ch, d in widths.items()},
+        {ch: rng.random((n, 3)) for ch in widths},
+        {ch: rng.integers(0, 3, n) for ch in widths})
+
+
+def test_item_user_sets_matches_id_set_reference():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        rs = _random_record_set(rng)
+        items = item_user_sets(rs)
+        assert {item: {rs.users[u] for u in codes.tolist()}
+                for item, codes in items.items()} == (
+            _reference_item_user_sets(rs))
+        for codes in items.values():
+            assert codes.dtype == np.int64 and np.all(np.diff(codes) > 0)
+
+
+def test_split_users_matches_id_shuffle_reference():
+    rng = np.random.default_rng(32)
+    sizes = [1, 2, 7, 50, 400, 20000,
+             *rng.integers(1, 100, 200).tolist()]
+    for n in sizes:
+        ids = tuple(sorted(f"u{j}" for j in range(n)))
+        fraction, seed = float(rng.random()), int(rng.integers(0, 1000))
+        train, test = split_users(n, fraction, seed)
+        ref_train, ref_test = _reference_split_users(ids, fraction, seed)
+        assert [ids[u] for u in train.tolist()] == ref_train
+        assert [ids[u] for u in test.tolist()] == ref_test
+
+
+def test_build_dataset_matches_id_list_reference():
+    """Single-user universes, items every eligible user bought, empty
+    eligible sets and neg_ratio values that run short."""
+    rng = np.random.default_rng(33)
+    recipes = [FeatureModeRecipe(dict(zip(CTR_CHARACTERIZATIONS, m)))
+               for m in ("ccc", "ss-", "hc-", "-h-", "---")]
+    shorts = 0
+    for case in range(300):
+        n = 1 if case % 10 == 0 else int(rng.integers(2, 25))
+        users = tuple(sorted(f"u{j}" for j in rng.choice(500, n,
+                                                         replace=False)))
+        feats = _random_persona_features(rng, users)
+        if case % 4 == 0:
+            eligible = None
+        elif case % 4 == 1:
+            eligible = np.zeros(0, dtype=np.int64)
+        else:
+            eligible = np.flatnonzero(rng.random(n) < rng.random())
+        within = np.arange(n) if eligible is None else eligible
+        items = {"i": np.flatnonzero(rng.random(n) < rng.random()),
+                 "all": within if len(within) else np.array([0])}
+        items = {k: v for k, v in items.items() if len(v)}
+        item = str(rng.choice(sorted(items)))
+        recipe = recipes[case % len(recipes)]
+        neg_ratio, seed = int(rng.integers(1, 7)), int(rng.integers(0, 99))
+        ds = build_dataset(items, feats, recipe, item, neg_ratio=neg_ratio,
+                           seed=seed, eligible_users=eligible)
+        X, y, ref_users, hard, short = _reference_build_dataset(
+            {k: {users[u] for u in v.tolist()} for k, v in items.items()},
+            feats, recipe, item, neg_ratio, seed,
+            None if eligible is None else [users[u] for u in eligible])
+        assert [users[u] for u in ds.rows.tolist()] == ref_users
+        np.testing.assert_array_equal(ds.X, X)
+        np.testing.assert_array_equal(ds.y, y)
+        np.testing.assert_array_equal(ds.hard, hard)
+        assert ds.negatives_short == short
+        shorts += short
+    assert 0 < shorts < 300
+
+
+def _toy_items():
+    """Six items, each bought by a random 40 % of the 30 toy users."""
+    rng = np.random.default_rng(8)
+    items = {f"i{k}": np.flatnonzero(rng.random(30) < 0.4) for k in range(6)}
+    return {k: v for k, v in items.items() if len(v)}
 
 
 def test_run_ctr_experiment_smoke():
-    rng = np.random.default_rng(8)
-    matrices, models, users = _toy_features()
+    matrices, models, _ = _toy_features()
     feats = persona_features(matrices, models)
-    items = {f"i{k}": {u for u in users if rng.random() < 0.4}
-             for k in range(6)}
-    items = {k: v for k, v in items.items() if v}
+    items = _toy_items()
     recipe = FeatureModeRecipe({"CR": "c", "DG": "s", "ME": "-"})
     cfg = ctr.CtrExperimentConfig(lam=0.01, neg_ratio=2, top_n=4,
                                   test_fraction=0.3, seed=1)
@@ -323,7 +463,7 @@ def test_run_ctr_experiment_smoke():
 def _reference_run_ctr_experiment(items, features, recipe, config):
     """The two-path loop: a plain fit without 'h', per-cluster fits with it;
     p summed from per-mode block widths."""
-    train_users, test_users = split_users(features.users,
+    train_users, test_users = split_users(len(features.users),
                                           config.test_fraction, config.seed)
     p = sum(features.raw[ch].shape[1] if recipe.mode(ch) == "c"
             else features.soft[ch].shape[1] if recipe.mode(ch) == "s" else 0
@@ -359,12 +499,9 @@ def _reference_run_ctr_experiment(items, features, recipe, config):
 @pytest.mark.parametrize("modes", ["c,c,c", "s,s,s", "h,c,c", "-,-,-",
                                    "-,h,-"])
 def test_run_ctr_experiment_matches_two_path_reference(modes):
-    rng = np.random.default_rng(8)
-    matrices, models, users = _toy_features()
+    matrices, models, _ = _toy_features()
     feats = persona_features(matrices, models)
-    items = {f"i{k}": {u for u in users if rng.random() < 0.4}
-             for k in range(6)}
-    items = {k: v for k, v in items.items() if v}
+    items = _toy_items()
     recipe = FeatureModeRecipe(dict(zip(CTR_CHARACTERIZATIONS,
                                         modes.split(","))))
     cfg = ctr.CtrExperimentConfig(lam=0.01, neg_ratio=2, top_n=6,

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import rows, user_months
-from persona_forge import features, synth
+from persona_forge import artifacts, features, synth
 from persona_forge.features import (bin_frequency, bin_recency, bin_timeday,
                                     me_index, tenure_align)
 from persona_forge.ingest import MONTH_SECONDS
 from persona_forge.synth import (GeneratorConfig, GeneratorError,
                                  PlantedMixture, SpendModel, default_config,
-                                 generate, read_ground_truth,
-                                 write_ground_truth)
+                                 generate, write_ground_truth)
 
 TF = PlantedMixture(np.array([0.5, 0.5]),
                     np.array([[0.7, 0.3, 0, 0, 0, 0.0],
@@ -62,7 +61,9 @@ def test_generate_is_deterministic():
     rs1, gt1 = generate(cfg)
     rs2, gt2 = generate(default_config(30, 2, seed=5))
     assert rows(rs1) == rows(rs2)
-    assert gt1.labels == gt2.labels
+    assert gt1.users == gt2.users and gt1.labels.keys() == gt2.labels.keys()
+    for ch, table in gt1.labels.items():
+        np.testing.assert_array_equal(table, gt2.labels[ch])
     rs3, _ = generate(default_config(30, 2, seed=6))
     assert rows(rs1) != rows(rs3)
 
@@ -73,10 +74,10 @@ def test_every_user_month_has_transactions_and_anchor():
     cm = features.aggregate(rs, tenure_align(rs), "TF")
     # tenure alignment reproduces planted user-months (later months may draw
     # zero transactions, so observed keys form a subset)
-    planted = set(gt.labels["TF"])
+    assert gt.labels["TF"].shape == (40, 3)
+    planted = {(u, m) for u in gt.users for m in range(3)}
     assert set(user_months(cm)) <= planted
-    users = {u for u, _ in planted}
-    assert {(u, 0) for u in users} <= set(user_months(cm))
+    assert {(u, 0) for u in gt.users} <= set(user_months(cm))
     # the first of each user's rows is their earliest: the tenure birth
     starts = np.flatnonzero(np.r_[True, rs.user[1:] != rs.user[:-1]])
     assert np.array_equal(np.minimum.reduceat(rs.timestamp, starts),
@@ -128,22 +129,18 @@ def test_migration_only_hits_niche_clusters():
     cfg = GeneratorConfig(300, 6, seed=4, mixtures={"TF": mix},
                           migration_rate=1.0, poisson_mean=3.0)
     _, gt = generate(cfg)
-    table = gt.labels["TF"]
-    users = {u for u, _ in table}
-    for u in users:
-        labs = [table[(u, m)] for m in range(6)]
-        for a, b in zip(labs, labs[1:]):
-            if a != 2:
-                assert b == a  # non-niche labels never move
+    t = gt.labels["TF"]
+    assert t.shape == (300, 6)
+    # non-niche labels never move
+    assert np.all((t[:, 1:] == t[:, :-1]) | (t[:, :-1] == 2))
+    assert np.any(t[:, 1:] != t[:, :-1])
 
 
 def test_no_migration_keeps_labels_constant():
     _, gt = generate(default_config(50, 4, seed=8))
-    for ch, table in gt.labels.items():
-        users = {u for u, _ in table}
-        for u in users:
-            labs = {table[(u, m)] for m in range(4)}
-            assert len(labs) == 1, ch
+    for ch, t in gt.labels.items():
+        assert t.shape == (50, 4), ch
+        assert np.all(t == t[:, :1]), ch
 
 
 def test_spend_realization_is_unbiased():
@@ -172,8 +169,38 @@ def test_ground_truth_io_roundtrip(tmp_path):
     _, gt = generate(default_config(10, 2, seed=7))
     path = tmp_path / "gt.csv"
     write_ground_truth(gt, path)
-    back = read_ground_truth(path)
-    assert back.labels == gt.labels
+    back = {ch: np.zeros_like(t) for ch, t in gt.labels.items()}
+    for user, month, ch, label in artifacts.read_csv(path):
+        back[ch][gt.users.index(user), int(month)] = int(label)
+    for ch, t in gt.labels.items():
+        np.testing.assert_array_equal(back[ch], t)
+    assert sum(1 for _ in artifacts.read_csv(path)) == 4 * 10 * 2
+
+
+def _reference_write_ground_truth(labels, path):
+    """The dict writer: `labels` maps ch -> {(user, month): label}."""
+    artifacts.write_csv(
+        path, ["user_id", "month_index", "characterization", "label"],
+        ([user, month, ch, label]
+         for ch in sorted(labels)
+         for (user, month), label in sorted(labels[ch].items())))
+
+
+@pytest.mark.parametrize("n_users", [1, 9, 10, 40])
+@pytest.mark.parametrize("months", [1, 2, 3, 4])
+def test_ground_truth_csv_matches_dict_reference(tmp_path, n_users, months):
+    cfg = default_config(n_users, months, seed=n_users + months,
+                         price_mode="me", migration_rate=0.5,
+                         spend_model=SpendModel(synth.DEFAULT_ME_PI,
+                                                synth.DEFAULT_ME_CENTERS,
+                                                niche=(0, 2)))
+    _, gt = generate(cfg)
+    dicts = {ch: {(u, m): int(t[i, m]) for i, u in enumerate(gt.users)
+                  for m in range(months)} for ch, t in gt.labels.items()}
+    write_ground_truth(gt, tmp_path / "gt.csv")
+    _reference_write_ground_truth(dicts, tmp_path / "ref.csv")
+    assert (tmp_path / "gt.csv").read_bytes() == (
+        tmp_path / "ref.csv").read_bytes()
 
 
 def test_label_array_ordering():
@@ -181,7 +208,8 @@ def test_label_array_ordering():
     cm = features.aggregate(rs, tenure_align(rs), "TF")
     arr = gt.label_array("TF", cm.users, cm.user, cm.month)
     assert arr.shape == (len(cm.user),)
-    assert arr[0] == gt.labels["TF"][user_months(cm)[0]]
+    for j, (u, m) in enumerate(user_months(cm)):
+        assert arr[j] == gt.labels["TF"][gt.users.index(u), m]
 
 
 def test_default_me_pi_is_normalized():
