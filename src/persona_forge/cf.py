@@ -212,37 +212,48 @@ def fit_factor(n_users: int, n_items: int, ratings, variant: str = "vanilla",
         model.static = np.asarray(static, dtype=np.float64)
         model.Qs = aug_rng.normal(0.0, scale, (n_items, model.static.shape[1]))
 
-    P, Q, bu, bi, ba, Y, Qs, static = (model.P, model.Q, model.bu, model.bi,
-                                       model.ba, model.Y, model.Qs, model.static)
+    P, Q, Y, Qs, static = model.P, model.Q, model.Y, model.Qs, model.static
+    # the biases are Python floats during an epoch: the same IEEE double
+    # arithmetic as numpy scalars, without numpy's dispatch per operation
+    bu, bi = model.bu.tolist(), model.bi.tolist()
+    ba = None if model.ba is None else model.ba.tolist()
     labels = [-1] * n_users if clusters is None else clusters.tolist()
     order = np.arange(len(values))
     reg = config.reg
     for epoch in range(config.epochs):
-        lr = config.lr / np.sqrt(1.0 + epoch)
+        lr = float(config.lr / np.sqrt(1.0 + epoch))
         rng.shuffle(order)
         for u, i, r in zip(users[order].tolist(), items[order].tolist(),
                            values[order].tolist()):
             c = labels[u]
-            p = P[u].copy()  # pre-update values for every update below
-            q = Q[i].copy()
+            p, q = P[u], Q[i]  # views: every use below precedes their write
             pred = mu + bi[i] + bu[u]
             if c >= 0 and ba is not None:
                 pred += ba[c]
             user_vec = p + Y[c] if c >= 0 and Y is not None else p
-            pred += Q[i] @ user_vec
+            pred += float(q.dot(user_vec))
             if static is not None:
-                pred += Qs[i] @ static[u]
+                pred += float(Qs[i].dot(static[u]))
             err = r - pred
             bu[u] += lr * (err - reg * bu[u])
             bi[i] += lr * (err - reg * bi[i])
             if c >= 0 and ba is not None:
                 ba[c] += lr * (err - reg * ba[c])
-            P[u] = p + lr * (err * q - reg * p)
-            Q[i] = q + lr * (err * user_vec - reg * q)
             if c >= 0 and Y is not None:
                 Y[c] += lr * (err * q - reg * Y[c])
             if static is not None:
                 Qs[i] += lr * (err * static[u] - reg * Qs[i])
+            # P[u] and Q[i] in one (2, f) pass over rows [p; q] and
+            # partners [q; user_vec]: element for element the operations
+            # of p + lr * (err * q - reg * p) and of its Q twin
+            stacked = np.array((p, q, user_vec))
+            rows = stacked[:2]
+            new = rows + lr * (err * stacked[1:] - reg * rows)
+            P[u] = new[0]
+            Q[i] = new[1]
+        model.bu[:], model.bi[:] = bu, bi
+        if ba is not None:
+            model.ba[:] = ba
         model.rmse_trace.append(_rmse(model, columns))
         if not np.isfinite(model.rmse_trace[-1]):
             raise CfError(f"SGD diverged in epoch {epoch + 1}")

@@ -153,6 +153,15 @@ def check_config(config: dict) -> None:
                 if member not in rule:
                     raise ConfigError(f"config value {name!r} takes only "
                                       f"{list(rule)}, got {member!r}")
+    # synth plants migration only in niche clusters; the defaults have none
+    planted = list(objects["synth.mixtures"].values())
+    if objects["synth"].get("price_mode") == "me":
+        planted.append(objects["synth"].get("spend_model"))
+    if objects["synth"].get("migration_rate", 0) > 0 and not any(
+            (spec or {}).get("niche") for spec in planted):
+        raise ConfigError("config value 'synth.migration_rate' > 0 needs a "
+                          "'niche' cluster in a given synth.mixtures.<ch> "
+                          "or, under price_mode 'me', synth.spend_model")
     if objects["ctr"].get("recipes") == []:
         raise ConfigError("config value 'ctr.recipes' must not be empty")
     for recipe in objects["ctr"].get("recipes", ()):

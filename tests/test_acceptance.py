@@ -346,7 +346,7 @@ def test_solver_kkt_and_gradient():
     y = (rng.random(60) < 0.4).astype(float)
     w = rng.normal(0, 0.5, 7)
     b = -0.2
-    g, gb = ctr.smooth_gradient(w, b, X, y)
+    g, gb = ctr.smooth_gradient(X, y, X @ w + b)
 
     def loss(w_, b_):
         z = X @ w_ + b_

@@ -263,6 +263,106 @@ def test_diverging_sgd_raises(variant):
                    config=FactorConfig(lr=5.0, epochs=3, seed=1))
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _reference_fit_factor(n_users, n_items, ratings, variant, clusters=None,
+                          static=None, config=FactorConfig()):
+    """The scalar SGD loop: numpy scalar biases, copied factor rows and one
+    row update at a time, in the order of the model's equations."""
+    users, items, values = columns = cf._columns(ratings)
+    mu = float(np.mean(values))
+    if variant not in ("a", "b", "d"):
+        clusters = None
+    if variant == "d":
+        submodels, empty = {}, []
+        for c in np.unique(clusters).tolist():
+            rows = clusters[users] == c
+            if not rows.any():
+                empty.append(c)
+                continue
+            submodels[c] = _reference_fit_factor(
+                n_users, n_items, np.column_stack(columns)[rows], "vanilla",
+                config=FactorConfig(config.f, config.lr, config.reg,
+                                    config.epochs, config.seed + c + 1))
+        model = cf.FactorModel("d", mu, np.zeros(n_users), np.zeros(n_items),
+                               np.zeros((n_users, 1)), np.zeros((n_items, 1)),
+                               clusters=clusters, submodels=submodels,
+                               empty_clusters=empty)
+        model.rmse_trace = [cf._rmse(model, columns)]
+        return model
+    rng = np.random.default_rng(config.seed)
+    scale = cf.INIT_SCALE / np.sqrt(config.f)
+    model = cf.FactorModel(
+        variant, mu, np.zeros(n_users), np.zeros(n_items),
+        rng.normal(0.0, scale, (n_users, config.f)),
+        rng.normal(0.0, scale, (n_items, config.f)), clusters=clusters)
+    aug_rng = np.random.default_rng((config.seed, 1))
+    if variant == "a":
+        model.ba = np.zeros(int(clusters.max(initial=-1)) + 1)
+    if variant == "b":
+        model.Y = aug_rng.normal(0.0, scale,
+                                 (int(clusters.max(initial=-1)) + 1, config.f))
+    if variant == "c":
+        model.static = np.asarray(static, dtype=np.float64)
+        model.Qs = aug_rng.normal(0.0, scale, (n_items, model.static.shape[1]))
+    P, Q, bu, bi = model.P, model.Q, model.bu, model.bi
+    ba, Y, Qs, static = model.ba, model.Y, model.Qs, model.static
+    labels = [-1] * n_users if clusters is None else clusters.tolist()
+    order = np.arange(len(values))
+    reg = config.reg
+    for epoch in range(config.epochs):
+        lr = config.lr / np.sqrt(1.0 + epoch)
+        rng.shuffle(order)
+        for u, i, r in zip(users[order].tolist(), items[order].tolist(),
+                           values[order].tolist()):
+            c = labels[u]
+            p = P[u].copy()
+            q = Q[i].copy()
+            pred = mu + bi[i] + bu[u]
+            if c >= 0 and ba is not None:
+                pred += ba[c]
+            user_vec = p + Y[c] if c >= 0 and Y is not None else p
+            pred += Q[i] @ user_vec
+            if static is not None:
+                pred += Qs[i] @ static[u]
+            err = r - pred
+            bu[u] += lr * (err - reg * bu[u])
+            bi[i] += lr * (err - reg * bi[i])
+            if c >= 0 and ba is not None:
+                ba[c] += lr * (err - reg * ba[c])
+            P[u] = p + lr * (err * q - reg * p)
+            Q[i] = q + lr * (err * user_vec - reg * q)
+            if c >= 0 and Y is not None:
+                Y[c] += lr * (err * q - reg * Y[c])
+            if static is not None:
+                Qs[i] += lr * (err * static[u] - reg * Qs[i])
+        model.rmse_trace.append(cf._rmse(model, columns))
+    return model
+
+
+@pytest.mark.parametrize("variant", ["vanilla", "a", "b", "c", "d"])
+def test_fit_factor_matches_scalar_reference(variant):
+    n_users, n_items, ratings = _toy_ratings(seed=13, n_users=50)
+    # labels -1..3: a and b see users without a cluster; c a static block
+    clusters = np.arange(n_users) % 5 - 1
+    static = np.random.default_rng(2).random((n_users, 3))
+    cfg = FactorConfig(f=6, epochs=4, seed=5)
+    model = fit_factor(n_users, n_items, ratings, variant, clusters=clusters,
+                       static=static, config=cfg)
+    ref = _reference_fit_factor(n_users, n_items, ratings, variant,
+                                clusters=clusters, static=static, config=cfg)
+    pairs = [(model, ref)]
+    if variant == "d":
+        assert model.submodels.keys() == ref.submodels.keys()
+        pairs += [(model.submodels[c], ref.submodels[c])
+                  for c in ref.submodels]
+    for got, want in pairs:
+        for name in ("P", "Q", "bu", "bi", "ba", "Y", "Qs"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a is None) == (b is None), name
+            assert a is None or a.tobytes() == b.tobytes(), name
+        assert got.rmse_trace == want.rmse_trace
+
+
 def test_vanilla_training_reduces_rmse():
     n_users, n_items, ratings = _toy_ratings()
     model = fit_factor(n_users, n_items, ratings, "vanilla",

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from persona_forge import cf, cli, ingest
+from persona_forge import cf, cli, ingest, synth
 
 SMALL_CONFIG = {
     "seed": 7,
@@ -498,6 +498,29 @@ def test_bad_config_value_is_validation_error(tmp_path, capsys, stage,
                    else tmp_path / "out") == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert json.loads(line)["error"] == "validation"
+
+
+def test_migration_without_niche_is_validation_error(tmp_path, capsys):
+    # synth plants migration only in niche clusters, and the published
+    # tables have none, so a migration rate alone would plant nothing
+    out = tmp_path / "out"
+    planted = {"n_users": 20, "months_per_user": 2, "migration_rate": 0.3}
+    path = _write_config(tmp_path, {"stages": ["synth"], "synth": planted})
+    assert cli.run(path, out) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "synth.migration_rate" in json.loads(line)["message"]
+    assert not out.exists()
+    tf = {"pi": synth.DEFAULT_TF_PI.tolist(),
+          "theta": synth.DEFAULT_TF_THETA.tolist(), "niche": [2]}
+    path = _write_config(tmp_path, {"stages": ["synth"], "synth": {
+        **planted, "mixtures": {"TF": tf}}})
+    assert cli.run(path, out) == 0
+    # the spend model's niche counts only where it plants prices
+    me = {**planted, "spend_model": {"niche": [1]}}
+    cli.check_config({"stages": ["synth"],
+                      "synth": {**me, "price_mode": "me"}})
+    with pytest.raises(cli.ConfigError, match="synth.migration_rate"):
+        cli.check_config({"stages": ["synth"], "synth": me})
 
 
 def test_required_keys_and_nulls():

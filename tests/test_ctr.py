@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from conftest import rows
 from persona_forge import ctr, features, mixture, synth
@@ -144,7 +145,7 @@ def test_smooth_gradient_matches_finite_differences():
     y = (rng.random(40) < 0.4).astype(float)
     w = rng.normal(0, 0.5, 6)
     b = 0.3
-    g, gb = smooth_gradient(w, b, X, y)
+    g, gb = smooth_gradient(X, y, X @ w + b)
 
     def loss(w_, b_):
         z = X @ w_ + b_
@@ -218,6 +219,71 @@ def test_constant_columns_are_safe():
     y = (rng.random(60) < 0.5).astype(float)
     model = fit_item_model(X, y, lam=0.01)
     assert np.isfinite(predict_scores(model, X)).all()
+
+
+def _reference_fit_item_model(X, y, lam):
+    """The ISTA loop that recomputes the margins for each gradient, with
+    np.mean and the `where` form of the KKT check; also returns the count
+    of backtracking halvings."""
+    n_pos = int(y.sum())
+    mu = X.mean(axis=0) if X.shape[1] else np.zeros(0)
+    sd = X.std(axis=0) if X.shape[1] else np.zeros(0)
+    sd = np.where(sd == 0, 1.0, sd)
+    Xs = (X - mu) / sd
+
+    def loss(w, b):
+        z = Xs @ w + b
+        return float(np.mean(np.logaddexp(0.0, z) - y * z))
+
+    w = np.zeros(X.shape[1])
+    b = float(np.log(n_pos / (len(y) - n_pos)))
+    step, viol, converged, halvings = 1.0, np.inf, False, 0
+    f0 = loss(w, b)
+    for _ in range(ctr.MAX_ITER):
+        r = expit(Xs @ w + b) - y
+        g, gb = Xs.T @ r / len(y), float(r.mean())
+        viol = max(abs(gb), float(np.where(
+            w == 0, np.maximum(np.abs(g) - lam, 0.0),
+            np.abs(g + lam * np.sign(w))).max(initial=0.0)))
+        if viol <= ctr.KKT_TOL:
+            converged = True
+            break
+        while True:
+            v = w - step * g
+            w_new = np.sign(v) * np.maximum(np.abs(v) - step * lam, 0.0)
+            b_new = b - step * gb
+            dw, db = w_new - w, b_new - b
+            f_new = loss(w_new, b_new)
+            if f_new <= (f0 + g @ dw + gb * db
+                         + ((dw @ dw) + db * db) / (2.0 * step)) + 1e-12:
+                break
+            step *= 0.5
+            halvings += 1
+            if step < 1e-12:
+                break
+        w, b, f0 = w_new, b_new, f_new
+        step = min(step * 1.5, 1e4)
+    return w, b, viol, converged, halvings
+
+
+@pytest.mark.parametrize("case", ["p0", "constant", "zeroed", "backtracks"])
+def test_fit_item_model_matches_reference_loop(case):
+    rng = np.random.default_rng(21)
+    X = rng.gamma(1.0, 2.0, (200, 0 if case == "p0" else 12))
+    if case == "constant":
+        X[:, 3] = 4.0
+    y = (rng.random(200) < 1 / (1 + np.exp(-(X[:, :2].sum(1) - 4.0)))
+         if X.shape[1] else rng.random(200) < 0.3).astype(float)
+    lam = {"zeroed": 10.0, "backtracks": 1e-4}.get(case, 2e-3)
+    model = fit_item_model(X, y, lam)
+    w, b, viol, converged, halvings = _reference_fit_item_model(X, y, lam)
+    assert model.weights.tobytes() == w.tobytes()
+    assert (model.intercept, model.kkt_violation, model.converged) == (
+        b, viol, converged)
+    if case == "zeroed":
+        assert not w.any()
+    if case == "backtracks":
+        assert halvings > 0
 
 
 def _reference_kkt_violation(w, grad, grad_b, lam):

@@ -10,8 +10,9 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from persona_forge import cf
+from persona_forge import cf, ctr
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -41,3 +42,43 @@ def test_fit_factor_recorder_counts_rating_rows():
                                 (7, 1, ratings, "a", np.zeros(7, int)),
                                 {"config": cf.FactorConfig(epochs=4)}, None)
     assert attrs == {"ratings": 7, "variant": "a", "epochs": 4}
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_fit_item_model_takes_one_gradient_per_iteration(monkeypatch):
+    # ctr.iters_per_fit counts ctr.smooth_gradient calls per fit
+    calls = _count_calls(monkeypatch, ctr, "smooth_gradient")
+    rng = np.random.default_rng(3)
+    X = rng.normal(0, 1, (200, 6))
+    y = (rng.random(200) < 1 / (1 + np.exp(-X[:, 0]))).astype(float)
+    assert ctr.fit_item_model(X, y, 0.01).converged
+    iterations = len(calls)
+    assert iterations > 1
+    # one iteration short of that, every iteration is an accepted step:
+    # the converged fit took its accepted steps + 1 gradients
+    monkeypatch.setattr(ctr, "MAX_ITER", iterations - 1)
+    calls.clear()
+    assert not ctr.fit_item_model(X, y, 0.01).converged
+    assert len(calls) == iterations - 1
+
+
+@pytest.mark.parametrize("variant", ["vanilla", "a"])
+def test_fit_factor_takes_one_rmse_per_epoch(monkeypatch, variant):
+    # cf.rmse.s is the time of the cf._rmse calls
+    calls = _count_calls(monkeypatch, cf, "_rmse")
+    ratings = np.column_stack([np.arange(6) % 3, np.arange(6) % 2,
+                               np.arange(6) + 1.0])
+    model = cf.fit_factor(3, 2, ratings, variant, np.array([0, -1, 1]),
+                          config=cf.FactorConfig(f=2, epochs=4))
+    assert len(calls) == len(model.rmse_trace) == 4
