@@ -7,8 +7,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .mixture import (EMConfig, KMeansConfig, MixtureModel, fit_em,
-                      fit_kmeans, match_clusters)
+from .mixture import EMConfig, MixtureModel, fit_em, fit_model, match_clusters
 
 log = logging.getLogger(__name__)
 
@@ -22,27 +21,18 @@ class StabilityReport:
     failed_runs: list[int] = field(default_factory=list)
 
 
-def _fit_subsample(X, k, method, cfg):
-    if method == "kmeans":
-        model, labels = fit_kmeans(X, k, cfg)
-        centers = model.centers
-    else:
-        model, assign = fit_em(X, k, cfg)
-        centers = model.theta
-        labels = assign.hard
-    shares = np.bincount(labels, minlength=k) / len(labels)
-    return centers, shares
-
-
 def stability_check(X: np.ndarray, k: int, epsilon: float, delta: float,
-                    runs: int = 10, seed: int = 0, method: str = "em",
+                    runs: int = 10, seed: int = 0,
                     fit_config=None) -> StabilityReport:
     """Refit on 50% subsamples and compare matched cluster centers and sizes.
 
-    Clusters are matched across every pair of runs by min-cost bipartite
-    matching on center l2 distance; the report carries the worst matched
-    center distance and the worst matched size deviation (absolute share
-    difference). Runs producing an empty cluster are recorded as failed.
+    Each refit is `fit_model` under `fit_config` (default
+    `EMConfig(restarts=4)`) with a fresh seed: k-means for a KMeansConfig,
+    EM otherwise. Clusters are matched across every pair of runs by
+    min-cost bipartite matching on center l2 distance; the report carries
+    the worst matched center distance and the worst matched size deviation
+    (absolute share difference). Runs producing an empty cluster are
+    recorded as failed.
     """
     if runs < 2:
         raise ValueError("stability needs at least 2 subsample runs")
@@ -52,14 +42,15 @@ def stability_check(X: np.ndarray, k: int, epsilon: float, delta: float,
         raise ValueError(f"k = {k} but each 50% subsample has only {n // 2} "
                          f"of the {n} rows")
     rng = np.random.default_rng(seed)
-    if fit_config is None:
-        fit_config = EMConfig(restarts=4) if method == "em" else KMeansConfig(restarts=4)
+    fit_config = fit_config or EMConfig(restarts=4)
 
     results = []
     for _ in range(runs):
         idx = rng.choice(n, size=n // 2, replace=False)
         cfg = replace(fit_config, seed=int(rng.integers(2 ** 31)))
-        results.append(_fit_subsample(X[idx], k, method, cfg))
+        model, assign = fit_model(X[idx], k, cfg)
+        results.append((model.centers,
+                        np.bincount(assign.hard, minlength=k) / len(idx)))
 
     failed = [r for r, (_, shares) in enumerate(results)
               if np.any(shares == 0)]

@@ -204,8 +204,8 @@ def load_config(path) -> dict:
     return config
 
 
-def stage_synth(config: dict, out: Path, seed: int, read) -> list[str]:
-    params = _settings(config, "synth")
+def stage_synth(params: dict, out: Path, seed: int, read) -> list[str]:
+    params = dict(params)  # `run` writes the whole dict to the manifest
     mixtures = synth.default_mixtures()
     try:
         for ch, spec in params.pop("mixtures").items():
@@ -231,8 +231,7 @@ def stage_synth(config: dict, out: Path, seed: int, read) -> list[str]:
     return ["log.csv", "ground_truth.csv"]
 
 
-def stage_ingest(config: dict, out: Path, seed: int, read) -> list[str]:
-    params = _settings(config, "ingest")
+def stage_ingest(params: dict, out: Path, seed: int, read) -> list[str]:
     source = params["input"] and str(Path(params["input"]).absolute())
     result = read(ingest.parse_log, source or "log.csv")
     rs = result.record_set
@@ -245,7 +244,7 @@ def stage_ingest(config: dict, out: Path, seed: int, read) -> list[str]:
     return ["filtered.csv", "ingest_diagnostics.json"]
 
 
-def stage_featurize(config: dict, out: Path, seed: int, read) -> list[str]:
+def stage_featurize(params: dict, out: Path, seed: int, read) -> list[str]:
     rs = read(ingest.parse_log, "filtered.csv").record_set
     months = features.tenure_align(rs)
     outputs = []
@@ -298,16 +297,24 @@ def _read_features(read, ch: str) -> features.CharacterizationMatrix:
 def _read_models(read, chars) -> dict:
     def checked(path, ch):
         model = mixture.model_from_json(path.read_text(encoding="utf-8"))
-        _check_facet(ch, model.characterization,
-                     model.d if isinstance(model, mixture.MixtureModel)
-                     else model.centers.shape[1])
+        _check_facet(ch, model.characterization, model.d)
         return model
     return {ch: read(functools.partial(checked, ch=ch), f"model_{ch}.json")
             for ch in chars}
 
 
-def stage_cluster(config: dict, out: Path, seed: int, read) -> list[str]:
-    params = _settings(config, "cluster")
+def _amount(ch: str) -> bool:
+    """Amount facets are clustered by k-means (Lloyd 1982), count facets by
+    a multinomial mixture fitted by EM (Dempster, Laird & Rubin 1977)."""
+    return features.VALUE_KINDS[ch] == "Amount"
+
+
+def _fit_config(ch: str, restarts: int, seed: int = 0):
+    config = mixture.KMeansConfig if _amount(ch) else mixture.EMConfig
+    return config(restarts=restarts, seed=seed)
+
+
+def stage_cluster(params: dict, out: Path, seed: int, read) -> list[str]:
     ks, restarts = params["k"], params["restarts"]
     matrices = {ch: _read_features(read, ch)
                 for ch in features.CHARACTERIZATIONS}
@@ -315,37 +322,23 @@ def stage_cluster(config: dict, out: Path, seed: int, read) -> list[str]:
         if ks[ch] > len(cm.values):
             raise DataError(f"facet {ch!r} has k = {ks[ch]} but only "
                             f"{len(cm.values)} feature rows")
-    fits = {}
     try:
-        for ch, cm in matrices.items():
-            if ch == "ME":
-                model, hard = mixture.fit_kmeans(
-                    cm.values, ks[ch],
-                    mixture.KMeansConfig(restarts=restarts, seed=seed),
-                    characterization=ch)
-                tau = np.zeros((len(hard), ks[ch]))
-                tau[np.arange(len(hard)), hard] = 1.0
-            else:
-                model, assign = mixture.fit_em(
-                    cm.values, ks[ch],
-                    mixture.EMConfig(restarts=restarts, seed=seed),
-                    characterization=ch)
-                tau, hard = assign.tau, assign.hard
-            fits[ch] = model, tau, hard
+        fits = {ch: mixture.fit_model(cm.values, ks[ch],
+                                      _fit_config(ch, restarts, seed), ch)
+                for ch, cm in matrices.items()}
     except (ValueError, FloatingPointError) as exc:
         raise NumericalError(f"fit failed: {exc}") from None
     outputs = []
-    for ch, (model, tau, hard) in fits.items():
+    for ch, (model, assign) in fits.items():
         artifacts.write_json(out / f"model_{ch}.json",
                              mixture.model_to_dict(model))
-        _write_assignments(out / f"assignments_{ch}.csv", matrices[ch], tau,
-                           hard)
+        _write_assignments(out / f"assignments_{ch}.csv", matrices[ch],
+                           assign.tau, assign.hard)
         outputs += [f"model_{ch}.json", f"assignments_{ch}.csv"]
     return outputs
 
 
-def stage_analyze(config: dict, out: Path, seed: int, read) -> list[str]:
-    params = _settings(config, "analyze")
+def stage_analyze(params: dict, out: Path, seed: int, read) -> list[str]:
     stab, dom = params["stability"], params["dominance"]
     ch, chars = stab["characterization"], features.CHARACTERIZATIONS
     cm = _read_features(read, ch)
@@ -356,7 +349,7 @@ def stage_analyze(config: dict, out: Path, seed: int, read) -> list[str]:
         stability = analysis.stability_check(
             cm.values, models[ch].k, epsilon=stab["epsilon"],
             delta=stab["delta"], runs=stab["runs"], seed=seed,
-            method="kmeans" if ch == "ME" else "em")
+            fit_config=_fit_config(ch, restarts=4))
     except ValueError as exc:
         raise DataError(f"stability on facet {ch!r}: {exc}") from None
     shown = ("epsilon_observed", "delta_observed", "runs", "passed",
@@ -379,11 +372,9 @@ def stage_analyze(config: dict, out: Path, seed: int, read) -> list[str]:
             out / f"migration_{ch}.csv", [f"to_{j}" for j in range(k)],
             ([repr(float(v)) for v in row] for row in mig.matrix))
 
-        model = models[ch]
-        centers = model.theta if isinstance(model, mixture.MixtureModel) else model.centers
-        table = analysis.center_report(centers,
+        table = analysis.center_report(models[ch].centers,
                                        features.CHARACTERIZATION_LABELS[ch],
-                                       as_percent=ch != "ME")
+                                       as_percent=not _amount(ch))
         artifacts.write_csv(out / f"centers_{ch}.csv", table[0], table[1:])
         outputs += [f"migration_{ch}.csv", f"centers_{ch}.csv"]
 
@@ -391,8 +382,16 @@ def stage_analyze(config: dict, out: Path, seed: int, read) -> list[str]:
     return outputs + ["analyze_report.json"]
 
 
-def stage_ctr(config: dict, out: Path, seed: int, read) -> list[str]:
-    params = _settings(config, "ctr")
+def _same_users(found: tuple, users: tuple, name: str) -> None:
+    """Raise a DataError unless `name` holds the users of filtered.csv,
+    `users`, naming the first user that only one of the two holds."""
+    if found != users:
+        first = min(set(found).symmetric_difference(users))
+        raise DataError(f"{name} and filtered.csv hold different users: "
+                        f"{first!r} is in only one of them")
+
+
+def stage_ctr(params: dict, out: Path, seed: int, read) -> list[str]:
     recipes = [ctr.FeatureModeRecipe(dict(r)) for r in params["recipes"]]
     exp_cfg = ctr.CtrExperimentConfig(
         lam=params["lambda"], neg_ratio=params["neg_ratio"],
@@ -406,8 +405,7 @@ def stage_ctr(config: dict, out: Path, seed: int, read) -> list[str]:
             _read_models(read, chars))
     except ctr.CtrError as exc:
         raise DataError(str(exc)) from None
-    if rs.users != persona.users:
-        raise DataError("filtered.csv and features_CR.csv hold different users")
+    _same_users(persona.users, rs.users, "features_CR.csv")
     items = ctr.item_user_sets(rs)
     rows = []
     for recipe in recipes:
@@ -426,19 +424,7 @@ def stage_ctr(config: dict, out: Path, seed: int, read) -> list[str]:
     return ["ctr_eval.csv"]
 
 
-def _rated_rows(rated, users, name: str) -> np.ndarray:
-    """The index in sorted `users` of each sorted `rated` user; object
-    arrays, since a "U" array drops trailing NULs."""
-    rated, users = (np.asarray(ids, dtype=object) for ids in (rated, users))
-    missing = rated[~np.isin(rated, users)]
-    if len(missing):
-        raise DataError(f"{len(missing)} rated user(s) have no row in "
-                        f"{name!r}, first {missing[0]!r}")
-    return np.searchsorted(users, rated)
-
-
-def stage_cf(config: dict, out: Path, seed: int, read) -> list[str]:
-    params = _settings(config, "cf")
+def stage_cf(params: dict, out: Path, seed: int, read) -> list[str]:
     variant, ch = params["variant"], params["characterization"]
     cfg = cf.FactorConfig(f=params["f"], lr=params["lr"], reg=params["reg"],
                           epochs=params["epochs"], seed=seed)
@@ -455,13 +441,13 @@ def stage_cf(config: dict, out: Path, seed: int, read) -> list[str]:
     if variant in ("a", "b", "d"):
         name = f"assignments_{ch}.csv"
         users, user, _, _, hard = read(read_assignments, name)
+        _same_users(users, rs.users, name)
         # a user's first row is their month-0 row
-        first = hard[np.searchsorted(user, np.arange(len(users)))]
-        clusters = first[_rated_rows(rs.users, users, name)]
+        clusters = hard[np.searchsorted(user, np.arange(len(users)))]
     elif variant == "c":
         cm = _read_features(read, ch)
-        static = features.pool_by_user(cm)[
-            _rated_rows(rs.users, cm.users, f"features_{ch}.csv")]
+        _same_users(cm.users, rs.users, f"features_{ch}.csv")
+        static = features.pool_by_user(cm)
         totals = static.sum(axis=1, keepdims=True)
         static = np.divide(static, totals, out=np.zeros_like(static),
                            where=totals > 0)
@@ -483,8 +469,9 @@ STAGE_FUNCS = dict(zip(STAGES, (stage_synth, stage_ingest, stage_featurize,
 def run(config_path, out_dir=None, seed_override: int | None = None,
         only_stage: str | None = None) -> int:
     """Execute configured stages in dependency order; returns an exit code.
-    A stage reads every input through `read`, before it writes any file, and
-    returns its outputs' names; `run` writes its manifest."""
+    A stage gets its resolved settings, `params`, reads every input through
+    `read` before it writes any file, and returns its outputs' names; `run`
+    writes its manifest, `params` included."""
     try:
         config = load_config(config_path)
         if seed_override is not None:
@@ -501,14 +488,14 @@ def run(config_path, out_dir=None, seed_override: int | None = None,
                               f"{exc}") from None
         for stage in [s for s in STAGES if s in top["stages"]]:
             inputs: list[str] = []
+            params = _settings(config, stage)
             try:
                 outputs = STAGE_FUNCS[stage](
-                    config, out, top["seed"],
+                    params, out, top["seed"],
                     functools.partial(_read_artifact, out, inputs))
             except (DataError, NumericalError) as exc:
                 raise type(exc)(f"stage {stage!r}: {exc}") from None
-            _write_manifest(out, stage, inputs, outputs, top["seed"],
-                            _settings(config, stage))
+            _write_manifest(out, stage, inputs, outputs, top["seed"], params)
     except (ConfigError, DataError, NumericalError) as exc:
         print(json.dumps({"error": exc.kind, "message": str(exc)}),
               file=sys.stderr)

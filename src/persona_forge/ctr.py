@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
-from scipy.stats import rankdata
 
 from .features import CharacterizationMatrix, pool_by_user
 from .ingest import RecordSet
@@ -297,15 +296,18 @@ def predict_scores_h(model: HardModeModel, X: np.ndarray,
 # Evaluation
 
 def auc_score(y: np.ndarray, scores: np.ndarray) -> float:
-    """ROC AUC via the rank statistic, ties handled by average ranks."""
-    y = np.asarray(y)
+    """ROC AUC: the share of (positive, negative) pairs the scores order
+    right, a tie counting one half (the Mann-Whitney statistic)."""
+    y, scores = np.asarray(y), np.asarray(scores)
     n_pos = int(y.sum())
     n_neg = len(y) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise CtrError("AUC needs both classes")
-    ranks = rankdata(scores)
-    rank_sum = float(ranks[y == 1].sum())
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    neg, pos = np.sort(scores[y != 1]), scores[y == 1]
+    # per positive: 2 * (negatives below it) + (negatives tied with it)
+    twice = (np.searchsorted(neg, pos, "left")
+             + np.searchsorted(neg, pos, "right")).sum()
+    return float(twice) / (2 * n_pos * n_neg)
 
 
 @dataclass

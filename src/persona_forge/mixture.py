@@ -51,6 +51,11 @@ class MixtureModel:
         if self.pi.shape != (self.k,) or self.theta.shape != (self.k, self.d):
             raise ValueError("model parameter shapes disagree")
 
+    @property
+    def centers(self) -> np.ndarray:
+        """The cluster centers, as for k-means: the theta rows themselves."""
+        return self.theta
+
 
 @dataclass
 class AssignmentSet:
@@ -71,6 +76,10 @@ class KMeansModel:
     inertia: float
     seed: int = 0
     characterization: str = ""
+
+    @property
+    def d(self) -> int:
+        return self.centers.shape[1]
 
 
 def _proportions(X: np.ndarray) -> np.ndarray:
@@ -215,10 +224,7 @@ def fit_em(X: np.ndarray, k: int, config: EMConfig | None = None,
     best: MixtureModel | None = None
     restart_logliks = []
     for _ in range(max(1, config.restarts)):
-        centers = _kmeanspp_seed(P, k, rng)
-        labels = _hard_assign(P, centers)
-        tau = np.zeros((n, k))
-        tau[np.arange(n), labels] = 1.0
+        tau = np.eye(k)[_hard_assign(P, _kmeanspp_seed(P, k, rng))]
         pi, theta = m_step(tau, X)
         model = MixtureModel(k, d, pi, theta, [], SMOOTHING, config.seed,
                              characterization)
@@ -252,8 +258,10 @@ def fit_em(X: np.ndarray, k: int, config: EMConfig | None = None,
 
 
 def fit_kmeans(X: np.ndarray, k: int, config: KMeansConfig | None = None,
-               characterization: str = "") -> tuple[KMeansModel, np.ndarray]:
-    """Lloyd's algorithm with k-means++ seeding, best of several restarts."""
+               characterization: str = ""
+               ) -> tuple[KMeansModel, AssignmentSet]:
+    """Lloyd's algorithm with k-means++ seeding, best of several restarts.
+    The assignments' `tau` is the one-hot matrix of `hard`."""
     config = config or KMeansConfig()
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
@@ -288,7 +296,15 @@ def fit_kmeans(X: np.ndarray, k: int, config: KMeansConfig | None = None,
             best_inertia, best_centers, best_labels = inertia, centers, labels
     model = KMeansModel(k, best_centers, best_inertia, config.seed,
                         characterization)
-    return model, best_labels
+    return model, AssignmentSet(np.eye(k)[best_labels], best_labels)
+
+
+def fit_model(X: np.ndarray, k: int, config: EMConfig | KMeansConfig,
+              characterization: str = ""
+              ) -> tuple[MixtureModel | KMeansModel, AssignmentSet]:
+    """`fit_kmeans` for a KMeansConfig, `fit_em` for an EMConfig."""
+    fit = fit_kmeans if isinstance(config, KMeansConfig) else fit_em
+    return fit(X, k, config, characterization)
 
 
 def soft_features(model: MixtureModel | KMeansModel, X: np.ndarray) -> np.ndarray:
@@ -298,11 +314,8 @@ def soft_features(model: MixtureModel | KMeansModel, X: np.ndarray) -> np.ndarra
     when all-zero); for K-means raw vectors are used.
     """
     X = np.asarray(X, dtype=np.float64)
-    if isinstance(model, MixtureModel):
-        points, centers = _proportions(X), model.theta
-    else:
-        points, centers = X, model.centers
-    return np.sqrt(_sq_distances(points, centers))
+    points = _proportions(X) if isinstance(model, MixtureModel) else X
+    return np.sqrt(_sq_distances(points, model.centers))
 
 
 def hard_labels(model: MixtureModel | KMeansModel, X: np.ndarray) -> np.ndarray:
@@ -322,12 +335,12 @@ def match_clusters(centers_a: np.ndarray, centers_b: np.ndarray,
 # Serialization
 
 def model_to_dict(model: MixtureModel | KMeansModel) -> dict:
+    shape = {"characterization": model.characterization, "K": model.k,
+             "d": model.d}
     if isinstance(model, MixtureModel):
         return {
             "kind": "mmm",
-            "characterization": model.characterization,
-            "K": model.k,
-            "d": model.d,
+            **shape,
             "pi": [repr(v) for v in model.pi.tolist()],
             "theta": [[repr(v) for v in row] for row in model.theta.tolist()],
             "smoothing": model.smoothing,
@@ -341,9 +354,7 @@ def model_to_dict(model: MixtureModel | KMeansModel) -> dict:
         }
     return {
         "kind": "kmeans",
-        "characterization": model.characterization,
-        "K": model.k,
-        "d": model.centers.shape[1],
+        **shape,
         "centers": [[repr(v) for v in row] for row in model.centers.tolist()],
         "inertia": repr(model.inertia),
         "seed": model.seed,

@@ -221,6 +221,15 @@ def _local_ts(rng, local_day, tdt_bin):
     return local_day * 86400 + hour * 3600 + int(rng.integers(3600))
 
 
+def _draw_bins(rng, cfg, labels, ch, m, n):
+    """`n` bins of count facet `ch` in month `m`: drawn from the planted
+    theta row of the month's label, or uniformly when `ch` is not planted."""
+    d = CHARACTERIZATION_DIMS[ch]
+    if ch in cfg.mixtures:
+        return rng.choice(d, size=n, p=cfg.mixtures[ch].theta[labels[ch][m]])
+    return rng.integers(0, d, size=n)
+
+
 def generate(cfg: GeneratorConfig) -> tuple[RecordSet, GroundTruth]:
     """Generate a transaction log whose binned features follow planted labels.
 
@@ -247,10 +256,6 @@ def generate(cfg: GeneratorConfig) -> tuple[RecordSet, GroundTruth]:
                                           cfg.migration_rate)
         for ch, lab in labels.items():
             truth[ch][u] = lab
-
-        tdt_mix = cfg.mixtures.get("TDT")
-        dg_mix = cfg.mixtures.get("DG")
-        cr_mix = cfg.mixtures.get("CR")
 
         birth = None
         seen: set[tuple[int, str]] = set()
@@ -284,21 +289,12 @@ def generate(cfg: GeneratorConfig) -> tuple[RecordSet, GroundTruth]:
                     continue
 
             n = len(prices)
-            if dg_mix is not None:
-                genres = rng.choice(16, size=n, p=dg_mix.theta[labels["DG"][m]])
-            else:
-                genres = rng.integers(0, 16, size=n)
-            if cr_mix is not None:
-                cr_bins = rng.choice(5, size=n, p=cr_mix.theta[labels["CR"][m]])
-            else:
-                cr_bins = rng.integers(0, 5, size=n)
+            genres = _draw_bins(rng, cfg, labels, "DG", m, n)
+            cr_bins = _draw_bins(rng, cfg, labels, "CR", m, n)
             years = [int(rng.integers(RECENCY_YEAR_RANGES[b][0],
                                       RECENCY_YEAR_RANGES[b][1] + 1))
                      for b in cr_bins]
-            if tdt_mix is not None:
-                tdt_bins = rng.choice(6, size=n, p=tdt_mix.theta[labels["TDT"][m]])
-            else:
-                tdt_bins = rng.integers(0, 6, size=n)
+            tdt_bins = _draw_bins(rng, cfg, labels, "TDT", m, n)
 
             if birth is None:
                 # Anchor the tenure birth on a local time matching the first

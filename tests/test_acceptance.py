@@ -107,10 +107,11 @@ def test_planted_recovery_frequency_and_spending():
                                spend_model=synth.default_spend_model())
     rs, gt = synth.generate(cfg)
     cm = _aggregate(rs, "ME")
-    km, hard = mixture.fit_kmeans(cm.values, 4,
-                                  mixture.KMeansConfig(restarts=8, seed=2),
-                                  "ME")
-    to_true, labels = _relabel(km.centers, synth.DEFAULT_ME_CENTERS, hard)
+    km, assign = mixture.fit_kmeans(cm.values, 4,
+                                    mixture.KMeansConfig(restarts=8, seed=2),
+                                    "ME")
+    to_true, labels = _relabel(km.centers, synth.DEFAULT_ME_CENTERS,
+                               assign.hard)
     order = np.argsort(to_true)
     center_err = np.linalg.norm(km.centers[order]
                                 - synth.DEFAULT_ME_CENTERS, axis=1)

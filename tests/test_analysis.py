@@ -43,8 +43,30 @@ def test_stability_kmeans_method():
     centers = np.array([[0.0, 0.0], [20.0, 20.0]])
     X = centers[rng.integers(0, 2, 600)] + rng.normal(0, 0.3, (600, 2))
     report = stability_check(X, 2, epsilon=0.2, delta=0.1, runs=4, seed=2,
-                             method="kmeans")
+                             fit_config=mixture.KMeansConfig(restarts=4))
     assert report.passed
+
+
+def test_stability_refit_kind_follows_fit_config(monkeypatch):
+    # a KMeansConfig refits by k-means alone; the parent's default `method`
+    # took EM and failed on the config's missing max_iter
+    calls = []
+
+    def spy(name):
+        inner = getattr(mixture, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+        return counted
+
+    for name in ("fit_em", "fit_kmeans"):
+        monkeypatch.setattr(mixture, name, spy(name))
+    X = np.random.default_rng(4).normal(0, 1, (80, 2))
+    report = stability_check(X, 2, epsilon=0.2, delta=0.1, runs=3,
+                             fit_config=mixture.KMeansConfig(restarts=4))
+    assert report.runs == 3
+    assert calls == ["fit_kmeans"] * 3
 
 
 def test_dominance_check():

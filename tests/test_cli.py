@@ -176,22 +176,26 @@ def test_cf_stage_variants(pipeline, tmp_path, variant):
 @pytest.mark.parametrize("variant", ["a", "b", "c", "d"])
 def test_cf_user_missing_from_cluster_input_is_data_error(pipeline, tmp_path,
                                                           capsys, variant):
-    out = _copy_pipeline(pipeline, tmp_path)
+    code, built = pipeline
+    assert code == 0
     # a, b and d read each user's cluster, c the user's pooled features
-    path = out / ("features_TF.csv" if variant == "c"
-                  else "assignments_TF.csv")
-    header, *rows = path.read_text().splitlines()
-    dropped = rows[0].split(",")[0]
-    kept = [r for r in rows if r.split(",")[0] != dropped]
-    assert len(kept) < len(rows)
-    path.write_text("\n".join([header] + kept) + "\n")
+    name = "features_TF.csv" if variant == "c" else "assignments_TF.csv"
     config = _write_config(tmp_path, {"cf": {"variant": variant,
                                              "epochs": 1}})
-    assert cli.run(config, out, only_stage="cf") == 3
-    error = json.loads(capsys.readouterr().err)
-    assert error["error"] == "data"
-    assert dropped in error["message"]
-    assert path.name in error["message"]
+    # a user missing from the cluster input, then a user only it holds
+    for dropped_from in (name, "filtered.csv"):
+        out = shutil.copytree(built, tmp_path / dropped_from)
+        path = out / dropped_from
+        header, *rows = path.read_text().splitlines()
+        dropped = rows[0].split(",")[0]
+        kept = [r for r in rows if r.split(",")[0] != dropped]
+        assert len(kept) < len(rows)
+        path.write_text("\n".join([header] + kept) + "\n")
+        assert cli.run(config, out, only_stage="cf") == 3
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "data"
+        assert dropped in error["message"]
+        assert name in error["message"]
 
 
 def test_ctr_feature_users_mismatch_is_data_error(pipeline, tmp_path, capsys):
@@ -677,6 +681,32 @@ def test_stages_run_in_pipeline_order_once(tmp_path, monkeypatch):
     assert cli.run(config, tmp_path / "repeated") == 0
     assert len(calls) == 1
     assert (tmp_path / "repeated" / "manifest_ingest.json").exists()
+
+
+def test_stage_gets_the_params_its_manifest_records(tmp_path, monkeypatch):
+    seen = {}
+
+    def spy(stage):
+        inner = cli.STAGE_FUNCS[stage]
+
+        def recorded(params, *args):
+            seen[stage] = json.loads(json.dumps(params))  # before any pop
+            return inner(params, *args)
+        return recorded
+
+    for stage in ("synth", "ingest", "featurize"):
+        monkeypatch.setitem(cli.STAGE_FUNCS, stage, spy(stage))
+    config = _write_config(tmp_path, {
+        "stages": ["synth", "ingest", "featurize"],
+        "synth": {"n_users": 20, "months_per_user": 1, "poisson_mean": 4}})
+    assert cli.run(config, tmp_path / "out") == 0
+    for stage, params in seen.items():
+        manifest = json.loads(
+            (tmp_path / "out" / f"manifest_{stage}.json").read_text())
+        assert manifest["params"] == params, stage
+    assert seen["synth"]["poisson_mean"] == 4.0
+    assert seen["synth"]["mixtures"] == dict.fromkeys(
+        ("TF", "DG", "CR", "TDT"))
 
 
 def test_seed_override_changes_synth(tmp_path):

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import expit
+from scipy.stats import rankdata
 
 from conftest import rows
 from persona_forge import ctr, features, mixture, synth
@@ -12,6 +18,8 @@ from persona_forge.ctr import (CTR_CHARACTERIZATIONS, CtrError,
                                persona_features, predict_scores,
                                predict_scores_h, smooth_gradient, split_users,
                                top_items)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_recipe_validation():
@@ -331,6 +339,36 @@ def test_auc_hand_values():
     assert auc_score(np.array([1, 0]), np.array([0.7, 0.7])) == 0.5
     with pytest.raises(CtrError):
         auc_score(np.array([1, 1]), np.array([0.1, 0.2]))
+
+
+def _reference_auc_score(y, scores):
+    """The rank-statistic AUC, ties given average ranks."""
+    n_pos = int(y.sum())
+    n_neg = len(y) - n_pos
+    rank_sum = float(rankdata(scores)[y == 1].sum())
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+@pytest.mark.parametrize("levels", [None, 2, 5, 40])
+def test_auc_matches_rank_formula_exactly(levels):
+    # `levels` distinct score values force ties; None draws continuous scores
+    rng = np.random.default_rng(0 if levels is None else levels)
+    for _ in range(300):
+        n = int(rng.integers(2, 120))
+        y = (rng.random(n) < rng.random()).astype(float)
+        y[:2] = (1.0, 0.0)
+        rng.shuffle(y)
+        scores = (rng.random(n) if levels is None
+                  else rng.integers(0, levels, n) / levels)
+        assert auc_score(y, scores) == _reference_auc_score(y, scores)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    code = ("import sys, persona_forge.cli; "
+            "sys.exit('scipy.stats' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code],
+                            env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert result.returncode == 0
 
 
 def test_mode_h_single_class_fallback():

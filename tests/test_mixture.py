@@ -139,13 +139,13 @@ def test_kmeans_recovers_blobs():
     centers = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
     z = rng.integers(0, 3, 300)
     X = centers[z] + rng.normal(0, 0.4, (300, 2))
-    model, labels = fit_kmeans(X, 3, KMeansConfig(restarts=4, seed=1))
+    model, assign = fit_kmeans(X, 3, KMeansConfig(restarts=4, seed=1))
     rows, cols = match_clusters(model.centers, centers)
     err = np.linalg.norm(model.centers[rows] - centers[cols], axis=1)
     assert err.max() < 0.3
     relabel = np.empty(3, dtype=int)
     relabel[rows] = cols
-    assert (relabel[labels] == z).mean() > 0.99
+    assert (relabel[assign.hard] == z).mean() > 0.99
 
 
 def test_kmeans_inertia_non_increasing_in_k():
@@ -159,6 +159,25 @@ def test_kmeans_inertia_non_increasing_in_k():
 def test_kmeans_validation():
     with pytest.raises(ValueError):
         fit_kmeans(np.ones((3, 2)), 4)
+
+
+def test_fit_kmeans_tau_is_one_hot_of_hard():
+    X = np.random.default_rng(5).normal(0, 1, (50, 3))
+    model, assign = fit_kmeans(X, 3, KMeansConfig(restarts=2, seed=1))
+    assert isinstance(assign, AssignmentSet)
+    np.testing.assert_array_equal(assign.tau, np.eye(3)[assign.hard])
+    np.testing.assert_array_equal(assign.hard, hard_labels(model, X))
+
+
+def test_both_models_share_centers_and_width():
+    X = np.random.default_rng(6).integers(0, 5, (40, 4)).astype(float)
+    em, _ = fit_em(X, 2, EMConfig(restarts=1, seed=0))
+    km, _ = fit_kmeans(X, 2, KMeansConfig(restarts=1, seed=0))
+    assert em.centers is em.theta
+    assert em.d == km.d == 4
+    for model in (em, km):
+        assert model_to_dict(model)["d"] == model.d
+        assert model.centers.shape == (2, 4)
 
 
 def test_soft_features_shapes_and_zero_rows():
