@@ -345,6 +345,10 @@ def stage_analyze(params: dict, out: Path, seed: int, read) -> list[str]:
     models = _read_models(read, chars)
     assigned = {c: read(functools.partial(read_assignments, k=models[c].k),
                         f"assignments_{c}.csv") for c in chars}
+    # every facet's features come from one filtered.csv
+    for c, (users, *_) in assigned.items():
+        _same_users(users, cm.users, f"assignments_{c}.csv",
+                    f"features_{ch}.csv")
     try:
         stability = analysis.stability_check(
             cm.values, models[ch].k, epsilon=stab["epsilon"],
@@ -382,12 +386,12 @@ def stage_analyze(params: dict, out: Path, seed: int, read) -> list[str]:
     return outputs + ["analyze_report.json"]
 
 
-def _same_users(found: tuple, users: tuple, name: str) -> None:
-    """Raise a DataError unless `name` holds the users of filtered.csv,
-    `users`, naming the first user that only one of the two holds."""
+def _same_users(found: tuple, users: tuple, name: str, other: str) -> None:
+    """Raise a DataError unless file `name` holds `users`, the users of file
+    `other`, naming the first user that only one of the two holds."""
     if found != users:
         first = min(set(found).symmetric_difference(users))
-        raise DataError(f"{name} and filtered.csv hold different users: "
+        raise DataError(f"{name} and {other} hold different users: "
                         f"{first!r} is in only one of them")
 
 
@@ -405,7 +409,7 @@ def stage_ctr(params: dict, out: Path, seed: int, read) -> list[str]:
             _read_models(read, chars))
     except ctr.CtrError as exc:
         raise DataError(str(exc)) from None
-    _same_users(persona.users, rs.users, "features_CR.csv")
+    _same_users(persona.users, rs.users, "features_CR.csv", "filtered.csv")
     items = ctr.item_user_sets(rs)
     rows = []
     for recipe in recipes:
@@ -441,12 +445,13 @@ def stage_cf(params: dict, out: Path, seed: int, read) -> list[str]:
     if variant in ("a", "b", "d"):
         name = f"assignments_{ch}.csv"
         users, user, _, _, hard = read(read_assignments, name)
-        _same_users(users, rs.users, name)
+        _same_users(users, rs.users, name, "filtered.csv")
         # a user's first row is their month-0 row
         clusters = hard[np.searchsorted(user, np.arange(len(users)))]
     elif variant == "c":
         cm = _read_features(read, ch)
-        _same_users(cm.users, rs.users, f"features_{ch}.csv")
+        _same_users(cm.users, rs.users, f"features_{ch}.csv",
+                    "filtered.csv")
         static = features.pool_by_user(cm)
         totals = static.sum(axis=1, keepdims=True)
         static = np.divide(static, totals, out=np.zeros_like(static),

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +42,35 @@ TDT_SLOT_HOURS = ((10, 11, 12, 13, 14, 15, 16),
 REGION_OFFSETS = (-480, -420, -360, -300, -240, 0, 60)
 
 BASE_EPOCH = 1388534400  # 2014-01-01T00:00:00Z
+
+# Array forms of the tables above, indexed by bin.
+_TF_LOW, _TF_HIGH = np.array(TF_PRICE_RANGES).T
+_YEAR_LOW, _YEAR_HIGH = np.array(RECENCY_YEAR_RANGES).T
+_ME_BINS = np.array([b for b, r in enumerate(ME_PRICE_RANGES) if r])
+_ME_LOW, _ME_HIGH = np.array([r for r in ME_PRICE_RANGES if r]).T
+# A month-0 fallback transaction's price, by its bin; an exact-zero bin
+# (only when every center is zero) falls back to 101 cents.
+_ME_FALLBACK_LOW = np.array([(r or (101, 300))[0] for r in ME_PRICE_RANGES])
+# TDT slot hours padded to one width, and each slot's true size.
+_SLOT_SIZES = np.array([len(h) for h in TDT_SLOT_HOURS])
+_SLOT_HOURS = np.array([h + h[:1] * (7 - len(h)) for h in TDT_SLOT_HOURS])
+
+
+def _day_table():
+    """Local days 1-28 after a window's first local day, by that day mod 7
+    and by day type (0 weekday, 1 weekend). Any 28 consecutive days hold 20
+    weekdays and 8 weekend days; the weekend rows are padded with 0."""
+    days = np.arange(1, 29)
+    table = np.zeros((7, 2, 20), dtype=np.int64)
+    for r in range(7):
+        weekend = (r + days + 3) % 7 >= 5  # Monday == 0, as in bin_timeday
+        table[r, 0] = days[~weekend]
+        table[r, 1, :8] = days[weekend]
+    return table
+
+
+_DAY_TABLE = _day_table()
+_DAYS_PER_TYPE = np.array([20, 8])
 
 
 class GeneratorError(Exception):
@@ -119,9 +147,9 @@ class GeneratorConfig:
     spend_model: SpendModel | None = None
     price_mode: str = "tf"        # "tf": prices follow the TF label;
                                   # "me": amounts follow the spend model
-    poisson_mean: float = 6.0     # transactions per month, price_mode "tf"
+    poisson_mean: float = 8.0     # transactions per month, price_mode "tf"
     migration_rate: float = 0.0
-    items_per_cell: int = 1       # content ids per (genre, recency) cell
+    items_per_cell: int = 2       # content ids per (genre, recency) cell
 
     def __post_init__(self):
         if self.n_users < 1 or self.months_per_user < 1:
@@ -167,166 +195,188 @@ class GroundTruth:
         return self.labels[ch][codes[user], month]
 
 
-def _sample_labels(rng, mix, months, migration_rate):
-    labels = np.empty(months, dtype=np.int64)
-    labels[0] = rng.choice(mix.k, p=mix.pi)
-    niche = set(mix.niche)
+def _categorical(rng, p, rows):
+    """One draw per entry of `rows`: bin b with probability p[row, b], by
+    inverse CDF. Each row's cumulative shares are scaled so the last is
+    exactly 1; a uniform draw u then passes only edges below 1, so the bin
+    stays below d, and zero-share bins (equal neighbouring edges) are never
+    drawn. Edge by edge, bin b is the count of edges at or below u."""
+    cum = np.cumsum(p, axis=1)
+    cum /= cum[:, -1:]
+    u = rng.random(len(rows))
+    bins = np.zeros(len(rows), dtype=np.int64)
+    for edge in cum[:, :-1].T:
+        bins += u >= edge[rows]
+    return bins
+
+
+def _sample_labels(rng, mix, n_users, months, migration_rate):
+    """(n_users, months) labels: month 0 from pi; each later month keeps the
+    last label, except that a niche label is redrawn from pi with
+    probability `migration_rate`."""
+    labels = np.empty((n_users, months), dtype=np.int64)
+    labels[:, 0] = _categorical(rng, mix.pi[None], np.zeros(n_users, np.int64))
+    niche = np.asarray(mix.niche, dtype=np.int64)
     for m in range(1, months):
-        prev = labels[m - 1]
-        if prev in niche and migration_rate > 0 and rng.random() < migration_rate:
-            labels[m] = rng.choice(mix.k, p=mix.pi)
-        else:
-            labels[m] = prev
+        labels[:, m] = labels[:, m - 1]
+        if migration_rate > 0 and len(niche):
+            move = (np.isin(labels[:, m], niche)
+                    & (rng.random(n_users) < migration_rate))
+            labels[move, m] = _categorical(rng, mix.pi[None],
+                                           np.zeros(move.sum(), np.int64))
     return labels
 
 
-def _spend_bin_txns(rng, center_usd, price_range):
-    """Realize one month's spend target for one price bin as a price list."""
-    low, high = price_range
-    target = int(round(center_usd * 100 * max(0.3, rng.normal(1.0, 0.15))))
-    if target <= 0:
-        return []
-    if target < low:
-        # Too small for a single transaction in this bin: occasional txn at
-        # the bin floor so the long-run mean matches the planted center.
-        if rng.random() < target / low:
-            return [low]
-        return []
-    k = max(1, math.ceil(target / high))
+def _spend_bin_txns(rng, center_usd, low, high):
+    """Realize the spend target of each (user, month, bin) cell as
+    transactions priced in the cell's bin [low, high] (cents).
+
+    `center_usd` holds one cell's planted monthly USD each; `low` and `high`
+    are per cell or scalars. Returns each transaction's cell index (cells in
+    order) and its price. A target below the bin floor is one transaction at
+    the floor with probability target / low, so the long-run mean matches the
+    planted center; otherwise k = ceil(target / high) even prices carry it,
+    the remainder on the first. When that leaves prices below the floor, the
+    target falls between j·high and (j + 1)·low for j = target // high, and
+    j transactions at the ceiling or j + 1 at the floor are drawn so that
+    the expected sum still matches the target.
+    """
+    n = len(center_usd)
+    target = np.rint(center_usd * 100 * np.maximum(
+        0.3, rng.normal(1.0, 0.15, size=n))).astype(np.int64)
+    coin = rng.random(n)
+    k = np.maximum(1, -(-target // high))
     base = target // k
-    if base >= low:
-        prices = [base] * k
-        prices[0] = min(high, base + target - base * k)
-        return prices
-    # Narrow bin: target falls between k*high and (k+1)*low.  Randomize the
-    # transaction count so the expected sum still matches the target.
-    k = target // high
-    lo_sum, hi_sum = k * high, (k + 1) * low
-    if rng.random() < (target - lo_sum) / (hi_sum - lo_sum):
-        return [low] * (k + 1)
-    return [high] * k
+    floor = (target > 0) & (target < low)
+    even = (target >= low) & (base >= low)
+    narrow = (target >= low) & (base < low)
+    k_high = target // high
+    up = coin * ((k_high + 1) * low - k_high * high) < target - k_high * high
+    count = np.select([floor, even, narrow],
+                      [coin * low < target, k, k_high + up], 0)
+    price = np.select([floor, even, narrow],
+                      [low, base, np.where(up, low, high)], 0)
+    first = np.minimum(high, base + target - base * k)
+    cell = np.repeat(np.arange(n), count)
+    cents = price[cell]
+    starts = np.cumsum(count) - count
+    carries = even & (count > 0)
+    cents[starts[carries]] = first[carries]
+    return cell, cents
 
 
-def _month_day_pool(local_day0):
-    """Days 1..28 of a 30-day window split by local weekday/weekend."""
-    weekday, weekend = [], []
-    for d in range(1, 29):
-        (weekday if (local_day0 + d + 3) % 7 < 5 else weekend).append(d)
-    return weekday, weekend
+def _spend_rows(rng, model, labels):
+    """The rows of price mode "me" in (user, month) order: user, month,
+    cents and rental. A user with no month-0 spend gets one transaction at
+    the floor of their largest center's bin, which anchors their birth."""
+    n_users, months = labels.shape
+    centers = model.centers[labels]                      # (users, months, 13)
+    cells = n_users * months
+    cell, cents = _spend_bin_txns(rng, centers[..., _ME_BINS].ravel(),
+                                  np.tile(_ME_LOW, cells),
+                                  np.tile(_ME_HIGH, cells))
+    user_month, b = np.divmod(cell, len(_ME_BINS))
+    user, month = np.divmod(user_month, months)
+    bins = _ME_BINS[b]
+    lone = np.setdiff1d(np.arange(n_users), user[month == 0])
+    lone_bins = centers[lone, 0].argmax(axis=1)
+    user = np.concatenate([user, lone])
+    month = np.concatenate([month, np.zeros(len(lone), np.int64)])
+    cents = np.concatenate([cents, _ME_FALLBACK_LOW[lone_bins]])
+    bins = np.concatenate([bins, lone_bins])
+    order = np.argsort(user * months + month, kind="stable")
+    return (user[order], month[order], cents[order],
+            np.asarray(ME_IS_RENTAL)[bins[order]])
 
 
-def _local_ts(rng, local_day, tdt_bin):
-    hours = TDT_SLOT_HOURS[tdt_bin % 3]
-    hour = int(hours[rng.integers(len(hours))])
-    return local_day * 86400 + hour * 3600 + int(rng.integers(3600))
-
-
-def _draw_bins(rng, cfg, labels, ch, m, n):
-    """`n` bins of count facet `ch` in month `m`: drawn from the planted
-    theta row of the month's label, or uniformly when `ch` is not planted."""
-    d = CHARACTERIZATION_DIMS[ch]
+def _facet_bins(rng, cfg, truth, ch, user, month):
+    """Each row's bin of count facet `ch`: drawn from the planted theta row
+    of its user-month's label, or uniformly when `ch` is not planted."""
     if ch in cfg.mixtures:
-        return rng.choice(d, size=n, p=cfg.mixtures[ch].theta[labels[ch][m]])
-    return rng.integers(0, d, size=n)
+        return _categorical(rng, cfg.mixtures[ch].theta,
+                            truth[ch][user, month])
+    return rng.integers(CHARACTERIZATION_DIMS[ch], size=len(user))
+
+
+def _bump_collisions(user, ts, code):
+    """Make the (user, ts, code) keys unique in place: every repeat of a key
+    moves one second later, pass by pass until no repeat is left."""
+    while True:
+        order = np.lexsort((code, ts, user))
+        u, t, c = user[order], ts[order], code[order]
+        repeat = (u[1:] == u[:-1]) & (t[1:] == t[:-1]) & (c[1:] == c[:-1])
+        if not repeat.any():
+            return
+        ts[order[1:][repeat]] += 1
 
 
 def generate(cfg: GeneratorConfig) -> tuple[RecordSet, GroundTruth]:
     """Generate a transaction log whose binned features follow planted labels.
 
     Deterministic given cfg.seed. Every user's first transaction anchors their
-    tenure birth; all later transactions land strictly inside their planted
-    30-day month so tenure alignment reproduces the planted month indices.
+    tenure birth; all later transactions land on local days 1-28 of their
+    planted 30-day month so tenure alignment reproduces the planted month
+    indices. Every draw is one array call over all users, user-months or
+    rows.
     """
     rng = np.random.default_rng(cfg.seed)
-    months = cfg.months_per_user
-    truth = {ch: np.empty((cfg.n_users, months), dtype=np.int64)
-             for ch in cfg.planted}
-    rows: list[tuple] = []  # cells in CSV_COLUMNS order
-    base_day = BASE_EPOCH // 86400
-    uid_width = max(6, len(str(cfg.n_users - 1)))
-    uids = tuple(f"u{u:0{uid_width}d}" for u in range(cfg.n_users))
+    n_users, months = cfg.n_users, cfg.months_per_user
+    offset = np.asarray(REGION_OFFSETS)[
+        rng.integers(len(REGION_OFFSETS), size=n_users)]
+    truth = {ch: _sample_labels(rng, mix, n_users, months, cfg.migration_rate)
+             for ch, mix in cfg.mixtures.items()}
+    if cfg.spend_model is not None:
+        truth["ME"] = _sample_labels(rng, cfg.spend_model, n_users, months,
+                                     cfg.migration_rate)
 
-    for u, uid in enumerate(uids):
-        offset = int(REGION_OFFSETS[rng.integers(len(REGION_OFFSETS))])
+    if cfg.price_mode == "tf":
+        counts = rng.poisson(cfg.poisson_mean, size=(n_users, months))
+        counts[:, 0] = np.maximum(counts[:, 0], 1)
+        user = np.repeat(np.arange(n_users), counts.sum(axis=1))
+        month = np.repeat(np.tile(np.arange(months), n_users), counts.ravel())
+        tf = _categorical(rng, cfg.mixtures["TF"].theta,
+                          truth["TF"][user, month])
+        cents = rng.integers(_TF_LOW[tf], _TF_HIGH[tf] + 1)
+        rental = np.asarray(TF_IS_RENTAL)[tf]
+    else:
+        user, month, cents, rental = _spend_rows(rng, cfg.spend_model,
+                                                 truth["ME"])
+    n = len(user)
+    genre, cr, tdt = [_facet_bins(rng, cfg, truth, ch, user, month)
+                      for ch in ("DG", "CR", "TDT")]
+    year = rng.integers(_YEAR_LOW[cr], _YEAR_HIGH[cr] + 1)
+    cell = rng.integers(cfg.items_per_cell, size=n)
 
-        labels = {ch: _sample_labels(rng, mix, months, cfg.migration_rate)
-                  for ch, mix in cfg.mixtures.items()}
-        if cfg.spend_model is not None:
-            labels["ME"] = _sample_labels(rng, cfg.spend_model, months,
-                                          cfg.migration_rate)
-        for ch, lab in labels.items():
-            truth[ch][u] = lab
+    # A user's first row (month 0) is their birth: a local day of its TDT
+    # day type within a week of a uniform day of the base year. Every later
+    # row falls on local days 1-28 of its month's 30-day window.
+    first = np.searchsorted(user, np.arange(n_users))
+    weekend = (tdt >= 3).astype(np.int64)  # day type: 0 weekday, 1 weekend
+    day0 = BASE_EPOCH // 86400 + rng.integers(365, size=n_users)
+    dow = (day0 + 3) % 7  # epoch day 0 is a Thursday; Monday == 0
+    birth_day = day0 + np.where(weekend[first] == 1, np.maximum(0, 5 - dow),
+                                np.where(dow < 5, 0, 7 - dow))
+    window_day = birth_day[user] + month * (MONTH_SECONDS // 86400)
+    day = window_day + _DAY_TABLE[window_day % 7, weekend,
+                                 rng.integers(_DAYS_PER_TYPE[weekend])]
+    day[first] = birth_day
+    slot = tdt % 3
+    hour = _SLOT_HOURS[slot, rng.integers(_SLOT_SIZES[slot])]
+    ts = (day * 86400 + hour * 3600 + rng.integers(3600, size=n)
+          - offset[user] * 60)
 
-        birth = None
-        seen: set[tuple[int, str]] = set()
-        for m in range(months):
-            if cfg.price_mode == "tf":
-                n = int(rng.poisson(cfg.poisson_mean))
-                if m == 0:
-                    n = max(1, n)
-                if n == 0:
-                    continue
-                theta = cfg.mixtures["TF"].theta[labels["TF"][m]]
-                bins = rng.choice(6, size=n, p=theta)
-                prices = [int(rng.integers(TF_PRICE_RANGES[b][0],
-                                           TF_PRICE_RANGES[b][1] + 1))
-                          for b in bins]
-                rentals = [TF_IS_RENTAL[b] for b in bins]
-            else:
-                centers = cfg.spend_model.centers[labels["ME"][m]]
-                prices, rentals = [], []
-                for b in range(13):
-                    if ME_PRICE_RANGES[b] is None:
-                        continue
-                    for p in _spend_bin_txns(rng, centers[b], ME_PRICE_RANGES[b]):
-                        prices.append(p)
-                        rentals.append(ME_IS_RENTAL[b])
-                if m == 0 and not prices:
-                    b = int(np.argmax(centers))
-                    lo, hi = ME_PRICE_RANGES[b] or (101, 300)
-                    prices, rentals = [lo], [ME_IS_RENTAL[b]]
-                if not prices:
-                    continue
-
-            n = len(prices)
-            genres = _draw_bins(rng, cfg, labels, "DG", m, n)
-            cr_bins = _draw_bins(rng, cfg, labels, "CR", m, n)
-            years = [int(rng.integers(RECENCY_YEAR_RANGES[b][0],
-                                      RECENCY_YEAR_RANGES[b][1] + 1))
-                     for b in cr_bins]
-            tdt_bins = _draw_bins(rng, cfg, labels, "TDT", m, n)
-
-            if birth is None:
-                # Anchor the tenure birth on a local time matching the first
-                # transaction's drawn time-day bin.
-                b0 = int(tdt_bins[0])
-                d0 = base_day + int(rng.integers(0, 365))
-                want_weekday = b0 < 3
-                day = next(d for d in range(d0, d0 + 7)
-                           if ((d + 3) % 7 < 5) == want_weekday)
-                birth = _local_ts(rng, day, b0) - offset * 60
-
-            window_start = birth + m * MONTH_SECONDS
-            local_day0 = (window_start + offset * 60) // 86400
-            weekday_pool, weekend_pool = _month_day_pool(local_day0)
-
-            for i in range(n):
-                if m == 0 and i == 0:
-                    ts = birth
-                else:
-                    b = int(tdt_bins[i])
-                    pool = weekday_pool if b < 3 else weekend_pool
-                    day = local_day0 + pool[rng.integers(len(pool))]
-                    ts = _local_ts(rng, day, b) - offset * 60
-                cell = int(rng.integers(cfg.items_per_cell))
-                content = f"g{int(genres[i]):02d}r{int(cr_bins[i])}x{cell}"
-                while (ts, content) in seen:
-                    ts += 1
-                seen.add((ts, content))
-                rows.append((uid, int(ts), offset, content, rentals[i],
-                             int(prices[i]), int(genres[i]), years[i]))
-
-    return (RecordSet.build(*zip(*rows)),
+    code = (genre * len(RECENCY_YEAR_RANGES) + cr) * cfg.items_per_cell + cell
+    _bump_collisions(user, ts, code)
+    distinct, content = np.unique(code, return_inverse=True)
+    gr, x = np.divmod(distinct, cfg.items_per_cell)
+    g, r = np.divmod(gr, len(RECENCY_YEAR_RANGES))
+    names = np.array([f"g{a:02d}r{b}x{c}" for a, b, c in
+                      zip(g.tolist(), r.tolist(), x.tolist())], dtype=object)
+    uid_width = max(6, len(str(n_users - 1)))
+    uids = tuple(f"u{u:0{uid_width}d}" for u in range(n_users))
+    return (RecordSet.build(np.array(uids, dtype=object)[user], ts,
+                            offset[user], names[content], rental, cents,
+                            genre, year),
             GroundTruth(uids, truth))
 
 
@@ -404,8 +454,7 @@ def default_spend_model() -> SpendModel:
 def default_config(n_users: int, months_per_user: int, seed: int = 0,
                    **overrides) -> GeneratorConfig:
     """A full-pipeline config planted from the published persona tables."""
-    params = dict(mixtures=default_mixtures(), poisson_mean=8.0,
-                  items_per_cell=2)
+    params = dict(mixtures=default_mixtures())
     params.update(overrides)
     return GeneratorConfig(n_users=n_users, months_per_user=months_per_user,
                            seed=seed, **params)

@@ -211,7 +211,8 @@ def test_temporal_prediction_matches_reference():
 def test_temporal_prediction_on_pipeline_rows():
     rs, _ = synth.generate(synth.GeneratorConfig(
         n_users=80, months_per_user=2, seed=3,
-        mixtures=synth.default_mixtures()))
+        mixtures=synth.default_mixtures(), poisson_mean=6.0,
+        items_per_cell=1))
     months = features.tenure_align(rs)
     cm = features.aggregate(rs, months, "TF")
     _, assign = mixture.fit_em(cm.values, 3, mixture.EMConfig(restarts=1,

@@ -198,6 +198,34 @@ def test_cf_user_missing_from_cluster_input_is_data_error(pipeline, tmp_path,
         assert name in error["message"]
 
 
+def test_analyze_stale_assignments_are_data_error(tmp_path, capsys):
+    # cluster on the unfiltered log, then filter and featurize again: the
+    # assignments hold users that the new features lack
+    out = tmp_path / "out"
+    synth_cfg = {"n_users": 300, "months_per_user": 2, "poisson_mean": 1}
+    stale = _write_config(tmp_path, {
+        "seed": 3, "stages": ["synth", "ingest", "featurize", "cluster"],
+        "synth": synth_cfg, "ingest": {"filter": False},
+        "cluster": {"restarts": 1}}, "stale.json")
+    assert cli.run(stale, out) == 0
+    refresh = _write_config(tmp_path, {
+        "seed": 3, "stages": ["ingest", "featurize", "analyze"],
+        "synth": synth_cfg, "analyze": {"stability": {"runs": 2}}})
+    assert cli.run(refresh, out, only_stage="ingest") == 0
+    assert cli.run(refresh, out, only_stage="featurize") == 0
+    capsys.readouterr()
+    assert cli.run(refresh, out, only_stage="analyze") == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "data"
+    for part in ("stage 'analyze': ", "assignments_", "features_TF.csv",
+                 "hold different users"):
+        assert part in error["message"]
+    assert [p.name for p in out.iterdir()
+            if p.name.startswith(("manifest_analyze", "analyze_report",
+                                  "migration_", "centers_"))] == []
+
+
 def test_ctr_feature_users_mismatch_is_data_error(pipeline, tmp_path, capsys):
     out = _copy_pipeline(pipeline, tmp_path)
     path = out / "features_CR.csv"

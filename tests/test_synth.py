@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -89,10 +91,7 @@ def test_records_respect_planted_labels():
     rs, gt = generate(cfg)
     months = tenure_align(rs)
     mix = cfg.mixtures
-    bins = {"TF": bin_frequency(rs.rental, rs.cents), "DG": rs.genre,
-            "CR": bin_recency(rs.year),
-            "TDT": bin_timeday(rs.timestamp, rs.offset)}
-    for ch, b in bins.items():
+    for ch, b in _planted_bins(rs).items():
         labels = gt.label_array(ch, rs.users, rs.user, months)
         assert np.all(mix[ch].theta[labels, b] > 0), ch
 
@@ -127,7 +126,8 @@ def test_migration_only_hits_niche_clusters():
     theta /= theta.sum(axis=1, keepdims=True)
     mix = PlantedMixture(pi, theta, niche=(2,))
     cfg = GeneratorConfig(300, 6, seed=4, mixtures={"TF": mix},
-                          migration_rate=1.0, poisson_mean=3.0)
+                          migration_rate=1.0, poisson_mean=3.0,
+                          items_per_cell=1)
     _, gt = generate(cfg)
     t = gt.labels["TF"]
     assert t.shape == (300, 6)
@@ -143,26 +143,148 @@ def test_no_migration_keeps_labels_constant():
         assert np.all(t == t[:, :1]), ch
 
 
+def _planted_bins(rs):
+    """Each row's bin of the four planted count facets."""
+    return {"TF": bin_frequency(rs.rental, rs.cents), "DG": rs.genre,
+            "CR": bin_recency(rs.year),
+            "TDT": bin_timeday(rs.timestamp, rs.offset)}
+
+
+@pytest.mark.parametrize("price_mode", ["tf", "me"])
+def test_rows_keep_the_calendar_invariants(price_mode):
+    # TDT label j plants bin j only, and every TDT label may migrate, so a
+    # row's drawn TDT bin is its own month's label
+    tdt = PlantedMixture(np.full(6, 1 / 6), np.eye(6), niche=tuple(range(6)))
+    mixtures = {"TDT": tdt}
+    if price_mode == "tf":
+        mixtures["TF"] = synth.default_mixtures()["TF"]
+    cfg = GeneratorConfig(400, 4, seed=12, mixtures=mixtures,
+                          price_mode=price_mode, migration_rate=0.5,
+                          spend_model=synth.default_spend_model())
+    rs, gt = generate(cfg)
+    months = tenure_align(rs)
+    local = rs.timestamp + rs.offset * 60
+    local_day = local // 86400
+    first = np.searchsorted(rs.user, rs.user)  # each row's user's first row
+    birth = np.arange(len(rs)) == first
+    # the birth row is the user's earliest row and opens month 0
+    assert np.all(rs.timestamp >= rs.timestamp[first])
+    assert np.all(months[birth] == 0)
+    # every later row falls on local days 1-28 of its 30-day month
+    day = local_day - local_day[first] - 30 * months
+    assert np.all((day[~birth] >= 1) & (day[~birth] <= 28))
+    # local hour in the TDT slot, day type matching the TDT bin
+    label = gt.label_array("TDT", rs.users, rs.user, months)
+    in_slot = np.zeros((3, 24), dtype=bool)
+    for slot, hours in enumerate(synth.TDT_SLOT_HOURS):
+        in_slot[slot, list(hours)] = True
+    assert np.all(in_slot[label % 3, (local % 86400) // 3600])
+    weekend = (local_day + 3) % 7 >= 5
+    np.testing.assert_array_equal(weekend, label >= 3)
+    np.testing.assert_array_equal(bin_timeday(rs.timestamp, rs.offset), label)
+    # (user, ts, content) keys are unique
+    keys = np.column_stack([rs.user, rs.timestamp, rs.content])
+    assert len(np.unique(keys, axis=0)) == len(rs)
+
+
+def test_bump_collisions_moves_repeats_one_second_at_a_time():
+    user = np.array([0, 0, 0, 0, 1, 0])
+    ts = np.array([5, 5, 5, 6, 5, 5])
+    code = np.array([1, 1, 1, 1, 1, 2])
+    synth._bump_collisions(user, ts, code)
+    assert sorted(ts[(user == 0) & (code == 1)]) == [5, 6, 7, 8]
+    assert ts[4] == 5 and ts[5] == 5
+
+
+def test_planted_bin_shares_match_theta():
+    # one cluster per facet, so every row draws from one theta row; each
+    # share lies within 5 binomial standard errors of its theta entry, and
+    # zero-share bins stay empty
+    rows = {"TF": synth.DEFAULT_TF_THETA[2], "DG": synth.DEFAULT_DG_THETA[2],
+            "CR": synth.DEFAULT_CR_THETA[2], "TDT": synth.DEFAULT_TDT_THETA[2]}
+    cfg = GeneratorConfig(3000, 1, seed=21, mixtures={
+        ch: PlantedMixture(np.array([1.0]), p[None])
+        for ch, p in rows.items()})
+    rs, _ = generate(cfg)
+    n = len(rs)
+    for ch, b in _planted_bins(rs).items():
+        p = rows[ch]
+        share = np.bincount(b, minlength=len(p)) / n
+        assert np.all(np.abs(share - p) <= 5 * np.sqrt(p * (1 - p) / n)), ch
+
+
+def test_niche_migration_rate():
+    # a niche label is redrawn from pi with probability r, so it changes
+    # with probability r * (1 - pi[niche]); month-0 labels follow pi
+    pi = np.array([0.5, 0.3, 0.2])
+    mix = PlantedMixture(pi, synth.DEFAULT_TF_THETA[:3], niche=(2,))
+    r = 0.4
+    cfg = GeneratorConfig(5000, 4, seed=31, mixtures={"TF": mix},
+                          migration_rate=r, poisson_mean=1.0)
+    _, gt = generate(cfg)
+    t = gt.labels["TF"]
+    share = np.bincount(t[:, 0], minlength=3) / len(t)
+    assert np.all(np.abs(share - pi) <= 5 * np.sqrt(pi * (1 - pi) / len(t)))
+    at_niche = t[:, :-1] == 2
+    moved = (t[:, 1:] != 2)[at_niche]
+    p = r * (1 - pi[2])
+    assert abs(moved.mean() - p) <= 5 * np.sqrt(p * (1 - p) / len(moved))
+    assert np.all(t[:, 1:][~at_niche] == t[:, :-1][~at_niche])
+
+
 def test_spend_realization_is_unbiased():
     rng = np.random.default_rng(0)
     # includes the narrow-bin case where the target falls between feasible sums
     cases = [(13.02, (301, 500)), (23.95, (1601, 2000)), (0.56, (1, 300)),
              (39.86, (1001, 1600)), (2.12, (2001, 2500))]
-    for center, price_range in cases:
-        total = 0
+    for center, (low, high) in cases:
         n = 20000
-        for _ in range(n):
-            total += sum(synth._spend_bin_txns(rng, center, price_range))
-        mean_usd = total / n / 100.0
+        _, prices = synth._spend_bin_txns(rng, np.full(n, center), low, high)
+        mean_usd = prices.sum() / n / 100.0
         assert abs(mean_usd - center) <= 0.02 * center + 0.02
+
+
+def _reference_spend_bin_txns(target, coin, low, high):
+    """The spend rule of one cell as a price list, given the cell's target
+    (cents) and its uniform coin."""
+    if target <= 0:
+        return []
+    if target < low:
+        return [low] if coin < target / low else []
+    k = max(1, math.ceil(target / high))
+    base = target // k
+    if base >= low:
+        return [min(high, base + target - base * k)] + [base] * (k - 1)
+    k = target // high
+    lo_sum, hi_sum = k * high, (k + 1) * low
+    if coin < (target - lo_sum) / (hi_sum - lo_sum):
+        return [low] * (k + 1)
+    return [high] * k
+
+
+@pytest.mark.parametrize("low,high",
+                         sorted({r for r in synth.ME_PRICE_RANGES if r}))
+def test_spend_cells_match_scalar_rule(low, high):
+    centers = np.random.default_rng(3).uniform(0.0, 60.0, 2000)
+    centers[::10] = 0.0
+    cell, prices = synth._spend_bin_txns(np.random.default_rng(4), centers,
+                                         low, high)
+    # the same draws, in the helper's order: one scale, then one coin, each
+    rng = np.random.default_rng(4)
+    scale = np.maximum(0.3, rng.normal(1.0, 0.15, size=len(centers)))
+    coin = rng.random(len(centers))
+    expected = [(j, p) for j, c in enumerate(centers.tolist())
+                for p in _reference_spend_bin_txns(
+                    int(round(c * 100 * scale[j])), coin[j], low, high)]
+    assert list(zip(cell.tolist(), prices.tolist())) == expected
 
 
 def test_spend_prices_stay_in_bin():
     rng = np.random.default_rng(1)
     for center in (0.5, 4.0, 23.95, 60.0):
-        for _ in range(500):
-            for p in synth._spend_bin_txns(rng, center, (1601, 2000)):
-                assert 1601 <= p <= 2000
+        _, prices = synth._spend_bin_txns(rng, np.full(500, center),
+                                          1601, 2000)
+        assert np.all((1601 <= prices) & (prices <= 2000))
 
 
 def test_ground_truth_io_roundtrip(tmp_path):
