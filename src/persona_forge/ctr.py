@@ -6,7 +6,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .features import CharacterizationMatrix, pool_by_user
 from .ingest import RecordSet
@@ -174,11 +173,24 @@ def _loss(z: np.ndarray, y: np.ndarray) -> float:
     return float((np.logaddexp(0.0, z) - y * z).sum() / len(z))
 
 
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """The logistic 1 / (1 + exp(-z)), computed in one new array.
+
+    -z is capped at 709 so `exp` never overflows, which changes only
+    values below 1.2e-308; with no overflow there is no warning to silence.
+    """
+    t = np.minimum(-z, 709.0)
+    np.exp(t, out=t)
+    t += 1.0
+    return np.reciprocal(t, out=t)
+
+
 def smooth_gradient(X: np.ndarray, y: np.ndarray,
                     z: np.ndarray) -> tuple[np.ndarray, float]:
     """Gradient of the mean logistic loss (the smooth part of the objective)
     at the margins `z = X @ w + b`."""
-    r = expit(z) - y
+    r = sigmoid(z)
+    r -= y
     n = len(y)
     return X.T @ r / n, float(r.sum() / n)
 

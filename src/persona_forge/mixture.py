@@ -7,8 +7,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 log = logging.getLogger(__name__)
 
@@ -325,10 +323,64 @@ def hard_labels(model: MixtureModel | KMeansModel, X: np.ndarray) -> np.ndarray:
     return _hard_assign(np.asarray(X, dtype=np.float64), model.centers)
 
 
+def _min_cost_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Min-cost matching of the rows of `cost` to its columns by shortest
+    augmenting paths with row and column potentials (Kuhn 1955; Jonker &
+    Volgenant 1987). Every row is matched when there are no more rows than
+    columns, else every column; returns (rows, cols) with rows ascending."""
+    if not np.isfinite(cost).all():
+        raise ValueError("cost matrix holds a non-finite entry")
+    flip = cost.shape[0] > cost.shape[1]
+    if flip:
+        cost = cost.T
+    n, m = cost.shape
+    u = np.zeros(n)
+    v = np.zeros(m + 1)                      # column m starts every path
+    row_of = np.full(m + 1, -1)              # the row matched to a column
+    prev = np.zeros(m + 1, dtype=np.intp)    # the path's previous column
+    for i in range(n):
+        row_of[m] = i
+        j = m
+        slack = np.full(m + 1, np.inf)
+        on_path = np.zeros(m + 1, dtype=bool)
+        while row_of[j] >= 0:
+            on_path[j] = True
+            r = row_of[j]
+            reduced = cost[r] - u[r] - v[:m]
+            better = ~on_path[:m] & (reduced < slack[:m])
+            slack[:m][better] = reduced[better]
+            prev[:m][better] = j
+            nxt = int(np.argmin(np.where(on_path[:m], np.inf, slack[:m])))
+            delta = slack[nxt]
+            u[row_of[on_path]] += delta
+            v[on_path] -= delta
+            slack[~on_path] -= delta
+            j = nxt
+        while j != m:                        # flip the path's matches
+            row_of[j] = row_of[prev[j]]
+            j = prev[j]
+    cols = np.flatnonzero(row_of[:m] >= 0)
+    rows = row_of[cols]
+    if flip:
+        rows, cols = cols, rows
+    order = np.argsort(rows)
+    return rows[order], cols[order]
+
+
 def match_clusters(centers_a: np.ndarray, centers_b: np.ndarray,
                    metric: str = "euclidean") -> tuple[np.ndarray, np.ndarray]:
-    """Min-cost bipartite matching of cluster centers; returns (rows, cols)."""
-    return linear_sum_assignment(cdist(centers_a, centers_b, metric=metric))
+    """Min-cost bipartite matching of cluster centers under the "euclidean"
+    or "cityblock" distance; returns (rows, cols) with rows ascending."""
+    diff = (np.asarray(centers_a, dtype=np.float64)[:, None, :]
+            - np.asarray(centers_b, dtype=np.float64)[None, :, :])
+    if metric == "euclidean":
+        cost = np.sqrt((diff * diff).sum(axis=2))
+    elif metric == "cityblock":
+        cost = np.abs(diff).sum(axis=2)
+    else:
+        raise ValueError(f"unknown metric {metric!r}: "
+                         "use 'euclidean' or 'cityblock'")
+    return _min_cost_assignment(cost)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +21,8 @@ SMALL_CONFIG = {
                                     {"CR": "s", "DG": "s", "ME": "s"}]},
     "cf": {"variant": "a", "epochs": 3, "f": 4},
 }
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _write_config(tmp_path, config, name="config.json"):
@@ -755,3 +760,36 @@ def test_main_subcommand(tmp_path):
                      "--out", str(tmp_path / "out")])
     assert code == 0
     assert (tmp_path / "out" / "log.csv").exists()
+
+
+NO_SCIPY_RUN = """
+import importlib, pkgutil, sys
+import persona_forge
+for module in pkgutil.iter_modules(persona_forge.__path__):
+    importlib.import_module("persona_forge." + module.name)
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+if loaded:
+    sys.exit(f"{len(loaded)} scipy modules loaded: {loaded[:3]} ...")
+sys.modules["scipy"] = None  # any later scipy import raises ImportError
+from persona_forge import cli
+codes = {s: cli.run(sys.argv[1], sys.argv[2], only_stage=s)
+         for s in cli.STAGES}
+sys.exit(0 if set(codes.values()) == {0} else f"exit codes: {codes}")
+"""
+
+
+def test_package_imports_and_runs_without_scipy(tmp_path):
+    # numpy is the one runtime dependency
+    config = _write_config(tmp_path, {
+        **SMALL_CONFIG,
+        "synth": {"n_users": 120, "months_per_user": 2},
+        "cluster": {"restarts": 1},
+        "analyze": {"stability": {"characterization": "TF", "runs": 2}},
+        "ctr": {"top_n": 2, "recipes": [{"CR": "c", "DG": "s", "ME": "-"}]},
+        "cf": {"variant": "a", "epochs": 1, "f": 2}})
+    result = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_RUN, str(config),
+         str(tmp_path / "out")], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "out" / "manifest_cf.json").exists()

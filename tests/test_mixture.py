@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
 from persona_forge import artifacts, mixture
@@ -132,6 +134,53 @@ def test_match_clusters_identity_on_permutation():
     centers = np.array([[0.0, 0.0], [5.0, 5.0], [9.0, 0.0]])
     rows, cols = match_clusters(centers[[2, 0, 1]], centers)
     assert list(cols[np.argsort(rows)]) == [2, 0, 1]
+
+
+def _shapes():
+    """(n_a, n_b) for sizes 1-10: square, more rows, more columns."""
+    return [(n, n) for n in range(1, 11)] + [
+        (n, m) for n in range(1, 11) for m in range(1, 11) if n != m]
+
+
+def test_match_clusters_equals_scipy_without_ties():
+    rng = np.random.default_rng(11)
+    for n_a, n_b in _shapes():
+        for d in (2, 5, 16):
+            a, b = rng.random((n_a, d)), rng.random((n_b, d))
+            rows, cols = match_clusters(a, b)
+            want = linear_sum_assignment(cdist(a, b))
+            assert rows.tolist() == want[0].tolist()
+            assert cols.tolist() == want[1].tolist()
+
+
+@pytest.mark.parametrize("kind", ["integer", "d1", "cityblock"])
+def test_match_clusters_total_cost_equals_scipy_with_ties(kind):
+    rng = np.random.default_rng(12)
+    metric = "cityblock" if kind == "cityblock" else "euclidean"
+    for n_a, n_b in _shapes():
+        for _ in range(4):
+            d = 1 if kind == "d1" else int(rng.integers(1, 4))
+            if kind == "integer":
+                a = rng.integers(0, 3, (n_a, d)).astype(float)
+                b = rng.integers(0, 3, (n_b, d)).astype(float)
+            else:
+                a, b = rng.random((n_a, d)), rng.random((n_b, d))
+            cost = cdist(a, b, metric=metric)
+            rows, cols = match_clusters(a, b, metric=metric)
+            want = linear_sum_assignment(cost)
+            assert len(rows) == len(want[0]) == min(n_a, n_b)
+            assert np.all(np.diff(rows) > 0)
+            assert len(set(cols.tolist())) == len(cols)
+            assert abs(cost[rows, cols].sum()
+                       - cost[want].sum()) <= 1e-12
+
+
+def test_match_clusters_rejects_unknown_metric_and_nan():
+    centers = np.eye(3)
+    with pytest.raises(ValueError, match="metric"):
+        match_clusters(centers, centers, metric="cosine")
+    with pytest.raises(ValueError, match="non-finite"):
+        match_clusters(np.array([[np.nan, 0.0, 0.0]]), centers)
 
 
 def test_kmeans_recovers_blobs():
