@@ -22,7 +22,7 @@ class StabilityReport:
 
 
 def stability_check(X: np.ndarray, k: int, epsilon: float, delta: float,
-                    runs: int = 10, seed: int = 0,
+                    runs: int = 4, seed: int = 0,
                     fit_config=None) -> StabilityReport:
     """Refit on 50% subsamples and compare matched cluster centers and sizes.
 
@@ -139,7 +139,7 @@ def layered_fit(X_inner: np.ndarray, parent_labels: np.ndarray, k_inner: int,
     """
     X_inner = np.asarray(X_inner, dtype=np.float64)
     parent_labels = np.asarray(parent_labels)
-    config = config or EMConfig(restarts=5)
+    config = config or EMConfig()
     models: dict[int, MixtureModel] = {}
     skipped: list[int] = []
     for parent in sorted(set(int(p) for p in parent_labels)):

@@ -1,5 +1,4 @@
-"""Persona-aware collaborative filtering: similarity predictors and latent
-factor variants."""
+"""Persona-aware collaborative filtering: latent factor models."""
 
 from __future__ import annotations
 
@@ -15,76 +14,6 @@ class CfError(Exception):
     pass
 
 
-@dataclass
-class SimilarityPrediction:
-    rating: float | None   # None when no rated candidate has similarity
-    probability: float
-    candidates_examined: int = 0
-
-
-def predict_similarity(sims, ratings) -> SimilarityPrediction:
-    """Similarity-weighted neighbour prediction for one (user, item) pair.
-
-    `sims` holds the candidates' non-negative similarities to the user and
-    `ratings` each candidate's rating of the item, nan where it has none.
-    The rating is the similarity-weighted mean over the rated candidates;
-    the probability is their share of the total candidate similarity.
-    """
-    sims = np.asarray(sims, dtype=np.float64)
-    ratings = np.asarray(ratings, dtype=np.float64)
-    if (sims < 0).any():
-        raise CfError("similarities must be non-negative")
-    rated = ~np.isnan(ratings)
-    den_r, total = float(sims[rated].sum()), float(sims.sum())
-    rating = float(sims[rated] @ ratings[rated]) / den_r if den_r > 0 else None
-    probability = den_r / total if total > 0 else 0.0
-    return SimilarityPrediction(rating, probability, len(sims))
-
-
-def predict_similarity_temporal(user, month, values, labels, ratings,
-                                query: int, horizon: int,
-                                weights: dict[int, float] | None = None,
-                                restrict_to_cluster: bool = True
-                                ) -> SimilarityPrediction:
-    """Temporally weighted neighbour prediction over months t <= horizon.
-
-    Rows are user-months as in `features_<ch>.csv` and
-    `assignments_<ch>.csv`: `user` the row's user code, `month` its tenure
-    month (>= 0), `values` the feature rows, `labels` the hard labels, and
-    `ratings` the row user's rating of the item in that month (nan when
-    none). A candidate is another user's row in a month t where user code
-    `query` has a row and weight > 0; its similarity is the cosine to
-    `query`'s month-t row (0 for a zero row) times the month's weight.
-    Restricting candidates to `query`'s month-t cluster makes the search
-    scale with the cluster's size rather than with the whole population.
-    """
-    months = np.asarray(month, dtype=np.int64)
-    values = np.asarray(values, dtype=np.float64)
-    own = np.asarray(user) == query
-    # each row's same-month row of `query`, -1 where `query` has none
-    same = np.full(int(months.max(initial=-1)) + 1, -1)
-    same[months[own]] = np.flatnonzero(own)
-    same = same[months]
-    w = np.ones(len(months))
-    if weights is not None:
-        if min(weights.values(), default=0.0) < 0:
-            raise CfError("weights must be non-negative")
-        # a month missing from `weights` gets weight 0
-        w = (months[:, None] == np.array(list(weights))) @ np.array(
-            list(weights.values()), dtype=np.float64)
-    mask = (same >= 0) & ~own & (months <= horizon) & (w > 0)
-    if restrict_to_cluster:
-        mask &= np.asarray(labels) == np.asarray(labels)[same]
-    a, b = values[mask], values[same[mask]]
-    norms = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
-    cosine = np.divide(np.einsum("ij,ij->i", a, b), norms,
-                       out=np.zeros(len(a)), where=norms > 0)
-    return predict_similarity(w[mask] * cosine, np.asarray(ratings)[mask])
-
-
-# ---------------------------------------------------------------------------
-# Latent factor models
-
 VARIANTS = ("vanilla", "a", "b", "c", "d")
 INIT_SCALE = 0.1   # factor init std, before the 1/sqrt(f) scaling
 
@@ -94,7 +23,7 @@ class FactorConfig:
     f: int = 8
     lr: float = 0.02
     reg: float = 0.02
-    epochs: int = 50
+    epochs: int = 20
     seed: int = 0
 
 

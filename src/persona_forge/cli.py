@@ -162,8 +162,10 @@ def check_config(config: dict) -> None:
         raise ConfigError("config value 'synth.migration_rate' > 0 needs a "
                           "'niche' cluster in a given synth.mixtures.<ch> "
                           "or, under price_mode 'me', synth.spend_model")
-    if objects["ctr"].get("recipes") == []:
-        raise ConfigError("config value 'ctr.recipes' must not be empty")
+    for section, key in (("ingest", "input"), ("ctr", "recipes")):
+        if objects[section].get(key) in ("", []):
+            raise ConfigError(f"config value '{section}.{key}' must not "
+                              "be empty")
     for recipe in objects["ctr"].get("recipes", ()):
         try:
             ctr.FeatureModeRecipe(dict(recipe))
@@ -444,10 +446,15 @@ def stage_cf(params: dict, out: Path, seed: int, read) -> list[str]:
     clusters = static = None
     if variant in ("a", "b", "d"):
         name = f"assignments_{ch}.csv"
-        users, user, _, _, hard = read(read_assignments, name)
+        users, user, month, _, hard = read(read_assignments, name)
         _same_users(users, rs.users, name, "filtered.csv")
-        # a user's first row is their month-0 row
-        clusters = hard[np.searchsorted(user, np.arange(len(users)))]
+        # a user's first row must be their month-0 row
+        first = np.searchsorted(user, np.arange(len(users)))
+        late = np.flatnonzero(month[first] != 0)
+        if late.size:
+            raise DataError(f"{name} has no month-0 row for user "
+                            f"{users[late[0]]!r}")
+        clusters = hard[first]
     elif variant == "c":
         cm = _read_features(read, ch)
         _same_users(cm.users, rs.users, f"features_{ch}.csv",

@@ -337,7 +337,7 @@ class CtrEvaluation:
 class CtrExperimentConfig:
     lam: float = 2e-3
     neg_ratio: int = 5
-    top_n: int = 100
+    top_n: int = 20
     test_fraction: float = 0.2
     seed: int = 0
 

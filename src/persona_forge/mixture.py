@@ -19,7 +19,7 @@ KMEANS_TOL = 1e-10       # total squared center movement
 class EMConfig:
     max_iter: int = 500
     tol: float = 1e-8        # relative objective change
-    restarts: int = 10
+    restarts: int = 5
     seed: int = 0
 
 
@@ -63,7 +63,7 @@ class AssignmentSet:
 
 @dataclass
 class KMeansConfig:
-    restarts: int = 10
+    restarts: int = 5
     seed: int = 0
 
 

@@ -235,11 +235,12 @@ def _spend_bin_txns(rng, center_usd, low, high):
     are per cell or scalars. Returns each transaction's cell index (cells in
     order) and its price. A target below the bin floor is one transaction at
     the floor with probability target / low, so the long-run mean matches the
-    planted center; otherwise k = ceil(target / high) even prices carry it,
-    the remainder on the first. When that leaves prices below the floor, the
-    target falls between j·high and (j + 1)·low for j = target // high, and
-    j transactions at the ceiling or j + 1 at the floor are drawn so that
-    the expected sum still matches the target.
+    planted center; otherwise k = ceil(target / high) even prices `base` =
+    target // k carry it, the first r = target - k·base of them one cent
+    more, so they sum to the target exactly. When that leaves prices below
+    the floor, the target falls between j·high and (j + 1)·low for
+    j = target // high, and j transactions at the ceiling or j + 1 at the
+    floor are drawn so that the expected sum still matches the target.
     """
     n = len(center_usd)
     target = np.rint(center_usd * 100 * np.maximum(
@@ -256,13 +257,10 @@ def _spend_bin_txns(rng, center_usd, low, high):
                       [coin * low < target, k, k_high + up], 0)
     price = np.select([floor, even, narrow],
                       [low, base, np.where(up, low, high)], 0)
-    first = np.minimum(high, base + target - base * k)
+    extra = np.where(even, target - base * k, 0)  # base + 1 <= high if > 0
     cell = np.repeat(np.arange(n), count)
-    cents = price[cell]
-    starts = np.cumsum(count) - count
-    carries = even & (count > 0)
-    cents[starts[carries]] = first[carries]
-    return cell, cents
+    nth = np.arange(len(cell)) - (np.cumsum(count) - count)[cell]
+    return cell, price[cell] + (nth < extra[cell])
 
 
 def _spend_rows(rng, model, labels):

@@ -1,242 +1,11 @@
 import json
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from persona_forge import artifacts, cf, features, mixture, synth
+from persona_forge import artifacts, cf
 from persona_forge.cf import (CfError, FactorConfig, factor_model_to_dict,
-                              fit_factor, predict_similarity,
-                              predict_similarity_temporal, rmse)
-
-
-def _reference_cosine(a, b):
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0 or nb == 0:
-        return 0.0
-    return float(a @ b) / (na * nb)
-
-
-def _reference_predict_similarity(user, candidates, transacted, sim):
-    """One candidate at a time: `transacted` maps the candidates that rated
-    the item to their ratings, `sim(user, v)` gives a similarity."""
-    num_r = den_r = total = 0.0
-    examined = 0
-    for v in candidates:
-        if v == user:
-            continue
-        s = sim(user, v)
-        if s < 0:
-            raise CfError("similarities must be non-negative")
-        examined += 1
-        total += s
-        r = transacted.get(v)
-        if r is not None:
-            num_r += s * r
-            den_r += s
-    rating = num_r / den_r if den_r > 0 else None
-    probability = den_r / total if total > 0 else 0.0
-    return cf.SimilarityPrediction(rating, probability, examined)
-
-
-def _reference_predict_similarity_temporal(feats, clusters, transacted, user,
-                                           horizon, weights=None,
-                                           restrict_to_cluster=True):
-    """Month by month over dicts: `feats[t][v]` is v's month-t row,
-    `clusters[t][v]` its label and `transacted[t][v]` its rating."""
-    num_r = den_r = den_p = 0.0
-    examined = 0
-    for t in sorted(feats):
-        if t > horizon or user not in feats[t]:
-            continue
-        w = 1.0 if weights is None else float(weights.get(t, 0.0))
-        if w < 0:
-            raise CfError("weights must be non-negative")
-        if w == 0.0:
-            continue
-        label = clusters[t].get(user)
-        for v, v_t in feats[t].items():
-            if v == user or (restrict_to_cluster
-                             and clusters[t].get(v) != label):
-                continue
-            s = w * _reference_cosine(feats[t][user], v_t)
-            examined += 1
-            den_p += s
-            r = transacted.get(t, {}).get(v)
-            if r is not None:
-                num_r += s * r
-                den_r += s
-    rating = num_r / den_r if den_r > 0 else None
-    probability = den_r / den_p if den_p > 0 else 0.0
-    return cf.SimilarityPrediction(rating, probability, examined)
-
-
-def _month_dicts(keys, values, labels, ratings):
-    """The row arrays as the reference's per-month dicts."""
-    feats, clusters, transacted = {}, {}, {}
-    for (user, t), row, label, r in zip(keys, values, labels, ratings):
-        feats.setdefault(t, {})[user] = row
-        clusters.setdefault(t, {})[user] = int(label)
-        if not np.isnan(r):
-            transacted.setdefault(t, {})[user] = float(r)
-    return feats, clusters, transacted
-
-
-def _same(pred, ref):
-    assert pred.candidates_examined == ref.candidates_examined
-    assert (pred.rating is None) == (ref.rating is None)
-    if ref.rating is not None:
-        assert abs(pred.rating - ref.rating) <= 1e-12 * max(1, abs(ref.rating))
-    assert abs(pred.probability - ref.probability) <= 1e-12
-
-
-def test_predict_similarity_hand_computed():
-    # rating: (0.5*4 + 0.25*2) / 0.75; probability: 0.75 / 1.0
-    pred = predict_similarity([0.5, 0.25, 0.25], [4.0, 2.0, np.nan])
-    assert pred.rating == pytest.approx(float(Fraction(5, 2) / Fraction(3, 4)))
-    assert pred.probability == pytest.approx(0.75)
-    assert pred.candidates_examined == 3
-
-
-def test_predict_similarity_no_transacting_neighbors():
-    pred = predict_similarity([0.4], [np.nan])
-    assert pred.rating is None
-    assert pred.probability == 0.0
-
-
-def test_predict_similarity_rejects_negative_similarity():
-    with pytest.raises(CfError):
-        predict_similarity([-0.1], [np.nan])
-
-
-def test_predict_similarity_matches_reference():
-    rng = np.random.default_rng(0)
-    for _ in range(500):
-        n = int(rng.integers(0, 12))
-        sims = rng.random(n) * (rng.random(n) < 0.8)
-        ratings = np.where(rng.random(n) < 0.5, rng.uniform(1, 5, n), np.nan)
-        candidates = [f"v{j}" for j in range(n)]
-        ref = _reference_predict_similarity(
-            "u", candidates + ["u"],
-            {v: r for v, r in zip(candidates, ratings) if not np.isnan(r)},
-            lambda a, b: sims[candidates.index(b)])
-        _same(predict_similarity(sims, ratings), ref)
-
-
-def test_temporal_prediction_restricts_to_cluster():
-    # users a, b, u, z (codes 0-3) in month 0; the query is u
-    user, month = [0, 1, 2, 3], [0, 0, 0, 0]
-    values = [[1.0, 0.1], [0.9, 0.2], [1.0, 0.0], [0.0, 0.0]]
-    labels = [0, 1, 0, 0]
-    ratings = [3.0, 5.0, np.nan, 1.0]
-    pred = predict_similarity_temporal(user, month, values, labels, ratings,
-                                       2, horizon=0)
-    # the same-cluster neighbours a and z; z's zero row has similarity 0
-    assert pred.candidates_examined == 2
-    assert pred.rating == pytest.approx(3.0)
-    assert pred.probability == pytest.approx(1.0)
-    wide = predict_similarity_temporal(user, month, values, labels, ratings,
-                                       2, horizon=0, restrict_to_cluster=False)
-    assert wide.candidates_examined == 3
-
-
-def test_temporal_probability_is_bounded():
-    rng = np.random.default_rng(0)
-    # users v0-v7 (codes 0-7) and the query u (code 8), months 0-2 each
-    user, month = np.repeat(np.arange(9), 3), np.tile(np.arange(3), 9)
-    ratings = np.where(user < 4, 1.0, np.nan)
-    values = rng.random((len(user), 3))
-    labels = np.zeros(len(user), dtype=np.int64)
-    for horizon in range(3):
-        pred = predict_similarity_temporal(user, month, values, labels,
-                                           ratings, 8, horizon)
-        assert 0.0 <= pred.probability <= 1.0
-
-
-def test_temporal_weights_and_horizon():
-    # rows a0, u0, b1, u1 with codes a 0, b 1, u 2; the query is u
-    user, month = [0, 2, 1, 2], [0, 0, 1, 1]
-    values = np.ones((4, 2))
-    labels = [0, 0, 0, 0]
-    ratings = [2.0, np.nan, 4.0, np.nan]
-    only0 = predict_similarity_temporal(user, month, values, labels, ratings,
-                                        2, horizon=0)
-    assert only0.rating == pytest.approx(2.0)
-    both = predict_similarity_temporal(user, month, values, labels, ratings,
-                                       2, horizon=1, weights={0: 1.0, 1: 3.0})
-    assert both.rating == pytest.approx((2.0 + 3 * 4.0) / 4.0)
-    with pytest.raises(CfError):
-        predict_similarity_temporal(user, month, values, labels, ratings, 2,
-                                    1, weights={0: -1.0})
-
-
-def _random_rows(rng):
-    """User-month rows of a few users: count features (some all zero),
-    labels and ratings; a query user, a horizon and month weights."""
-    n_months = int(rng.integers(1, 5))
-    keys = [(f"v{j}", t) for j in range(int(rng.integers(2, 10)))
-            for t in range(n_months) if rng.random() < 0.8]
-    values = rng.integers(0, 3, (len(keys), int(rng.integers(1, 5))))
-    labels = rng.integers(0, int(rng.integers(1, 4)), len(keys))
-    ratings = np.where(rng.random(len(keys)) < 0.4,
-                       rng.integers(1, 6, len(keys)), np.nan)
-    user = keys[int(rng.integers(len(keys)))][0] if keys else "v0"
-    horizon = int(rng.integers(-1, n_months + 1))
-    weights = None if rng.random() < 0.3 else {
-        t: float(rng.uniform(0, 2)) * (rng.random() < 0.8)
-        for t in range(n_months) if rng.random() < 0.8}
-    return (keys, values.astype(float), labels, ratings, user, horizon,
-            weights)
-
-
-def test_temporal_prediction_matches_reference():
-    rng = np.random.default_rng(1)
-    for _ in range(600):
-        keys, values, labels, ratings, user, horizon, weights = (
-            _random_rows(rng))
-        ids = sorted({v for v, _ in keys} | {user})
-        codes = [ids.index(v) for v, _ in keys]
-        months = [t for _, t in keys]
-        for restrict in (True, False):
-            pred = predict_similarity_temporal(codes, months, values, labels,
-                                               ratings, ids.index(user),
-                                               horizon, weights, restrict)
-            ref = _reference_predict_similarity_temporal(
-                *_month_dicts(keys, values, labels, ratings), user, horizon,
-                weights, restrict)
-            _same(pred, ref)
-
-
-def test_temporal_prediction_on_pipeline_rows():
-    rs, _ = synth.generate(synth.GeneratorConfig(
-        n_users=80, months_per_user=2, seed=3,
-        mixtures=synth.default_mixtures(), poisson_mean=6.0,
-        items_per_cell=1))
-    months = features.tenure_align(rs)
-    cm = features.aggregate(rs, months, "TF")
-    _, assign = mixture.fit_em(cm.values, 3, mixture.EMConfig(restarts=1,
-                                                              seed=0))
-    # the row user's count of the most rented item in that month
-    item = int(np.bincount(rs.content).argmax())
-    # cm.users is rs.users, so both share user codes
-    row = {key: j for j, key in enumerate(zip(cm.user.tolist(),
-                                              cm.month.tolist()))}
-    ratings = np.full(len(cm.user), np.nan)
-    for u, t in zip(rs.user[rs.content == item].tolist(),
-                    months[rs.content == item].tolist()):
-        j = row[(u, t)]
-        ratings[j] = (0.0 if np.isnan(ratings[j]) else ratings[j]) + 1.0
-    query = int(cm.user[0])
-    narrow = predict_similarity_temporal(cm.user, cm.month, cm.values,
-                                         assign.hard, ratings, query,
-                                         horizon=1)
-    wide = predict_similarity_temporal(cm.user, cm.month, cm.values,
-                                       assign.hard, ratings, query,
-                                       horizon=1, restrict_to_cluster=False)
-    assert 0 < narrow.candidates_examined < wide.candidates_examined
-    for pred in (narrow, wide):
-        assert 0.0 <= pred.probability <= 1.0
+                              fit_factor, rmse)
 
 
 def _toy_ratings(seed=0, n_users=40, n_items=25, per_user=8):

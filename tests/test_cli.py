@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 import shutil
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from persona_forge import cf, cli, ingest, synth
+from persona_forge import analysis, cf, cli, ctr, ingest, mixture, synth
 
 SMALL_CONFIG = {
     "seed": 7,
@@ -385,6 +386,25 @@ def test_cf_labels_each_user_by_their_month_0_row(pipeline, tmp_path,
     assert clusters.tolist() == [month0[u] for u in rated]
 
 
+def test_cf_user_without_month_0_row_is_data_error(pipeline, tmp_path,
+                                                  capsys):
+    # the user keeps a month-1 row, whose label must not stand in
+    out = _copy_pipeline(pipeline, tmp_path)
+    path = out / "assignments_TF.csv"
+    header, *lines = path.read_text().splitlines()
+    user = lines[0].split(",")[0]
+    kept = [line for line in lines if not line.startswith(f"{user},0,")]
+    assert len(kept) == len(lines) - 1
+    assert any(line.startswith(f"{user},") for line in kept)
+    path.write_text("\n".join([header] + kept) + "\n")
+    config = _write_config(tmp_path, {"cf": {"variant": "a", "epochs": 1}})
+    assert cli.run(config, out, only_stage="cf") == 3
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "data"
+    for part in ("stage 'cf': ", "assignments_TF.csv", "month-0", user):
+        assert part in error["message"]
+
+
 def test_ctr_without_evaluated_items_is_data_error(tmp_path, capsys):
     # 60 users at test_fraction 0.001 leave no test user, so no item
     # can be evaluated; a nan AUC must not be written
@@ -524,6 +544,7 @@ def test_invalid_synth_section_is_validation_error(tmp_path):
                "mixtures": {"TF": {"pi": [0.5, 0.5], "niche": [0.5],
                                    "theta": [[0.5, 0.5, 0, 0, 0, 0],
                                              [0, 0, 0.5, 0.5, 0, 0]]}}}),
+    ("ingest", {"input": ""}),
 ])
 def test_bad_config_value_is_validation_error(tmp_path, capsys, stage,
                                               section):
@@ -586,6 +607,27 @@ def test_bad_section_fails_before_any_stage_writes(tmp_path, capsys, section,
     assert name in json.loads(line)["message"]
     assert not (out / "log.csv").exists()
     assert not list(out.glob("manifest_*.json"))
+
+
+def test_config_defaults_are_the_library_defaults():
+    # one default per setting: each table row equals its library twin
+    table = {f"{s}.{k}".lstrip("."): default
+             for s, k, _, default, _ in cli.CONFIG_TABLE}
+    exp, fac = ctr.CtrExperimentConfig(), cf.FactorConfig()
+    gen = synth.GeneratorConfig(1, 1, mixtures=synth.default_mixtures())
+    twins = [
+        *((f"synth.{key}", getattr(gen, key)) for key in (
+            "price_mode", "poisson_mean", "migration_rate", "items_per_cell")),
+        ("cluster.restarts", mixture.EMConfig().restarts),
+        ("cluster.restarts", mixture.KMeansConfig().restarts),
+        ("analyze.stability.runs", inspect.signature(
+            analysis.stability_check).parameters["runs"].default),
+        ("ctr.lambda", exp.lam), ("ctr.neg_ratio", exp.neg_ratio),
+        ("ctr.top_n", exp.top_n), ("ctr.test_fraction", exp.test_fraction),
+        ("cf.f", fac.f), ("cf.lr", fac.lr), ("cf.reg", fac.reg),
+        ("cf.epochs", fac.epochs),
+    ]
+    assert [(name, table[name]) for name, _ in twins] == twins
 
 
 def test_readme_config_matches_code():

@@ -254,7 +254,8 @@ def _reference_spend_bin_txns(target, coin, low, high):
     k = max(1, math.ceil(target / high))
     base = target // k
     if base >= low:
-        return [min(high, base + target - base * k)] + [base] * (k - 1)
+        r = target - base * k
+        return [base + 1] * r + [base] * (k - r)
     k = target // high
     lo_sum, hi_sum = k * high, (k + 1) * low
     if coin < (target - lo_sum) / (hi_sum - lo_sum):
@@ -273,10 +274,18 @@ def test_spend_cells_match_scalar_rule(low, high):
     rng = np.random.default_rng(4)
     scale = np.maximum(0.3, rng.normal(1.0, 0.15, size=len(centers)))
     coin = rng.random(len(centers))
-    expected = [(j, p) for j, c in enumerate(centers.tolist())
-                for p in _reference_spend_bin_txns(
-                    int(round(c * 100 * scale[j])), coin[j], low, high)]
+    targets = [int(round(c * 100 * scale[j]))
+               for j, c in enumerate(centers.tolist())]
+    expected = [(j, p) for j, target in enumerate(targets)
+                for p in _reference_spend_bin_txns(target, coin[j], low, high)]
     assert list(zip(cell.tolist(), prices.tolist())) == expected
+    # every even cell (k prices of at least the floor) sums to its target
+    targets = np.array(targets)
+    k = np.maximum(1, -(-targets // high))
+    even = (targets >= low) & (targets // k >= low)
+    assert even.any()
+    sums = np.bincount(cell, weights=prices, minlength=len(targets))
+    np.testing.assert_array_equal(sums[even], targets[even])
 
 
 def test_spend_prices_stay_in_bin():
