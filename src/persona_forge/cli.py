@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import functools
 import json
@@ -61,7 +62,7 @@ def _read_artifact(out: Path, inputs: list[str], reader, name: str,
     try:
         return reader(out / name)
     except (OSError, ValueError, KeyError, IndexError, TypeError,
-            ingest.IngestError) as exc:
+            OverflowError, csv.Error, ingest.IngestError) as exc:
         raise DataError(f"corrupt artifact {', '.join((name, *sidecars))}: "
                         f"{exc}") from None
 
@@ -118,15 +119,19 @@ _NAMES = set(_SECTIONS[1:]) | {f"{s}.{k}".lstrip(".")
                                for s, k, *_ in CONFIG_TABLE}
 
 
-def check_config(config: dict) -> None:
+def check_config(config: dict) -> dict:
     """Raise a ConfigError unless every section and key of `config` is
-    declared in CONFIG_TABLE and holds a value of its type and range."""
-    objects = {"": config}
+    declared in CONFIG_TABLE and holds a value of its type and range. Return
+    the settings of every section, "" the top level: each value with its
+    default filled in (REQUIRED where its stage does not run) and floats
+    cast, each declared subsection under its key."""
+    objects, settings = {"": config}, {"": {}}
     for path in _SECTIONS[1:]:
         parent, _, key = path.rpartition(".")
         objects[path] = objects[parent].get(key, {})
         if not isinstance(objects[path], dict):
             raise ConfigError(f"config section {path!r} must be an object")
+        settings[path] = settings[parent][key] = {}
     for path, given in objects.items():
         for name in (f"{path}.{key}".lstrip(".") for key in given):
             if name not in _NAMES:
@@ -135,8 +140,9 @@ def check_config(config: dict) -> None:
         name = f"{section}.{key}".lstrip(".")
         value = objects[section].get(key)
         if value is None and (key not in objects[section] or default is None):
-            if default is REQUIRED and section in config.get("stages", STAGES):
+            if default is REQUIRED and section in settings[""]["stages"]:
                 raise ConfigError(f"config value {name!r} is required")
+            value = default
         elif not (isinstance(value, _TYPES[kind])
                   and isinstance(value, bool) == (kind == "bool")
                   and (kind != "float" or abs(value) <= sys.float_info.max)):
@@ -153,44 +159,28 @@ def check_config(config: dict) -> None:
                 if member not in rule:
                     raise ConfigError(f"config value {name!r} takes only "
                                       f"{list(rule)}, got {member!r}")
+        settings[section][key] = float(value) if kind == "float" else value
     # synth plants migration only in niche clusters; the defaults have none
-    planted = list(objects["synth.mixtures"].values())
-    if objects["synth"].get("price_mode") == "me":
-        planted.append(objects["synth"].get("spend_model"))
-    if objects["synth"].get("migration_rate", 0) > 0 and not any(
+    gen = settings["synth"]
+    planted = list(gen["mixtures"].values())
+    if gen["price_mode"] == "me":
+        planted.append(gen["spend_model"])
+    if gen["migration_rate"] > 0 and not any(
             (spec or {}).get("niche") for spec in planted):
         raise ConfigError("config value 'synth.migration_rate' > 0 needs a "
                           "'niche' cluster in a given synth.mixtures.<ch> "
                           "or, under price_mode 'me', synth.spend_model")
     for section, key in (("ingest", "input"), ("ctr", "recipes")):
-        if objects[section].get(key) in ("", []):
+        if settings[section][key] in ("", []):
             raise ConfigError(f"config value '{section}.{key}' must not "
                               "be empty")
-    for recipe in objects["ctr"].get("recipes", ()):
+    for recipe in settings["ctr"]["recipes"]:
         try:
             ctr.FeatureModeRecipe(dict(recipe))
         except (ctr.CtrError, TypeError, ValueError) as exc:
             raise ConfigError(f"config value 'ctr.recipes' holds an invalid "
                               f"recipe {recipe!r}: {exc}") from None
-
-
-def _settings(config: dict, section: str) -> dict:
-    """`section` of a config that passed `check_config`, defaults filled in,
-    each declared subsection under its key."""
-    given = config
-    for part in filter(None, section.split(".")):
-        given = given.get(part, {})
-    values = {}
-    for row_section, key, kind, default, _ in CONFIG_TABLE:
-        if row_section == section:
-            value = given.get(key)
-            values[key] = (default if value is None
-                           else float(value) if kind == "float" else value)
-    for sub in _SECTIONS[1:]:
-        parent, _, key = sub.rpartition(".")
-        if parent == section:
-            values[key] = _settings(config, sub)
-    return values
+    return settings
 
 
 def load_config(path) -> dict:
@@ -490,8 +480,8 @@ def run(config_path, out_dir=None, seed_override: int | None = None,
             config["seed"] = seed_override
         if only_stage:
             config["stages"] = [only_stage]
-        check_config(config)
-        top = _settings(config, "")
+        settings = check_config(config)
+        top = settings[""]
         out = Path(out_dir or top["out_dir"])
         try:
             out.mkdir(parents=True, exist_ok=True)
@@ -500,7 +490,7 @@ def run(config_path, out_dir=None, seed_override: int | None = None,
                               f"{exc}") from None
         for stage in [s for s in STAGES if s in top["stages"]]:
             inputs: list[str] = []
-            params = _settings(config, stage)
+            params = settings.get(stage, {})
             try:
                 outputs = STAGE_FUNCS[stage](
                     params, out, top["seed"],

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,24 +109,26 @@ def format_price(cents: int) -> str:
     return f"{cents // 100}.{cents % 100:02d}"
 
 
-def _parse_row(row: dict[str, str]) -> tuple:
-    """One validated row as its cells in CSV_COLUMNS order."""
-    ts = int(row["timestamp"])
-    offset = int(row["region_offset_minutes"])
+def _parse_row(user_id: str, timestamp: str, offset: str, content_id: str,
+               txn_type: str, net_price: str, genre: str,
+               release_year: str) -> tuple:
+    """One validated row; its cells come and go in CSV_COLUMNS order."""
+    ts = int(timestamp)
+    offset = int(offset)
     if not -14 * 60 <= offset <= 14 * 60:
         raise ValueError(f"implausible region offset {offset}")
-    code = row["txn_type"].strip()
+    code = txn_type.strip()
     if code not in ("R", "P"):
         raise ValueError(f"unknown txn_type {code!r}")
-    cents = parse_price_cents(row["net_price"])
-    genre = row["genre"].strip()
+    cents = parse_price_cents(net_price)
+    genre = genre.strip()
     if genre not in GENRE_INDEX:
         raise ValueError(f"unknown genre {genre!r}")
-    year = int(row["release_year"])
+    year = int(release_year)
     if not MIN_RELEASE_YEAR <= year <= MAX_RELEASE_YEAR:
         raise ValueError(f"release_year {year} out of range")
-    user_id = row["user_id"].strip()
-    content_id = row["content_id"].strip()
+    user_id = user_id.strip()
+    content_id = content_id.strip()
     if not user_id or not content_id:
         raise ValueError("empty user_id or content_id")
     if max(abs(ts), cents) >= 2**53:  # beyond exact int64/float64 sums
@@ -141,29 +144,25 @@ def parse_log(path) -> ParseResult:
     Malformed rows are rejected with row-numbered diagnostics; more than
     MAX_BAD_FRACTION malformed rows is a hard failure.
     """
-    columns: list[list] = [[] for _ in CSV_COLUMNS]
+    rows: list[tuple] = []
     diagnostics: list[RowDiagnostic] = []
     seen: set[tuple[str, int, str]] = set()
-    n_rows = 0
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise IngestError(f"{path}: empty file, header required") from None
-        col_idx = {}
         for name in CSV_COLUMNS:
             if name not in header:
                 raise IngestError(f"{path}: header missing column {name!r}")
-            col_idx[name] = header.index(name)
+        pick = operator.itemgetter(*map(header.index, CSV_COLUMNS))
         for i, raw in enumerate(reader, start=1):
-            n_rows += 1
             if len(raw) != len(header):
                 diagnostics.append(RowDiagnostic(i, "wrong field count"))
                 continue
-            row = {c: raw[j] for c, j in col_idx.items()}
             try:
-                cells = _parse_row(row)
+                cells = _parse_row(*pick(raw))
             except ValueError as exc:
                 diagnostics.append(RowDiagnostic(i, str(exc)))
                 continue
@@ -172,15 +171,16 @@ def parse_log(path) -> ParseResult:
                 diagnostics.append(RowDiagnostic(i, f"duplicate key {key}"))
                 continue
             seen.add(key)
-            for column, cell in zip(columns, cells):
-                column.append(cell)
+            rows.append(cells)
 
+    n_rows = len(rows) + len(diagnostics)  # one diagnostic per rejected row
     if n_rows and len(diagnostics) > MAX_BAD_FRACTION * n_rows:
         raise IngestError(
             f"{path}: {len(diagnostics)}/{n_rows} rows malformed "
             f"(limit {MAX_BAD_FRACTION:.0%}); first: "
             f"row {diagnostics[0].row}: {diagnostics[0].message}")
 
+    columns = list(zip(*rows)) or [()] * len(CSV_COLUMNS)
     return ParseResult(RecordSet.build(*columns), diagnostics)
 
 

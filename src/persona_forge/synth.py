@@ -106,10 +106,6 @@ class PlantedMixture:
             _check_simplex(row, f"theta row {j}")
         _check_niche(self.niche, len(self.pi))
 
-    @property
-    def k(self) -> int:
-        return len(self.pi)
-
 
 @dataclass
 class SpendModel:
@@ -131,10 +127,6 @@ class SpendModel:
                 if self.centers[j, b] > 0:
                     raise GeneratorError(
                         f"cluster {j} plants spend in exact-zero price bin {b}")
-
-    @property
-    def k(self) -> int:
-        return len(self.pi)
 
 
 @dataclass
@@ -173,13 +165,6 @@ class GeneratorConfig:
                 raise GeneratorError(f"{ch} theta rows have "
                                      f"{mix.theta.shape[1]} bins, not "
                                      f"{CHARACTERIZATION_DIMS[ch]}")
-
-    @property
-    def planted(self) -> tuple[str, ...]:
-        chars = list(self.mixtures)
-        if self.spend_model is not None:
-            chars.append("ME")
-        return tuple(chars)
 
 
 @dataclass

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from persona_forge import analysis, cf, cli, ctr, ingest, mixture, synth
+from persona_forge import (analysis, artifacts, cf, cli, ctr, ingest,
+                           mixture, synth)
 
 SMALL_CONFIG = {
     "seed": 7,
@@ -310,6 +311,11 @@ def _drop_last_cluster(text):
      lambda text: text[:text.rindex(",")] + ",x\n"),
     ("analyze", "assignments_TF.csv",
      lambda text: text[:text.rindex(",")] + ",99\n"),
+    # integers too large for int64: the first month cell, the last hard label
+    ("cluster", "features_TF.csv",
+     lambda text: text.replace(",0,", f",{10**19},", 1)),
+    ("analyze", "assignments_TF.csv",
+     lambda text: text[:text.rindex(",")] + f",{10**19}\n"),
     ("cluster", "features_TF.csv", _first_row_last_cell("-3")),
     ("cluster", "features_TF.csv", _first_row_last_cell("nan")),
     ("ctr", "model_CR.json", _widen_model),
@@ -326,8 +332,9 @@ def _drop_last_cluster(text):
                           ("cf", "assignments_TF.csv"))
       for corrupt in (_swap_first_rows, _repeat_first_row)),
 ], ids=["cut-sidecar", "month-cell", "model-json", "hard-label",
-        "label-beyond-k", "negative-cell", "nan-cell", "ctr-model-width",
-        "ctr-model-facet", "analyze-model-width", "analyze-model-facet",
+        "label-beyond-k", "month-beyond-int64", "label-beyond-int64",
+        "negative-cell", "nan-cell", "ctr-model-width", "ctr-model-facet",
+        "analyze-model-width", "analyze-model-facet",
         "header-only", "k-below-model", "ctr-filtered-users",
         *(f"{stage}-{case}" for stage in ("cluster", "analyze", "cf-a")
           for case in ("unsorted-rows", "repeated-row"))])
@@ -630,10 +637,17 @@ def test_config_defaults_are_the_library_defaults():
     assert [(name, table[name]) for name, _ in twins] == twins
 
 
+def _readme():
+    return (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+
+
+def _readme_config():
+    return json.loads(_readme().split("```json\n", 1)[1].split("```", 1)[0])
+
+
 def test_readme_config_matches_code():
-    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
-    example = readme.split("```json\n", 1)[1].split("```", 1)[0]
-    cli.check_config(json.loads(example))
+    readme = _readme()
+    cli.check_config(_readme_config())
     # the config reference lists every key of the table, and nothing else
     reference = readme.split("## Config reference", 1)[1].split("\n## ")[0]
     rows = [line for line in reference.splitlines() if line.startswith("| `")]
@@ -706,18 +720,24 @@ def test_missing_ingest_input_is_data_error(tmp_path):
     assert cli.run(path, tmp_path / "out") == 3
 
 
-@pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+@pytest.mark.parametrize("kind", ["directory", "not utf-8", "long field"])
 def test_unreadable_ingest_input_is_data_error(tmp_path, capsys, kind):
     source = tmp_path / "input"
     if kind == "directory":
         source.mkdir()
-    else:
+    elif kind == "not utf-8":
         source.write_bytes(b"user_id,timestamp\n\xff\xfe\n")
+    else:  # beyond the csv module's field limit of 131,072 characters
+        source.write_text(",".join(ingest.CSV_COLUMNS) + "\n"
+                          + "u" * (1 << 18) + ",0,0,c1,R,1.99,Drama,2010\n")
     path = _write_config(tmp_path, {"stages": ["ingest"],
                                     "ingest": {"input": str(source)}})
     assert cli.run(path, tmp_path / "out") == 3
     (line,) = capsys.readouterr().err.splitlines()
-    assert json.loads(line)["error"] == "data"
+    error = json.loads(line)
+    assert error["error"] == "data"
+    assert error["message"].startswith(f"stage 'ingest': corrupt artifact "
+                                       f"{source}: ")
 
 
 def test_corrupt_log_is_data_error(tmp_path):
@@ -782,6 +802,23 @@ def test_stage_gets_the_params_its_manifest_records(tmp_path, monkeypatch):
     assert seen["synth"]["poisson_mean"] == 4.0
     assert seen["synth"]["mixtures"] == dict.fromkeys(
         ("TF", "DG", "CR", "TDT"))
+
+
+def test_manifest_params_are_the_checked_settings(tmp_path, monkeypatch):
+    # `check_config` returns what `run` hands each stage and records; stub
+    # stages that read and write nothing keep the README config fast
+    config = _readme_config()
+    settings = cli.check_config(config)
+    assert {key: settings[""][key] for key in ("seed", "stages", "out_dir")
+            } == {"seed": 7, "stages": list(cli.STAGES), "out_dir": "."}
+    for stage in cli.STAGES:
+        monkeypatch.setitem(cli.STAGE_FUNCS, stage, lambda *args: [])
+    assert cli.run(_write_config(tmp_path, config), tmp_path / "out") == 0
+    for stage in cli.STAGES:
+        manifest = json.loads(
+            (tmp_path / "out" / f"manifest_{stage}.json").read_text())
+        assert (artifacts.to_json(manifest["params"])
+                == artifacts.to_json(settings.get(stage, {}))), stage
 
 
 def test_seed_override_changes_synth(tmp_path):
