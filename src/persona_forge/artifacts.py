@@ -1,7 +1,8 @@
 """On-disk artifact format shared by every file the pipeline writes to `out/`.
 
 CSV: UTF-8, LF line endings, one header row. JSON: UTF-8, two-space indent,
-sorted keys, trailing newline. Callers own only column layout and cell text.
+sorted keys, trailing newline. Callers own only column layout and cell values:
+the csv module writes each value's `str()`, which for a float is its `repr`.
 """
 
 from __future__ import annotations

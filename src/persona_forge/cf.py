@@ -203,7 +203,7 @@ def rmse(model: FactorModel, ratings) -> float:
 
 def factor_model_to_dict(model: FactorModel) -> dict:
     def arr(a):
-        return None if a is None else [[repr(float(v)) for v in row]
+        return None if a is None else [[repr(v) for v in row]
                                        for row in np.atleast_2d(a).tolist()]
 
     return {

@@ -252,8 +252,7 @@ def _write_assignments(path: Path, cm: features.CharacterizationMatrix,
                        tau: np.ndarray, hard: np.ndarray) -> None:
     features.write_rows(
         path, cm, [f"tau_{j}" for j in range(tau.shape[1])] + ["hard"],
-        ([repr(float(v)) for v in row] + [int(label)]
-         for row, label in zip(tau, hard)))
+        (row.tolist() + [label] for row, label in zip(tau, hard)))
 
 
 def read_assignments(path, k: int | None = None):
@@ -262,8 +261,8 @@ def read_assignments(path, k: int | None = None):
     users, user, month, cells = features.read_rows(path)
     if not cells:
         raise ValueError("no assignment rows")
-    taus = np.array([[float(v) for v in row[:-1]] for row in cells])
-    hards = np.array([int(row[-1]) for row in cells], dtype=np.int64)
+    taus = np.array([row[:-1] for row in cells], dtype=np.float64)
+    hards = np.array([row[-1] for row in cells], dtype=np.int64)
     if not 0 <= hards.min() <= hards.max() < taus.shape[1]:
         raise ValueError(f"hard labels outside [0, {taus.shape[1]})")
     if k not in (None, taus.shape[1]):
@@ -366,7 +365,7 @@ def stage_analyze(params: dict, out: Path, seed: int, read) -> list[str]:
         report["migration_support"][ch] = int(mig.support.sum())
         artifacts.write_csv(
             out / f"migration_{ch}.csv", [f"to_{j}" for j in range(k)],
-            ([repr(float(v)) for v in row] for row in mig.matrix))
+            (row.tolist() for row in mig.matrix))
 
         table = analysis.center_report(models[ch].centers,
                                        features.CHARACTERIZATION_LABELS[ch],
@@ -395,13 +394,10 @@ def stage_ctr(params: dict, out: Path, seed: int, read) -> list[str]:
         seed=seed)
     rs = read(ingest.parse_log, "filtered.csv").record_set
     chars = ctr.CTR_CHARACTERIZATIONS
-    try:
-        persona = ctr.persona_features(
-            {ch: _read_features(read, ch) for ch in chars},
-            _read_models(read, chars))
-    except ctr.CtrError as exc:
-        raise DataError(str(exc)) from None
-    _same_users(persona.users, rs.users, "features_CR.csv", "filtered.csv")
+    matrices = {ch: _read_features(read, ch) for ch in chars}
+    for ch, cm in matrices.items():
+        _same_users(cm.users, rs.users, f"features_{ch}.csv", "filtered.csv")
+    persona = ctr.persona_features(matrices, _read_models(read, chars))
     items = ctr.item_user_sets(rs)
     rows = []
     for recipe in recipes:
@@ -411,9 +407,9 @@ def stage_ctr(params: dict, out: Path, seed: int, read) -> list[str]:
                             f"({len(evaluation.skipped)} skipped: a train or "
                             f"test split lacked positive or negative rows)")
         rows.append([recipe.mode("CR"), recipe.mode("DG"), recipe.mode("ME"),
-                     repr(round(evaluation.mean_auc, 6)),
-                     repr(round(evaluation.mean_n, 2)), evaluation.p,
-                     repr(round(evaluation.complexity_proxy, 2))])
+                     round(evaluation.mean_auc, 6),
+                     round(evaluation.mean_n, 2), evaluation.p,
+                     round(evaluation.complexity_proxy, 2)])
     artifacts.write_csv(out / "ctr_eval.csv",
                         ["recency", "genre", "economic", "F", "n", "p",
                          "O_proxy"], rows)

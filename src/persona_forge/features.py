@@ -144,10 +144,10 @@ def write_rows(path, cm: CharacterizationMatrix, names, cells) -> None:
 
 def read_rows(path):
     """A `write_rows` CSV as (users, user, month, each row's other cells).
-    Rows must strictly increase in (user_id, month_index) from month 0."""
+    Rows strictly increase in (user_id, month_index); no month is negative."""
     rows = list(artifacts.read_csv(path))
     users, user = _intern([row[0] for row in rows])
-    month = np.array([int(row[1]) for row in rows], dtype=np.int64)
+    month = np.array([row[1] for row in rows], dtype=np.int64)
     step = np.diff(user)
     behind = np.flatnonzero((step < 0) | ((step == 0) & (np.diff(month) <= 0)))
     if len(behind):  # 1-based data rows
@@ -161,12 +161,12 @@ def read_rows(path):
 def write_matrix(cm: CharacterizationMatrix, path) -> None:
     """CSV rows user_id,month_index,v0..v{d-1} plus a JSON sidecar descriptor.
 
-    Count cells are written as integers, Amount cells as `repr` floats.
+    Count cells are written as integers, Amount cells as floats.
     """
     path = str(path)
-    cell = int if cm.value_kind == "Count" else float
+    values = cm.values.astype(np.int64 if cm.value_kind == "Count" else float)
     write_rows(path, cm, [f"v{i}" for i in range(cm.d)],
-               ([repr(cell(v)) for v in row] for row in cm.values))
+               (row.tolist() for row in values))
     artifacts.write_json(path + ".json", {
         "characterization": cm.characterization,
         "labels": list(cm.labels),
@@ -182,9 +182,7 @@ def read_matrix(path) -> CharacterizationMatrix:
         descriptor = json.load(fh)
     users, user, month, cells = read_rows(path)
     labels = tuple(descriptor["labels"])
-    values = (np.array([[float(v) for v in row] for row in cells],
-                       dtype=np.float64) if cells
-              else np.zeros((0, len(labels))))
+    values = np.array(cells, dtype=float).reshape(len(cells), len(labels))
     whole = descriptor["value_kind"] == "Count"
     bad = ~(np.isfinite(values) & (values >= 0))
     if whole:

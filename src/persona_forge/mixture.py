@@ -415,17 +415,18 @@ def model_to_dict(model: MixtureModel | KMeansModel) -> dict:
 
 def model_from_json(text: str) -> MixtureModel | KMeansModel:
     payload = json.loads(text)
+    names = ("pi", "theta") if payload["kind"] == "mmm" else ("centers",)
+    params = [np.array(payload[name], dtype=np.float64) for name in names]
+    if not all(np.isfinite(p).all() for p in params):  # JSON null reads nan
+        raise ValueError(f"{' or '.join(names)} holds a non-finite value")
     if payload["kind"] == "mmm":
-        pi = np.array([float(v) for v in payload["pi"]])
-        theta = np.array([[float(v) for v in row] for row in payload["theta"]])
         diag = payload.get("diagnostics", {})
-        return MixtureModel(payload["K"], payload["d"], pi, theta, [],
+        return MixtureModel(payload["K"], payload["d"], *params, [],
                             payload["smoothing"], payload["seed"],
                             payload["characterization"],
                             converged=diag.get("converged", False),
                             n_iter=diag.get("n_iter", 0),
                             restart_logliks=[float(v) for v in
                                              diag.get("restart_logliks", [])])
-    centers = np.array([[float(v) for v in row] for row in payload["centers"]])
-    return KMeansModel(payload["K"], centers, float(payload["inertia"]),
+    return KMeansModel(payload["K"], *params, float(payload["inertia"]),
                        payload["seed"], payload["characterization"])

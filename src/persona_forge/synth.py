@@ -85,7 +85,8 @@ def _check_niche(niche, k):
 
 def _check_simplex(vec, what):
     vec = np.asarray(vec, dtype=np.float64)
-    if vec.ndim != 1 or np.any(vec < 0) or abs(vec.sum() - 1.0) > SIMPLEX_TOL:
+    if (vec.ndim != 1 or not np.all(np.isfinite(vec) & (vec >= 0))
+            or abs(vec.sum() - 1.0) > SIMPLEX_TOL):
         raise GeneratorError(f"{what} is not a probability vector")
     return vec
 
@@ -119,8 +120,8 @@ class SpendModel:
         self.centers = np.asarray(self.centers, dtype=np.float64)
         if self.centers.ndim != 2 or self.centers.shape != (len(self.pi), 13):
             raise GeneratorError("spend centers must be (K, 13)")
-        if np.any(self.centers < 0):
-            raise GeneratorError("spend centers must be non-negative")
+        if not np.all(np.isfinite(self.centers) & (self.centers >= 0)):
+            raise GeneratorError("spend centers must be finite and >= 0")
         _check_niche(self.niche, len(self.pi))
         for j in range(len(self.pi)):
             for b in (0, 5):
@@ -146,6 +147,8 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.n_users < 1 or self.months_per_user < 1:
             raise GeneratorError("n_users and months_per_user must be positive")
+        if self.n_users * self.months_per_user > np.iinfo(np.intp).max // 8:
+            raise GeneratorError("too many user-months for one numpy array")
         if self.price_mode not in ("tf", "me"):
             raise GeneratorError(f"unknown price_mode {self.price_mode!r}")
         if self.price_mode == "tf" and "TF" not in self.mixtures:

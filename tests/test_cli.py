@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -293,6 +294,17 @@ def _drop_first_user(text):
                                 if r.split(",")[0] != user)]) + "\n"
 
 
+def _drop_first_row_last_cell(text):
+    header, first, rest = text.split("\n", 2)
+    return "\n".join([header, first[:first.rindex(",")], rest])
+
+
+def _null_first_pi(text):
+    model = json.loads(text)
+    model["pi"][0] = None
+    return json.dumps(model)
+
+
 def _drop_last_cluster(text):
     # well-formed assignments of one cluster fewer than the model's K = 4
     rows = [line.split(",") for line in text.splitlines()]
@@ -326,6 +338,10 @@ def _drop_last_cluster(text):
      + "\n"),
     ("analyze", "assignments_TF.csv", _drop_last_cluster),
     ("ctr", "filtered.csv", _drop_first_user),
+    ("ctr", "features_DG.csv", _drop_first_user),
+    ("cluster", "features_TF.csv", _drop_first_row_last_cell),
+    ("analyze", "assignments_TF.csv", _drop_first_row_last_cell),
+    ("ctr", "model_CR.json", _null_first_pi),
     *((stage, name, corrupt)
       for stage, name in (("cluster", "features_CR.csv"),
                           ("analyze", "assignments_TF.csv"),
@@ -336,6 +352,8 @@ def _drop_last_cluster(text):
         "negative-cell", "nan-cell", "ctr-model-width", "ctr-model-facet",
         "analyze-model-width", "analyze-model-facet",
         "header-only", "k-below-model", "ctr-filtered-users",
+        "ctr-features-users", "features-short-row", "assignments-short-row",
+        "model-null-param",
         *(f"{stage}-{case}" for stage in ("cluster", "analyze", "cf-a")
           for case in ("unsorted-rows", "repeated-row"))])
 def test_corrupt_artifact_is_data_error(pipeline, tmp_path, capsys, stage,
@@ -552,6 +570,20 @@ def test_invalid_synth_section_is_validation_error(tmp_path):
                                    "theta": [[0.5, 0.5, 0, 0, 0, 0],
                                              [0, 0, 0.5, 0.5, 0, 0]]}}}),
     ("ingest", {"input": ""}),
+    # non-finite planted values: json reads NaN and Infinity
+    ("synth", {"n_users": 10, "months_per_user": 1,
+               "mixtures": {"TF": {"pi": [0.5, math.nan],
+                                   "theta": [[0.5, 0.5, 0, 0, 0, 0],
+                                             [0, 0, 0.5, 0.5, 0, 0]]}}}),
+    ("synth", {"n_users": 10, "months_per_user": 1,
+               "mixtures": {"TF": {"pi": [0.5, 0.5],
+                                   "theta": [[0.5, 0.5, 0, 0, 0, 0],
+                                             [math.nan, 0, 0.5, 0.5, 0, 0]]}}}),
+    ("synth", {"n_users": 10, "months_per_user": 1, "price_mode": "me",
+               "spend_model": {"pi": [1.0],
+                               "centers": [[0, math.inf] + [0] * 11]}}),
+    # more user-months than numpy's largest int64 array holds
+    ("synth", {"n_users": 10**30, "months_per_user": 1}),
 ])
 def test_bad_config_value_is_validation_error(tmp_path, capsys, stage,
                                               section):

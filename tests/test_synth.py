@@ -25,6 +25,11 @@ def test_mixture_validation():
                        np.array([[0.9, 0.2], [0.5, 0.5]]))  # bad theta row
     with pytest.raises(GeneratorError):
         PlantedMixture(np.array([1.0]), np.array([[1.0]]), niche=(1,))
+    with pytest.raises(GeneratorError):  # nan - 1 compares False to any tol
+        PlantedMixture(np.array([0.5, np.nan]), np.eye(2))
+    with pytest.raises(GeneratorError):
+        PlantedMixture(np.array([0.5, 0.5]), np.array([[np.nan, 0.5],
+                                                       [0.5, 0.5]]))
 
 
 def test_spend_model_validation():
@@ -37,6 +42,13 @@ def test_spend_model_validation():
         SpendModel(np.array([0.5, 0.5]), bad)
     with pytest.raises(GeneratorError):
         SpendModel(np.array([0.5, 0.5]), centers[:, :12])
+    for value in (np.nan, np.inf):
+        bad = centers.copy()
+        bad[1, 3] = value
+        with pytest.raises(GeneratorError):
+            SpendModel(np.array([0.5, 0.5]), bad)
+    with pytest.raises(GeneratorError):
+        SpendModel(np.array([np.nan, 1.0]), centers)
 
 
 def test_config_validation():
@@ -56,6 +68,8 @@ def test_config_validation():
         GeneratorConfig(5, 1, mixtures={"TF": TF, "ME": TF})
     with pytest.raises(GeneratorError):
         GeneratorConfig(5, 1, mixtures={"TF": TF}, items_per_cell=0)
+    with pytest.raises(GeneratorError):  # raised before anything is allocated
+        GeneratorConfig(10**30, 1, mixtures={"TF": TF})
 
 
 def test_generate_is_deterministic():
