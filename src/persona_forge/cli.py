@@ -281,6 +281,9 @@ def _read_features(read, ch: str) -> features.CharacterizationMatrix:
     def checked(path):
         cm = features.read_matrix(path)
         _check_facet(ch, cm.characterization, cm.d)
+        if (cm.labels, cm.value_kind) != (features.CHARACTERIZATION_LABELS[ch],
+                                          features.VALUE_KINDS[ch]):
+            raise ValueError(f"labels or value_kind are not facet {ch!r}'s")
         return cm
     return read(checked, f"features_{ch}.csv", f"features_{ch}.csv.json")
 

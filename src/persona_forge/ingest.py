@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import operator
 from dataclasses import dataclass, field
 
@@ -58,12 +59,12 @@ class RecordSet:
         return len(self.user)
 
     @classmethod
-    def build(cls, user_ids, timestamp, offset, content_ids, rental, cents,
-              genre, year) -> "RecordSet":
-        """Intern the ids in sorted order and sort the rows by
-        (user, timestamp, content); columns in CSV_COLUMNS order."""
-        users, user = _intern(user_ids)
-        contents, content = _intern(content_ids)
+    def build(cls, users, user, timestamp, offset, contents, content, rental,
+              cents, genre, year) -> "RecordSet":
+        """Columns in CSV_COLUMNS order, each id column as a sorted id tuple
+        and codes into it; drops unused ids, sorts by (user, ts, content)."""
+        users, user = _compact(users, user)
+        contents, content = _compact(contents, content)
         timestamp = np.asarray(timestamp, dtype=np.int64)
         order = np.lexsort((content, timestamp, user))
         return cls(users, contents, user[order], content[order],
@@ -80,6 +81,12 @@ def _intern(ids) -> tuple[tuple[str, ...], np.ndarray]:
     table = tuple(sorted(set(ids)))
     code = {v: i for i, v in enumerate(table)}
     return table, np.fromiter(map(code.__getitem__, ids), np.int64, len(ids))
+
+
+def _compact(ids, codes) -> tuple[tuple[str, ...], np.ndarray]:
+    """Drop the ids that no code uses, and renumber the codes to match."""
+    used = np.bincount(codes, minlength=len(ids)) > 0
+    return tuple(itertools.compress(ids, used)), (np.cumsum(used) - 1)[codes]
 
 
 @dataclass
@@ -181,7 +188,9 @@ def parse_log(path) -> ParseResult:
             f"row {diagnostics[0].row}: {diagnostics[0].message}")
 
     columns = list(zip(*rows)) or [()] * len(CSV_COLUMNS)
-    return ParseResult(RecordSet.build(*columns), diagnostics)
+    return ParseResult(RecordSet.build(*_intern(columns[0]), *columns[1:3],
+                                       *_intern(columns[3]), *columns[4:]),
+                       diagnostics)
 
 
 def write_log(rs: RecordSet, path) -> None:
@@ -222,7 +231,6 @@ def filter_inactive(rs: RecordSet) -> RecordSet:
         if keep.all():
             return rs
         rs = RecordSet.build(
-            np.asarray(rs.users, dtype=object)[rs.user[keep]],
-            rs.timestamp[keep], rs.offset[keep],
-            np.asarray(rs.contents, dtype=object)[rs.content[keep]],
-            rs.rental[keep], rs.cents[keep], rs.genre[keep], rs.year[keep])
+            rs.users, rs.user[keep], rs.timestamp[keep], rs.offset[keep],
+            rs.contents, rs.content[keep], rs.rental[keep], rs.cents[keep],
+            rs.genre[keep], rs.year[keep])

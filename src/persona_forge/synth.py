@@ -8,7 +8,7 @@ import numpy as np
 
 from . import artifacts
 from .features import CHARACTERIZATION_DIMS
-from .ingest import MONTH_SECONDS, RecordSet
+from .ingest import MONTH_SECONDS, RecordSet, _intern
 
 SIMPLEX_TOL = 1e-12
 
@@ -161,6 +161,9 @@ class GeneratorConfig:
             raise GeneratorError("poisson_mean must be positive")
         if self.items_per_cell < 1:
             raise GeneratorError("items_per_cell must be positive")
+        cells = CHARACTERIZATION_DIMS["DG"] * len(RECENCY_YEAR_RANGES)
+        if cells * self.items_per_cell > np.iinfo(np.int64).max:
+            raise GeneratorError("items_per_cell overflows the content code")
         for ch, mix in self.mixtures.items():
             if ch not in ("TF", "DG", "CR", "TDT"):
                 raise GeneratorError(f"cannot plant characterization {ch!r}")
@@ -356,13 +359,13 @@ def generate(cfg: GeneratorConfig) -> tuple[RecordSet, GroundTruth]:
     distinct, content = np.unique(code, return_inverse=True)
     gr, x = np.divmod(distinct, cfg.items_per_cell)
     g, r = np.divmod(gr, len(RECENCY_YEAR_RANGES))
-    names = np.array([f"g{a:02d}r{b}x{c}" for a, b, c in
-                      zip(g.tolist(), r.tolist(), x.tolist())], dtype=object)
+    contents, cell_code = _intern([f"g{a:02d}r{b}x{c}" for a, b, c in
+                                   zip(g.tolist(), r.tolist(), x.tolist())])
+    # same-width zero-padded numbers sort as the ints they write
     uid_width = max(6, len(str(n_users - 1)))
     uids = tuple(f"u{u:0{uid_width}d}" for u in range(n_users))
-    return (RecordSet.build(np.array(uids, dtype=object)[user], ts,
-                            offset[user], names[content], rental, cents,
-                            genre, year),
+    return (RecordSet.build(uids, user, ts, offset[user], contents,
+                            cell_code[content], rental, cents, genre, year),
             GroundTruth(uids, truth))
 
 

@@ -2,7 +2,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from persona_forge.ingest import GENRE_INDEX, GENRES, RecordSet
+from persona_forge.ingest import GENRE_INDEX, GENRES, RecordSet, _intern
 
 
 class Row(NamedTuple):
@@ -25,7 +25,9 @@ def make_record(user="u1", ts=0, offset=0, content="c1", kind="R",
 def make_record_set(*records):
     columns = [list(c) for c in zip(*records)] or [[] for _ in Row._fields]
     columns[6] = [GENRE_INDEX[g] for g in columns[6]]
-    return RecordSet.build(*columns)
+    user_ids, ts, offset, content_ids, *rest = columns
+    return RecordSet.build(*_intern(user_ids), ts, offset,
+                           *_intern(content_ids), *rest)
 
 
 def random_user_months(rng):

@@ -342,6 +342,10 @@ def _drop_last_cluster(text):
     ("cluster", "features_TF.csv", _drop_first_row_last_cell),
     ("analyze", "assignments_TF.csv", _drop_first_row_last_cell),
     ("ctr", "model_CR.json", _null_first_pi),
+    ("cluster", "features_TF.csv.json",
+     lambda text: text.replace('"Count"', '"Amount"')),
+    ("cluster", "features_TF.csv.json",
+     lambda text: text.replace('"R 0-3"', '"R 0-4"')),
     *((stage, name, corrupt)
       for stage, name in (("cluster", "features_CR.csv"),
                           ("analyze", "assignments_TF.csv"),
@@ -353,7 +357,7 @@ def _drop_last_cluster(text):
         "analyze-model-width", "analyze-model-facet",
         "header-only", "k-below-model", "ctr-filtered-users",
         "ctr-features-users", "features-short-row", "assignments-short-row",
-        "model-null-param",
+        "model-null-param", "sidecar-value-kind", "sidecar-labels",
         *(f"{stage}-{case}" for stage in ("cluster", "analyze", "cf-a")
           for case in ("unsorted-rows", "repeated-row"))])
 def test_corrupt_artifact_is_data_error(pipeline, tmp_path, capsys, stage,
@@ -584,6 +588,9 @@ def test_invalid_synth_section_is_validation_error(tmp_path):
                                "centers": [[0, math.inf] + [0] * 11]}}),
     # more user-months than numpy's largest int64 array holds
     ("synth", {"n_users": 10**30, "months_per_user": 1}),
+    # 16 genres x 5 recencies x items_per_cell content codes beyond int64
+    ("synth", {"n_users": 10, "months_per_user": 1, "items_per_cell": 10**18}),
+    ("synth", {"n_users": 10, "months_per_user": 1, "items_per_cell": 10**30}),
 ])
 def test_bad_config_value_is_validation_error(tmp_path, capsys, stage,
                                               section):

@@ -7,7 +7,7 @@ from scipy.stats import rankdata
 
 from conftest import rows
 from persona_forge import ctr, features, mixture, synth
-from persona_forge.ingest import RecordSet
+from persona_forge.ingest import RecordSet, _intern
 from persona_forge.ctr import (CTR_CHARACTERIZATIONS, CtrError,
                                FeatureModeRecipe, auc_score, build_dataset,
                                design, fit_item_model, fit_mode_h,
@@ -474,8 +474,8 @@ def _random_record_set(rng):
     users = [f"u{j}" for j in range(int(rng.integers(1, 12)))]
     contents = [f"c{j}" for j in range(int(rng.integers(1, 6)))]
     return RecordSet.build(
-        rng.choice(users, n).tolist(), rng.integers(0, 50, n),
-        np.zeros(n, np.int64), rng.choice(contents, n).tolist(),
+        *_intern(rng.choice(users, n).tolist()), rng.integers(0, 50, n),
+        np.zeros(n, np.int64), *_intern(rng.choice(contents, n).tolist()),
         rng.random(n) < 0.5, rng.integers(1, 900, n), rng.integers(0, 16, n),
         rng.integers(1970, 2016, n))
 

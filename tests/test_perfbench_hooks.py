@@ -7,6 +7,8 @@ built on it read 0 without a word.
 
 import importlib
 import importlib.util
+import inspect
+import re
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +33,25 @@ def test_every_tracer_target_is_a_function_of_its_layer():
     for layer, attr, _ in tracing.TARGETS:
         module = importlib.import_module(f"persona_forge.{layer}")
         assert callable(getattr(module, attr, None)), f"{layer}.{attr}"
+
+
+def test_every_argument_a_recorder_reads_is_a_parameter_of_its_target():
+    # a renamed parameter makes _arg return its default: _filter_inactive
+    # would then take len(None) and end the traced run
+    tracing = _load_tracing()
+    read = set()
+    for layer, attr, recorder in tracing.TARGETS:
+        if recorder is None:
+            continue
+        names = re.findall(r'_arg\(fn, args, kwargs, "(\w+)"',
+                           inspect.getsource(recorder))
+        target = getattr(importlib.import_module(f"persona_forge.{layer}"),
+                         attr)
+        params = inspect.signature(target).parameters
+        for name in names:
+            assert name in params, f"{layer}.{attr} has no {name!r}"
+        read.update(names)
+    assert read >= {"path", "rs", "config", "ratings", "variant"}
 
 
 def test_fit_factor_recorder_counts_rating_rows():

@@ -17,7 +17,7 @@ from conftest import make_record, make_record_set, rows, user_months
 from persona_forge import features
 from persona_forge.features import aggregate, tenure_align
 from persona_forge.ingest import (GENRES, MIN_MONTH_SPEND_CENTS,
-                                  MONTH_SECONDS, filter_inactive)
+                                  MONTH_SECONDS, RecordSet, filter_inactive)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +192,7 @@ def test_filter_inactive_matches_reference(seed):
     assert 0 < len(out) < len(table)
     assert rows(out) == expected
     assert out.users == tuple(sorted({r.user_id for r in expected}))
+    assert out.contents == tuple(sorted({r.content_id for r in expected}))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -221,6 +222,17 @@ def test_build_interns_sorted_ids_and_sorts_rows():
     assert len(rs) == 4
     assert rs.user.tolist() == [0, 0, 1, 1]
     assert rs.content.tolist() == [2, 0, 0, 1]
+
+
+def test_build_drops_ids_no_row_uses():
+    # codes into ("a", "b", "c") and ("x", "y", "z"), with "b" and "x" unused
+    rs = RecordSet.build(("a", "b", "c"), [2, 0, 2], [3, 2, 1], [0, 0, 0],
+                         ("x", "y", "z"), [1, 2, 2], [True] * 3, [100] * 3,
+                         [0] * 3, [2014] * 3)
+    assert rs.users == ("a", "c") and rs.contents == ("y", "z")
+    assert [(r.user_id, r.timestamp, r.content_id) for r in rows(rs)] == [
+        ("a", 2, "z"), ("c", 1, "z"), ("c", 3, "y")]
+    assert rs.user.tolist() == [0, 1, 1] and rs.content.tolist() == [1, 1, 0]
 
 
 def test_build_keeps_ids_that_differ_in_trailing_nul():

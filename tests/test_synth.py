@@ -68,6 +68,9 @@ def test_config_validation():
         GeneratorConfig(5, 1, mixtures={"TF": TF, "ME": TF})
     with pytest.raises(GeneratorError):
         GeneratorConfig(5, 1, mixtures={"TF": TF}, items_per_cell=0)
+    for items in (10**18, 10**30):  # 16 genres x 5 recencies x items > int64
+        with pytest.raises(GeneratorError):
+            GeneratorConfig(5, 1, mixtures={"TF": TF}, items_per_cell=items)
     with pytest.raises(GeneratorError):  # raised before anything is allocated
         GeneratorConfig(10**30, 1, mixtures={"TF": TF})
 
@@ -126,12 +129,16 @@ def test_no_duplicate_record_keys():
 
 
 def test_content_ids_key_genre_and_recency():
-    rs, _ = generate(default_config(20, 1, seed=2, items_per_cell=3))
-    for r in rows(rs):
-        g = features.GENRES.index(r.genre)
-        cr = bin_recency(r.year)
-        assert r.content_id.startswith(f"g{g:02d}r{cr}x")
-        assert int(r.content_id.rsplit("x", 1)[1]) < 3
+    # at 12 items per cell, "x10" sorts before "x2": name order is not the
+    # order of the cell codes
+    for items in (3, 12):
+        rs, _ = generate(default_config(20, 1, seed=2, items_per_cell=items))
+        for r in rows(rs):
+            g = features.GENRES.index(r.genre)
+            cr = bin_recency(r.year)
+            assert r.content_id.startswith(f"g{g:02d}r{cr}x")
+            assert int(r.content_id.rsplit("x", 1)[1]) < items
+        assert rs.contents == tuple(sorted({r.content_id for r in rows(rs)}))
 
 
 def test_migration_only_hits_niche_clusters():
