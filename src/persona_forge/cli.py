@@ -402,7 +402,7 @@ def stage_ctr(params: dict, out: Path, seed: int, read) -> list[str]:
         _same_users(cm.users, rs.users, f"features_{ch}.csv", "filtered.csv")
     persona = ctr.persona_features(matrices, _read_models(read, chars))
     items = ctr.item_user_sets(rs)
-    rows = []
+    rows, diagnostics = [], []
     for recipe in recipes:
         evaluation = ctr.run_ctr_experiment(items, persona, recipe, exp_cfg)
         if not evaluation.per_item:  # no test user, or every item skipped
@@ -413,10 +413,14 @@ def stage_ctr(params: dict, out: Path, seed: int, read) -> list[str]:
                      round(evaluation.mean_auc, 6),
                      round(evaluation.mean_n, 2), evaluation.p,
                      round(evaluation.complexity_proxy, 2)])
+        diagnostics.append(evaluation.diagnostics())
     artifacts.write_csv(out / "ctr_eval.csv",
                         ["recency", "genre", "economic", "F", "n", "p",
                          "O_proxy"], rows)
-    return ["ctr_eval.csv"]
+    artifacts.write_json(out / "ctr_diagnostics.json", {
+        "kkt_tol": ctr.KKT_TOL, "max_iter": ctr.MAX_ITER,
+        "recipes": diagnostics})
+    return ["ctr_eval.csv", "ctr_diagnostics.json"]
 
 
 def stage_cf(params: dict, out: Path, seed: int, read) -> list[str]:

@@ -51,7 +51,8 @@ def test_pipeline_exit_code(pipeline):
 def test_pipeline_artifacts_exist(pipeline):
     _, out = pipeline
     expected = ["log.csv", "ground_truth.csv", "filtered.csv",
-                "ctr_eval.csv", "cf_model.json", "analyze_report.json"]
+                "ctr_eval.csv", "ctr_diagnostics.json", "cf_model.json",
+                "analyze_report.json"]
     expected += [f"features_{ch}.csv" for ch in
                  ("ME", "TF", "DG", "CR", "TDT")]
     expected += [f"model_{ch}.json" for ch in ("ME", "TF", "DG", "CR", "TDT")]
@@ -471,6 +472,44 @@ def test_ctr_eval_table(pipeline):
     p_ccc = int(lines[1].split(",")[5])
     p_sss = int(lines[2].split(",")[5])
     assert p_ccc > p_sss  # raw counts are wider than soft distances
+
+
+def _ctr_diagnostics(out):
+    manifest = json.loads((out / "manifest_ctr.json").read_text())
+    assert "ctr_diagnostics.json" in manifest["outputs"]
+    return json.loads((out / "ctr_diagnostics.json").read_text())
+
+
+def test_ctr_diagnostics(pipeline):
+    _, out = pipeline
+    report = _ctr_diagnostics(out)
+    assert (report["kkt_tol"], report["max_iter"]) == (ctr.KKT_TOL,
+                                                       ctr.MAX_ITER)
+    assert [r["recipe"] for r in report["recipes"]] == ["c,c,c", "s,s,s"]
+    for r in report["recipes"]:
+        # no 'h': one fit per evaluated item, and none single-class
+        assert r["fits"] == 4 - len(r["skipped_items"]) > 0
+        assert r["converged"] == r["fits"]
+        assert r["single_class_partitions"] == 0
+        assert 1 <= r["mean_iterations"] <= r["max_iterations"] < ctr.MAX_ITER
+        assert 0.0 <= r["max_kkt_violation"] <= ctr.KKT_TOL
+        assert 0 <= r["negatives_short"] <= 8
+
+
+def test_ctr_diagnostics_show_unconverged_fits(pipeline, tmp_path,
+                                               monkeypatch):
+    _, done = pipeline
+    out = tmp_path / "out"
+    shutil.copytree(done, out)
+    monkeypatch.setattr(ctr, "MAX_ITER", 3)
+    assert cli.run(_write_config(tmp_path, SMALL_CONFIG), out,
+                   only_stage="ctr") == 0
+    report = _ctr_diagnostics(out)
+    assert report["max_iter"] == 3
+    for r in report["recipes"]:
+        assert r["fits"] > 0 and r["converged"] < r["fits"]
+        assert r["max_iterations"] == 3
+        assert r["max_kkt_violation"] > ctr.KKT_TOL
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])

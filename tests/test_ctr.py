@@ -214,13 +214,13 @@ def test_fit_item_model_evaluates_loss_once_per_trial(monkeypatch):
 
     monkeypatch.setattr(ctr, "_loss", counted_loss)
     monkeypatch.setattr(ctr, "_soft", counted_soft)
-    rng = np.random.default_rng(3)
-    X = rng.normal(0, 1, (300, 8))
-    y = (rng.random(300) < 1 / (1 + np.exp(-X[:, 0]))).astype(float)
-    model = fit_item_model(X, y, lam=0.01)
-    assert model.converged and calls["trial"] > 1
-    # the starting point's loss, then the accepted trial's loss carries over
-    assert calls["loss"] == calls["trial"] + 1
+    X, y, lam = _reference_case("backtracks")
+    model = fit_item_model(X, y, lam)
+    _, _, _, _, counts, _ = _reference_fit_item_model(X, y, lam)
+    assert model.converged and calls["trial"] > 1 and counts["momentum"] > 0
+    # the start's loss, one per backtracking trial and one per momentum
+    # point; the accepted trial's loss carries over
+    assert calls["loss"] == 1 + calls["trial"] + counts["momentum"]
 
 
 def test_large_penalty_zeroes_weights():
@@ -248,53 +248,121 @@ def test_constant_columns_are_safe():
     assert np.isfinite(predict_scores(model, X)).all()
 
 
-def _reference_fit_item_model(X, y, lam):
-    """The ISTA loop that recomputes the margins for each gradient, with
-    np.mean and the `where` form of the KKT check; also returns the count
-    of backtracking halvings."""
-    n_pos = int(y.sum())
+def _standardize(X):
     mu = X.mean(axis=0) if X.shape[1] else np.zeros(0)
     sd = X.std(axis=0) if X.shape[1] else np.zeros(0)
-    sd = np.where(sd == 0, 1.0, sd)
-    Xs = (X - mu) / sd
+    return (X - mu) / np.where(sd == 0, 1.0, sd)
+
+
+def _plain_gradient(Xs, y, w, b, lam):
+    """Gradient at (w, b), margins recomputed, with np.mean and the `where`
+    form of the KKT check."""
+    r = sigmoid(Xs @ w + b) - y
+    g, gb = Xs.T @ r / len(y), float(r.mean())
+    viol = max(abs(gb), float(np.where(
+        w == 0, np.maximum(np.abs(g) - lam, 0.0),
+        np.abs(g + lam * np.sign(w))).max(initial=0.0)))
+    return g, gb, viol
+
+
+def _plain_step(Xs, y, w, b, lam, g, gb, f0, step, loss):
+    """One backtracking proximal step from (w, b), whose loss is f0; also
+    returns the count of halvings."""
+    halvings = 0
+    while True:
+        v = w - step * g
+        w_new = np.sign(v) * np.maximum(np.abs(v) - step * lam, 0.0)
+        b_new = b - step * gb
+        dw, db = w_new - w, b_new - b
+        f_new = loss(w_new, b_new)
+        if f_new <= (f0 + g @ dw + gb * db
+                     + ((dw @ dw) + db * db) / (2.0 * step)) + 1e-12:
+            break
+        step *= 0.5
+        halvings += 1
+        if step < 1e-12:
+            break
+    return w_new, b_new, f_new, step, halvings
+
+
+def _reference_fit_item_model(X, y, lam):
+    """The FISTA loop in plain form: margins recomputed from (w, b), np.mean
+    and the `where` form of the KKT check. Also returns the counts of
+    gradients, backtracking halvings, momentum points and restarts, and the
+    objective of each accepted iterate."""
+    Xs = _standardize(X)
 
     def loss(w, b):
         z = Xs @ w + b
         return float(np.mean(np.logaddexp(0.0, z) - y * z))
 
+    n_pos = int(y.sum())
     w = np.zeros(X.shape[1])
     b = float(np.log(n_pos / (len(y) - n_pos)))
-    step, viol, converged, halvings = 1.0, np.inf, False, 0
-    f0 = loss(w, b)
-    for _ in range(ctr.MAX_ITER):
-        r = sigmoid(Xs @ w + b) - y
-        g, gb = Xs.T @ r / len(y), float(r.mean())
-        viol = max(abs(gb), float(np.where(
-            w == 0, np.maximum(np.abs(g) - lam, 0.0),
-            np.abs(g + lam * np.sign(w))).max(initial=0.0)))
-        if viol <= ctr.KKT_TOL:
-            converged = True
+    f = loss(w, b)
+    objectives = [f]
+    w_v, b_v, f_v = w, b, f
+    t, beta, step, viol = 1.0, 0.0, 1.0, np.inf
+    gradients = halvings = momentum = restarts = 0
+    while gradients < ctr.MAX_ITER:
+        gradients += 1
+        g, gb, viol = _plain_gradient(Xs, y, w_v, b_v, lam)
+        if viol <= ctr.KKT_TOL or gradients == ctr.MAX_ITER:
             break
-        while True:
-            v = w - step * g
-            w_new = np.sign(v) * np.maximum(np.abs(v) - step * lam, 0.0)
-            b_new = b - step * gb
-            dw, db = w_new - w, b_new - b
-            f_new = loss(w_new, b_new)
-            if f_new <= (f0 + g @ dw + gb * db
-                         + ((dw @ dw) + db * db) / (2.0 * step)) + 1e-12:
-                break
-            step *= 0.5
-            halvings += 1
-            if step < 1e-12:
-                break
-        w, b, f0 = w_new, b_new, f_new
+        w_new, b_new, f_new, step, h = _plain_step(Xs, y, w_v, b_v, lam, g,
+                                                   gb, f_v, step, loss)
+        halvings += h
+        F_new = f_new + lam * float(np.abs(w_new).sum())
+        if F_new > objectives[-1] and beta > 0.0:
+            t, beta, restarts = 1.0, 0.0, restarts + 1
+            w_v, b_v, f_v = w, b, f
+            continue
+        t_next = (1.0 + (1.0 + 4.0 * t * t) ** 0.5) / 2.0
+        beta = (t - 1.0) / t_next
+        if beta > 0.0:
+            w_v = w_new + beta * (w_new - w)
+            b_v = b_new + beta * (b_new - b)
+            f_v = loss(w_v, b_v)
+            momentum += 1
+        else:
+            w_v, b_v, f_v = w_new, b_new, f_new
+        w, b, f, t = w_new, b_new, f_new, t_next
+        objectives.append(F_new)
         step = min(step * 1.5, 1e4)
-    return w, b, viol, converged, halvings
+    counts = {"gradients": gradients, "halvings": halvings,
+              "momentum": momentum, "restarts": restarts}
+    return w_v, b_v, viol, viol <= ctr.KKT_TOL, counts, objectives
 
 
-@pytest.mark.parametrize("case", ["p0", "constant", "zeroed", "backtracks"])
-def test_fit_item_model_matches_reference_loop(case):
+def _ista_fit_item_model(X, y, lam):
+    """The backtracking ISTA loop that FISTA replaced, kept as an objective
+    oracle; returns (w, b, converged, gradients)."""
+    Xs = _standardize(X)
+
+    def loss(w, b):
+        z = Xs @ w + b
+        return float(np.mean(np.logaddexp(0.0, z) - y * z))
+
+    n_pos = int(y.sum())
+    w = np.zeros(X.shape[1])
+    b = float(np.log(n_pos / (len(y) - n_pos)))
+    step, f0 = 1.0, loss(w, b)
+    for gradients in range(1, ctr.MAX_ITER + 1):
+        g, gb, viol = _plain_gradient(Xs, y, w, b, lam)
+        if viol <= ctr.KKT_TOL:
+            return w, b, True, gradients
+        w, b, f0, step, _ = _plain_step(Xs, y, w, b, lam, g, gb, f0, step,
+                                        loss)
+        step = min(step * 1.5, 1e4)
+    return w, b, False, ctr.MAX_ITER
+
+
+def _objective(X, y, lam, w, b):
+    z = _standardize(X) @ w + b
+    return float(np.mean(np.logaddexp(0.0, z) - y * z)) + lam * np.abs(w).sum()
+
+
+def _reference_case(case):
     rng = np.random.default_rng(21)
     X = rng.gamma(1.0, 2.0, (200, 0 if case == "p0" else 12))
     if case == "constant":
@@ -302,15 +370,92 @@ def test_fit_item_model_matches_reference_loop(case):
     y = (rng.random(200) < 1 / (1 + np.exp(-(X[:, :2].sum(1) - 4.0)))
          if X.shape[1] else rng.random(200) < 0.3).astype(float)
     lam = {"zeroed": 10.0, "backtracks": 1e-4}.get(case, 2e-3)
+    return X, y, lam
+
+
+def _kkt_fixtures():
+    """The fitted problems of test_acceptance's test_solver_kkt_and_gradient,
+    drawn from the same stream."""
+    rng = np.random.default_rng(1)
+    for _ in range(20):
+        n = int(rng.integers(40, 120))
+        d = int(rng.integers(3, 10))
+        X = rng.normal(0, 1, (n, d))
+        w_true = rng.normal(0, 1, d) * (rng.random(d) < 0.6)
+        y = (rng.random(n) < 1 / (1 + np.exp(-(X @ w_true)))).astype(float)
+        if y.sum() in (0, n):
+            y[0] = 1 - y[0]
+        yield X, y, float(10 ** rng.uniform(-3, -1))
+
+
+def _correlated_fixture():
+    """Six near-copies of one column at a small penalty: ISTA creeps along
+    the ridge and FISTA's momentum overshoots it, so restarts fire."""
+    rng = np.random.default_rng(7)
+    base = rng.normal(0, 1, (300, 1))
+    X = base + 0.01 * rng.normal(0, 1, (300, 6))
+    y = (rng.random(300) < 1 / (1 + np.exp(-2.0 * base[:, 0]))).astype(float)
+    return X, y, 1e-4
+
+
+CASES = ["p0", "constant", "zeroed", "backtracks"]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_fit_item_model_matches_reference_loop(case):
+    X, y, lam = _reference_case(case)
     model = fit_item_model(X, y, lam)
-    w, b, viol, converged, halvings = _reference_fit_item_model(X, y, lam)
+    w, b, viol, converged, counts, _ = _reference_fit_item_model(X, y, lam)
     assert model.weights.tobytes() == w.tobytes()
-    assert (model.intercept, model.kkt_violation, model.converged) == (
-        b, viol, converged)
+    assert (model.intercept, model.kkt_violation, model.converged,
+            model.n_iter) == (b, viol, converged, counts["gradients"])
     if case == "zeroed":
         assert not w.any()
     if case == "backtracks":
-        assert halvings > 0
+        assert counts["halvings"] > 0 and counts["momentum"] > 0
+
+
+def _fit_counting_gradients(X, y, lam, monkeypatch):
+    calls = []
+    inner = ctr.smooth_gradient
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(ctr, "smooth_gradient", counted)
+    model = fit_item_model(X, y, lam)
+    monkeypatch.setattr(ctr, "smooth_gradient", inner)
+    return model, len(calls)
+
+
+@pytest.mark.parametrize("case", CASES + ["kkt"])
+def test_fista_objective_within_ista_oracle(case, monkeypatch):
+    problems = (_kkt_fixtures() if case == "kkt"
+                else [_reference_case(case)])
+    for X, y, lam in problems:
+        model, gradients = _fit_counting_gradients(X, y, lam, monkeypatch)
+        w, b, converged, ista_gradients = _ista_fit_item_model(X, y, lam)
+        assert model.converged and converged
+        assert (_objective(X, y, lam, model.weights, model.intercept)
+                <= _objective(X, y, lam, w, b) + 1e-6)
+        if case != "kkt":
+            # fewer gradients, except where the start already meets the KKT
+            # conditions (p0, zeroed) and both take one
+            assert (gradients < ista_gradients
+                    or gradients == ista_gradients == 1)
+
+
+def test_restart_keeps_accepted_objective_monotone():
+    X, y, lam = _correlated_fixture()
+    model = fit_item_model(X, y, lam)
+    w, b, viol, converged, counts, objectives = _reference_fit_item_model(
+        X, y, lam)
+    assert model.weights.tobytes() == w.tobytes()
+    assert counts["restarts"] > 0
+    assert np.all(np.diff(objectives) <= 0.0)
+    assert model.converged and model.kkt_violation <= ctr.KKT_TOL
+    assert model.n_iter == counts["gradients"]
 
 
 def _reference_kkt_violation(w, grad, grad_b, lam):
@@ -573,6 +718,30 @@ def test_run_ctr_experiment_smoke():
     assert len(ev.per_item) + len(ev.skipped) == 4
     for auc in ev.per_item.values():
         assert 0.0 <= auc <= 1.0
+
+
+def test_run_ctr_experiment_diagnostics_count_fallbacks_and_short_negatives():
+    # an 'h' recipe with an item its second cluster never buys, and an item
+    # bought by more users than the negatives can match
+    rng = np.random.default_rng(5)
+    users = tuple(f"u{j:02d}" for j in range(40))
+    feats = _random_persona_features(rng, users)
+    hard = np.repeat([0, 1], 20)
+    feats.hard = {ch: hard for ch in feats.hard}
+    items = {"common": np.arange(30),
+             "cluster0": np.flatnonzero((hard == 0) & (rng.random(40) < 0.5))}
+    ev = ctr.run_ctr_experiment(
+        items, feats, FeatureModeRecipe({"CR": "h", "DG": "c"}),
+        ctr.CtrExperimentConfig(lam=0.01, neg_ratio=1, top_n=2,
+                                test_fraction=0.25, seed=3))
+    report = ev.diagnostics()
+    assert len(ev.per_item) == 2
+    assert report["recipe"] == "h,c,-"
+    assert report["negatives_short"] >= 1
+    assert report["single_class_partitions"] >= 1
+    assert report["fits"] == len(ev.fits) >= 1
+    assert report["converged"] == report["fits"]
+    assert report["max_iterations"] == max(m.n_iter for m in ev.fits)
 
 
 def _reference_run_ctr_experiment(items, features, recipe, config):
