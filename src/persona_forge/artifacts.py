@@ -1,4 +1,5 @@
-"""On-disk artifact format shared by every file the pipeline writes to `out/`.
+"""On-disk artifact format shared by every file the pipeline writes to `out/`,
+and the one reader of every JSON file it reads, the config included.
 
 CSV: UTF-8, LF line endings, one header row. JSON: UTF-8, two-space indent,
 sorted keys, trailing newline. Callers own only column layout and cell values:
@@ -35,3 +36,8 @@ def to_json(obj) -> str:
 def write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(to_json(obj))
+
+
+def read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)

@@ -15,6 +15,7 @@ class CfError(Exception):
 
 
 VARIANTS = ("vanilla", "a", "b", "c", "d")
+CLUSTER_VARIANTS = ("a", "b", "d")  # the variants that take cluster labels
 INIT_SCALE = 0.1   # factor init std, before the 1/sqrt(f) scaling
 
 
@@ -89,7 +90,7 @@ def fit_factor(n_users: int, n_items: int, ratings, variant: str = "vanilla",
     """
     if variant not in VARIANTS:
         raise CfError(f"unknown variant {variant!r}")
-    if variant not in ("a", "b", "d"):
+    if variant not in CLUSTER_VARIANTS:
         clusters = None
     elif np.shape(clusters) != (n_users,):
         raise CfError(f"variant {variant} needs one cluster label per user")

@@ -84,7 +84,7 @@ CONFIG_TABLE = (
     ("synth", "items_per_cell", "int", 2, "[1, inf)"),
     ("synth", "spend_model", "object", None, ("pi", "centers", "niche")),
     *(("synth.mixtures", ch, "object", None, ("pi", "theta", "niche"))
-      for ch in ("TF", "DG", "CR", "TDT")),
+      for ch in synth.PLANTED),
     ("ingest", "input", "str", None, None),
     ("ingest", "filter", "bool", True, None),
     ("cluster", "restarts", "int", 5, "[1, inf)"),
@@ -161,12 +161,9 @@ def check_config(config: dict) -> dict:
                                       f"{list(rule)}, got {member!r}")
         settings[section][key] = float(value) if kind == "float" else value
     # synth plants migration only in niche clusters; the defaults have none
-    gen = settings["synth"]
-    planted = list(gen["mixtures"].values())
-    if gen["price_mode"] == "me":
-        planted.append(gen["spend_model"])
-    if gen["migration_rate"] > 0 and not any(
-            (spec or {}).get("niche") for spec in planted):
+    gen = _planted(settings["synth"])
+    planted = [*gen["mixtures"].values(), gen["spend_model"]]
+    if gen["migration_rate"] > 0 and not any(m and m.niche for m in planted):
         raise ConfigError("config value 'synth.migration_rate' > 0 needs a "
                           "'niche' cluster in a given synth.mixtures.<ch> "
                           "or, under price_mode 'me', synth.spend_model")
@@ -185,8 +182,7 @@ def check_config(config: dict) -> dict:
 
 def load_config(path) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
-            config = json.load(fh)
+        config = artifacts.read_json(path)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -196,26 +192,34 @@ def load_config(path) -> dict:
     return config
 
 
-def stage_synth(params: dict, out: Path, seed: int, read) -> list[str]:
-    params = dict(params)  # `run` writes the whole dict to the manifest
-    mixtures = synth.default_mixtures()
+def _planted(gen: dict) -> dict:
+    """Synth settings `gen` with their planted specs built: a null spec
+    plants the published table, and a spend model is planted only under
+    price_mode 'me'. A spec that synth rejects is a ConfigError."""
+    mixtures, sm, spend = synth.default_mixtures(), gen["spend_model"], None
     try:
-        for ch, spec in params.pop("mixtures").items():
+        for ch, spec in gen["mixtures"].items():
             if spec is not None:
                 mixtures[ch] = synth.PlantedMixture(
                     np.array(spec["pi"]), np.array(spec["theta"]),
                     tuple(spec.get("niche", ())))
-        spend, sm = None, params.pop("spend_model")
-        if params["price_mode"] == "me":
+        synth.check_mixtures(mixtures)
+        if gen["price_mode"] == "me":
             spend = (synth.default_spend_model() if sm is None else
                      synth.SpendModel(np.array(sm["pi"]),
                                       np.array(sm["centers"]),
                                       tuple(sm.get("niche", ()))))
-        gen_cfg = synth.GeneratorConfig(seed=seed, mixtures=mixtures,
-                                        spend_model=spend, **params)
     except KeyError as exc:
         raise ConfigError(f"invalid synth config: missing key {exc}") from None
     except (synth.GeneratorError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid synth config: {exc}") from None
+    return dict(gen, mixtures=mixtures, spend_model=spend)
+
+
+def stage_synth(params: dict, out: Path, seed: int, read) -> list[str]:
+    try:
+        gen_cfg = synth.GeneratorConfig(seed=seed, **_planted(params))
+    except synth.GeneratorError as exc:
         raise ConfigError(f"invalid synth config: {exc}") from None
     rs, gt = synth.generate(gen_cfg)
     ingest.write_log(rs, out / "log.csv")
@@ -290,7 +294,7 @@ def _read_features(read, ch: str) -> features.CharacterizationMatrix:
 
 def _read_models(read, chars) -> dict:
     def checked(path, ch):
-        model = mixture.model_from_json(path.read_text(encoding="utf-8"))
+        model = mixture.model_from_dict(artifacts.read_json(path))
         _check_facet(ch, model.characterization, model.d)
         return model
     return {ch: read(functools.partial(checked, ch=ch), f"model_{ch}.json")
@@ -437,7 +441,7 @@ def stage_cf(params: dict, out: Path, seed: int, read) -> list[str]:
     ratings = np.column_stack([*np.divmod(pairs, n_items), values])
 
     clusters = static = None
-    if variant in ("a", "b", "d"):
+    if variant in cf.CLUSTER_VARIANTS:
         name = f"assignments_{ch}.csv"
         users, user, month, _, hard = read(read_assignments, name)
         _same_users(users, rs.users, name, "filtered.csv")

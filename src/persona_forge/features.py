@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +21,9 @@ PURCHASE_PRICE_LABELS = ("P 0", "P 0-3", "P 3-5", "P 5-8", "P 8-10",
 ME_LABELS = RENTAL_PRICE_LABELS + PURCHASE_PRICE_LABELS
 
 TF_LABELS = ("R 0-3", "R >3", "P 0-8", "P 8-16", "P 16-20", "P >20")
+# The coarse bins' left-open/right-closed cent edges, rentals then purchases.
+TF_RENTAL_EDGES = (300,)
+TF_PURCHASE_EDGES = (800, 1600, 2000)
 
 RECENCY_LABELS = ("Old", "Nostalgia", "NotNew", "Recent", "Latest")
 RECENCY_EDGES = (1990, 2000, 2010, 2014)  # half-open [edge_i, edge_{i+1})
@@ -60,27 +62,33 @@ def me_index(rental, cents):
 
 def bin_frequency(rental, cents):
     """Index into the 6 coarse transaction-frequency price bins."""
-    return np.where(rental, np.searchsorted((300,), cents),
-                    2 + np.searchsorted((800, 1600, 2000), cents))
+    return np.where(rental, np.searchsorted(TF_RENTAL_EDGES, cents),
+                    len(TF_RENTAL_EDGES) + 1
+                    + np.searchsorted(TF_PURCHASE_EDGES, cents))
 
 
 def bin_recency(release_year):
     return np.searchsorted(RECENCY_EDGES, release_year, side="right")
 
 
-def bin_timeday(timestamp, region_offset_minutes):
-    """Map transactions to one of 6 (day type, time slot) bins.
+def weekday(epoch_day):
+    """Monday == 0 weekday of a day from 1970-01-01, a Thursday."""
+    return (epoch_day + 3) % 7
 
-    The slot is determined from the user's local clock; hours in [22, 24) and
-    [0, 5) share the late-night slot of the same local calendar day, and early
-    mornings [5, 10) fold into the office-hours slot.
-    """
-    local = np.asarray(timestamp) + np.asarray(region_offset_minutes) * 60
-    dow = (local // 86400 + 3) % 7  # epoch day 0 is a Thursday; Monday == 0
-    hour = (local % 86400) // 3600
-    slot = np.where((17 <= hour) & (hour < 22), 1,
+
+def time_slot(hour):
+    """The TDT slot of a local hour: 1 for [17, 22), 2 for [22, 24) and
+    [0, 5), else 0 (office hours [10, 17) and early mornings [5, 10))."""
+    return np.where((17 <= hour) & (hour < 22), 1,
                     np.where((hour >= 22) | (hour < 5), 2, 0))
-    return np.where(dow < 5, 0, 3) + slot
+
+
+def bin_timeday(timestamp, region_offset_minutes):
+    """Map transactions to one of 6 (day type, time slot) bins by the user's
+    local clock; late-night hours [0, 5) take their own day's day type."""
+    local = np.asarray(timestamp) + np.asarray(region_offset_minutes) * 60
+    return (np.where(weekday(local // 86400) < 5, 0, 3)
+            + time_slot((local % 86400) // 3600))
 
 
 @dataclass
@@ -178,8 +186,7 @@ def read_matrix(path) -> CharacterizationMatrix:
     """Read a `write_matrix` CSV and its sidecar. A cell that is negative or
     not finite, or not a whole number in a Count matrix, raises ValueError."""
     path = str(path)
-    with open(path + ".json", encoding="utf-8") as fh:
-        descriptor = json.load(fh)
+    descriptor = artifacts.read_json(path + ".json")
     users, user, month, cells = read_rows(path)
     labels = tuple(descriptor["labels"])
     values = np.array(cells, dtype=float).reshape(len(cells), len(labels))

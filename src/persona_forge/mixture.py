@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 
@@ -413,8 +412,8 @@ def model_to_dict(model: MixtureModel | KMeansModel) -> dict:
     }
 
 
-def model_from_json(text: str) -> MixtureModel | KMeansModel:
-    payload = json.loads(text)
+def model_from_dict(payload: dict) -> MixtureModel | KMeansModel:
+    """The model of a `model_to_dict` payload."""
     names = ("pi", "theta") if payload["kind"] == "mmm" else ("centers",)
     params = [np.array(payload[name], dtype=np.float64) for name in names]
     if not all(np.isfinite(p).all() for p in params):  # JSON null reads nan

@@ -7,53 +7,43 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import artifacts
-from .features import CHARACTERIZATION_DIMS
+from .features import (CHARACTERIZATION_DIMS, PURCHASE_PRICE_EDGES,
+                       RECENCY_EDGES, RENTAL_PRICE_EDGES, TF_PURCHASE_EDGES,
+                       TF_RENTAL_EDGES, VALUE_KINDS, time_slot, weekday)
 from .ingest import MONTH_SECONDS, RecordSet, _intern
 
 SIMPLEX_TOL = 1e-12
 
-# Inclusive cent ranges backing each coarse transaction-frequency bin.
-TF_PRICE_RANGES = (
-    (1, 300),      # R 0-3
-    (301, 500),    # R >3
-    (1, 800),      # P 0-8
-    (801, 1600),   # P 8-16
-    (1601, 2000),  # P 16-20
-    (2001, 2500),  # P >20
-)
-TF_IS_RENTAL = (True, True, False, False, False, False)
-
-# Inclusive cent ranges backing the 13 monthly-expenditure bins; the two
-# exact-zero bins cannot carry spend and are None.
-ME_PRICE_RANGES = (
-    None, (1, 100), (101, 300), (301, 500), (501, 800),          # rentals
-    None, (1, 300), (301, 500), (501, 800), (801, 1000),         # purchases
-    (1001, 1600), (1601, 2000), (2001, 2500),
-)
-ME_IS_RENTAL = tuple(i < 5 for i in range(13))
-
-RECENCY_YEAR_RANGES = ((1970, 1989), (1990, 1999), (2000, 2009),
-                       (2010, 2013), (2014, 2015))
-
-TDT_SLOT_HOURS = ((10, 11, 12, 13, 14, 15, 16),
-                  (17, 18, 19, 20, 21),
-                  (22, 23, 0, 1, 2, 3, 4))
+# Per price bin, rentals first: the lowest and highest planted cents, from
+# 1 cent up to caps of 500 (TF rentals), 800 (ME rentals) and 2,500. A
+# left-open bin (e, e'] holds e + 1 to e' cents, so an exact-zero bin (an
+# edge at 0) is empty, its low 1 above its high 0.
+_TF_LOW = np.array((0, *TF_RENTAL_EDGES, 0, *TF_PURCHASE_EDGES)) + 1
+_TF_HIGH = np.array((*TF_RENTAL_EDGES, 500, *TF_PURCHASE_EDGES, 2500))
+_TF_RENTAL = np.arange(len(_TF_LOW)) <= len(TF_RENTAL_EDGES)
+_ME_LOW = np.array((0, *RENTAL_PRICE_EDGES, 0, *PURCHASE_PRICE_EDGES)) + 1
+_ME_HIGH = np.array((*RENTAL_PRICE_EDGES, 800, *PURCHASE_PRICE_EDGES, 2500))
+_ME_RENTAL = np.arange(len(_ME_LOW)) <= len(RENTAL_PRICE_EDGES)
+_ME_BINS = np.flatnonzero(_ME_LOW <= _ME_HIGH)  # the bins that carry spend
+# A month-0 fallback transaction's price, by its bin; an exact-zero bin
+# (only when every center is zero) falls back to 101 cents.
+_ME_FALLBACK_LOW = np.where(_ME_LOW <= _ME_HIGH, _ME_LOW, 101)
+_YEAR_LOW = np.array((1970, *RECENCY_EDGES))  # release years 1970-2015
+_YEAR_HIGH = np.array((*RECENCY_EDGES, 2016)) - 1
+# Each TDT slot's hours, padded to one width, and its true size: hours from
+# 10:00 round to 04:59, so none is planted 05:00-09:59.
+_HOURS = np.arange(10, 29) % 24
+_SLOT_SIZES = np.bincount(time_slot(_HOURS))
+_SLOT_HOURS = np.array([np.resize(_HOURS[time_slot(_HOURS) == s],
+                                  _SLOT_SIZES.max())
+                        for s in range(len(_SLOT_SIZES))])
+# The facets a mixture can plant: every count facet.
+PLANTED = tuple(ch for ch, kind in VALUE_KINDS.items() if kind == "Count")
+_RECENCY_BINS = CHARACTERIZATION_DIMS["CR"]
 
 REGION_OFFSETS = (-480, -420, -360, -300, -240, 0, 60)
 
 BASE_EPOCH = 1388534400  # 2014-01-01T00:00:00Z
-
-# Array forms of the tables above, indexed by bin.
-_TF_LOW, _TF_HIGH = np.array(TF_PRICE_RANGES).T
-_YEAR_LOW, _YEAR_HIGH = np.array(RECENCY_YEAR_RANGES).T
-_ME_BINS = np.array([b for b, r in enumerate(ME_PRICE_RANGES) if r])
-_ME_LOW, _ME_HIGH = np.array([r for r in ME_PRICE_RANGES if r]).T
-# A month-0 fallback transaction's price, by its bin; an exact-zero bin
-# (only when every center is zero) falls back to 101 cents.
-_ME_FALLBACK_LOW = np.array([(r or (101, 300))[0] for r in ME_PRICE_RANGES])
-# TDT slot hours padded to one width, and each slot's true size.
-_SLOT_SIZES = np.array([len(h) for h in TDT_SLOT_HOURS])
-_SLOT_HOURS = np.array([h + h[:1] * (7 - len(h)) for h in TDT_SLOT_HOURS])
 
 
 def _day_table():
@@ -63,7 +53,7 @@ def _day_table():
     days = np.arange(1, 29)
     table = np.zeros((7, 2, 20), dtype=np.int64)
     for r in range(7):
-        weekend = (r + days + 3) % 7 >= 5  # Monday == 0, as in bin_timeday
+        weekend = weekday(r + days) >= 5
         table[r, 0] = days[~weekend]
         table[r, 1, :8] = days[weekend]
     return table
@@ -112,22 +102,21 @@ class PlantedMixture:
 class SpendModel:
     """Planted spending clusters: average monthly USD per expenditure bin."""
     pi: np.ndarray
-    centers: np.ndarray  # (K, 13) USD amounts
+    centers: np.ndarray  # (K, 13) USD amounts, one per ME bin
     niche: tuple[int, ...] = ()
 
     def __post_init__(self):
         self.pi = _check_simplex(self.pi, "pi")
         self.centers = np.asarray(self.centers, dtype=np.float64)
-        if self.centers.ndim != 2 or self.centers.shape != (len(self.pi), 13):
-            raise GeneratorError("spend centers must be (K, 13)")
+        if self.centers.shape != (len(self.pi), len(_ME_LOW)):
+            raise GeneratorError(f"spend centers must be (K, {len(_ME_LOW)})")
         if not np.all(np.isfinite(self.centers) & (self.centers >= 0)):
             raise GeneratorError("spend centers must be finite and >= 0")
         _check_niche(self.niche, len(self.pi))
-        for j in range(len(self.pi)):
-            for b in (0, 5):
-                if self.centers[j, b] > 0:
-                    raise GeneratorError(
-                        f"cluster {j} plants spend in exact-zero price bin {b}")
+        spent = np.argwhere((self.centers > 0) & (_ME_LOW > _ME_HIGH))
+        if len(spent):  # the first (cluster, exact-zero bin) pair
+            raise GeneratorError(f"cluster {spent[0][0]} plants spend in "
+                                 f"exact-zero price bin {spent[0][1]}")
 
 
 @dataclass
@@ -135,7 +124,7 @@ class GeneratorConfig:
     n_users: int
     months_per_user: int
     seed: int = 0
-    # Planted mixtures keyed by characterization ("TF", "DG", "CR", "TDT").
+    # Planted mixtures keyed by characterization, each in PLANTED.
     mixtures: dict[str, PlantedMixture] = field(default_factory=dict)
     spend_model: SpendModel | None = None
     price_mode: str = "tf"        # "tf": prices follow the TF label;
@@ -161,16 +150,20 @@ class GeneratorConfig:
             raise GeneratorError("poisson_mean must be positive")
         if self.items_per_cell < 1:
             raise GeneratorError("items_per_cell must be positive")
-        cells = CHARACTERIZATION_DIMS["DG"] * len(RECENCY_YEAR_RANGES)
+        cells = CHARACTERIZATION_DIMS["DG"] * _RECENCY_BINS
         if cells * self.items_per_cell > np.iinfo(np.int64).max:
             raise GeneratorError("items_per_cell overflows the content code")
-        for ch, mix in self.mixtures.items():
-            if ch not in ("TF", "DG", "CR", "TDT"):
-                raise GeneratorError(f"cannot plant characterization {ch!r}")
-            if mix.theta.shape[1] != CHARACTERIZATION_DIMS[ch]:
-                raise GeneratorError(f"{ch} theta rows have "
-                                     f"{mix.theta.shape[1]} bins, not "
-                                     f"{CHARACTERIZATION_DIMS[ch]}")
+        check_mixtures(self.mixtures)
+
+
+def check_mixtures(mixtures: dict[str, PlantedMixture]) -> None:
+    """Raise a GeneratorError unless each mixture fits a facet in PLANTED."""
+    for ch, mix in mixtures.items():
+        if ch not in PLANTED:
+            raise GeneratorError(f"cannot plant characterization {ch!r}")
+        if mix.theta.shape[1] != CHARACTERIZATION_DIMS[ch]:
+            raise GeneratorError(f"{ch} theta rows have {mix.theta.shape[1]} "
+                                 f"bins, not {CHARACTERIZATION_DIMS[ch]}")
 
 
 @dataclass
@@ -262,8 +255,8 @@ def _spend_rows(rng, model, labels):
     centers = model.centers[labels]                      # (users, months, 13)
     cells = n_users * months
     cell, cents = _spend_bin_txns(rng, centers[..., _ME_BINS].ravel(),
-                                  np.tile(_ME_LOW, cells),
-                                  np.tile(_ME_HIGH, cells))
+                                  np.tile(_ME_LOW[_ME_BINS], cells),
+                                  np.tile(_ME_HIGH[_ME_BINS], cells))
     user_month, b = np.divmod(cell, len(_ME_BINS))
     user, month = np.divmod(user_month, months)
     bins = _ME_BINS[b]
@@ -274,8 +267,7 @@ def _spend_rows(rng, model, labels):
     cents = np.concatenate([cents, _ME_FALLBACK_LOW[lone_bins]])
     bins = np.concatenate([bins, lone_bins])
     order = np.argsort(user * months + month, kind="stable")
-    return (user[order], month[order], cents[order],
-            np.asarray(ME_IS_RENTAL)[bins[order]])
+    return user[order], month[order], cents[order], _ME_RENTAL[bins[order]]
 
 
 def _facet_bins(rng, cfg, truth, ch, user, month):
@@ -326,7 +318,7 @@ def generate(cfg: GeneratorConfig) -> tuple[RecordSet, GroundTruth]:
         tf = _categorical(rng, cfg.mixtures["TF"].theta,
                           truth["TF"][user, month])
         cents = rng.integers(_TF_LOW[tf], _TF_HIGH[tf] + 1)
-        rental = np.asarray(TF_IS_RENTAL)[tf]
+        rental = _TF_RENTAL[tf]
     else:
         user, month, cents, rental = _spend_rows(rng, cfg.spend_model,
                                                  truth["ME"])
@@ -340,25 +332,24 @@ def generate(cfg: GeneratorConfig) -> tuple[RecordSet, GroundTruth]:
     # day type within a week of a uniform day of the base year. Every later
     # row falls on local days 1-28 of its month's 30-day window.
     first = np.searchsorted(user, np.arange(n_users))
-    weekend = (tdt >= 3).astype(np.int64)  # day type: 0 weekday, 1 weekend
+    weekend, slot = np.divmod(tdt, 3)  # day type 0 weekday, 1 weekend
     day0 = BASE_EPOCH // 86400 + rng.integers(365, size=n_users)
-    dow = (day0 + 3) % 7  # epoch day 0 is a Thursday; Monday == 0
+    dow = weekday(day0)
     birth_day = day0 + np.where(weekend[first] == 1, np.maximum(0, 5 - dow),
                                 np.where(dow < 5, 0, 7 - dow))
     window_day = birth_day[user] + month * (MONTH_SECONDS // 86400)
     day = window_day + _DAY_TABLE[window_day % 7, weekend,
                                  rng.integers(_DAYS_PER_TYPE[weekend])]
     day[first] = birth_day
-    slot = tdt % 3
     hour = _SLOT_HOURS[slot, rng.integers(_SLOT_SIZES[slot])]
     ts = (day * 86400 + hour * 3600 + rng.integers(3600, size=n)
           - offset[user] * 60)
 
-    code = (genre * len(RECENCY_YEAR_RANGES) + cr) * cfg.items_per_cell + cell
+    code = (genre * _RECENCY_BINS + cr) * cfg.items_per_cell + cell
     _bump_collisions(user, ts, code)
     distinct, content = np.unique(code, return_inverse=True)
     gr, x = np.divmod(distinct, cfg.items_per_cell)
-    g, r = np.divmod(gr, len(RECENCY_YEAR_RANGES))
+    g, r = np.divmod(gr, _RECENCY_BINS)
     contents, cell_code = _intern([f"g{a:02d}r{b}x{c}" for a, b, c in
                                    zip(g.tolist(), r.tolist(), x.tolist())])
     # same-width zero-padded numbers sort as the ints they write

@@ -659,11 +659,30 @@ def test_migration_without_niche_is_validation_error(tmp_path, capsys):
         **planted, "mixtures": {"TF": tf}}})
     assert cli.run(path, out) == 0
     # the spend model's niche counts only where it plants prices
-    me = {**planted, "spend_model": {"niche": [1]}}
+    spend = {"pi": synth.DEFAULT_ME_PI.tolist(),
+             "centers": synth.DEFAULT_ME_CENTERS.tolist(), "niche": [1]}
+    me = {**planted, "spend_model": spend}
     cli.check_config({"stages": ["synth"],
                       "synth": {**me, "price_mode": "me"}})
     with pytest.raises(cli.ConfigError, match="synth.migration_rate"):
         cli.check_config({"stages": ["synth"], "synth": me})
+
+
+@pytest.mark.parametrize("stages", [["ingest"], ["synth"]])
+def test_bad_planted_spec_fails_before_the_output_directory(tmp_path, capsys,
+                                                            stages):
+    # planted specs are checked with the rest of the config, whichever
+    # stages run, so nothing is created
+    out = tmp_path / "out"
+    tf = {"pi": [0.7, 0.7], "theta": synth.DEFAULT_TF_THETA[:2].tolist()}
+    path = _write_config(tmp_path, {"stages": stages, "synth": {
+        "n_users": 20, "months_per_user": 2, "mixtures": {"TF": tf}}})
+    assert cli.run(path, out) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "validation"
+    assert error["message"].startswith("invalid synth config: ")
+    assert not out.exists()
 
 
 def test_required_keys_and_nulls():

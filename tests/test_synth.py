@@ -1,3 +1,5 @@
+import datetime
+import itertools
 import math
 
 import numpy as np
@@ -197,8 +199,8 @@ def test_rows_keep_the_calendar_invariants(price_mode):
     # local hour in the TDT slot, day type matching the TDT bin
     label = gt.label_array("TDT", rs.users, rs.user, months)
     in_slot = np.zeros((3, 24), dtype=bool)
-    for slot, hours in enumerate(synth.TDT_SLOT_HOURS):
-        in_slot[slot, list(hours)] = True
+    for slot, size in enumerate(synth._SLOT_SIZES):
+        in_slot[slot, synth._SLOT_HOURS[slot, :size]] = True
     assert np.all(in_slot[label % 3, (local % 86400) // 3600])
     weekend = (local_day + 3) % 7 >= 5
     np.testing.assert_array_equal(weekend, label >= 3)
@@ -206,6 +208,62 @@ def test_rows_keep_the_calendar_invariants(price_mode):
     # (user, ts, content) keys are unique
     keys = np.column_stack([rs.user, rs.timestamp, rs.content])
     assert len(np.unique(keys, axis=0)) == len(rs)
+
+
+def test_planted_ranges_end_in_their_bins():
+    # each planted range's ends bin where the readers bin them; one cent or
+    # year past an end is in the neighbouring bin wherever that bin exists
+    prices = [(synth._TF_LOW, synth._TF_HIGH, synth._TF_RENTAL, bin_frequency),
+              (synth._ME_LOW, synth._ME_HIGH, synth._ME_RENTAL, me_index)]
+    # only the exact-zero ME bins, where 0 cents falls, are left unplanted
+    assert np.all(synth._TF_LOW <= synth._TF_HIGH)
+    unplanted = np.flatnonzero(synth._ME_LOW > synth._ME_HIGH)
+    np.testing.assert_array_equal(unplanted,
+                                  me_index(np.array([True, False]), 0))
+    for low, high, rental, to_bin in prices:
+        for b in np.flatnonzero(low <= high).tolist():
+            r = rental[b]
+            assert to_bin(r, low[b]) == b and to_bin(r, high[b]) == b
+            if b > 0 and rental[b - 1] == r:
+                assert to_bin(r, low[b] - 1) == b - 1
+            if b + 1 < len(low) and rental[b + 1] == r:
+                assert to_bin(r, high[b] + 1) == b + 1
+    low, high = synth._YEAR_LOW, synth._YEAR_HIGH
+    assert len(low) == features.CHARACTERIZATION_DIMS["CR"]
+    np.testing.assert_array_equal(bin_recency(low), np.arange(len(low)))
+    np.testing.assert_array_equal(bin_recency(high), np.arange(len(low)))
+    np.testing.assert_array_equal(bin_recency(low[1:] - 1),
+                                  np.arange(len(low) - 1))
+    np.testing.assert_array_equal(bin_recency(high[:-1] + 1),
+                                  np.arange(1, len(low)))
+
+
+def test_planted_hours_fall_in_their_slots():
+    # a week of local days, each hour's first and last second, in every
+    # region: the local day type and slot are the planted ones
+    epoch = datetime.date(1970, 1, 1)
+    day = np.arange(16071, 16078)  # 2014-01-01 to 2014-01-07
+    weekend = np.array([(epoch + datetime.timedelta(int(d))).weekday() >= 5
+                        for d in day])
+    assert weekend.any() and not weekend.all()
+    planted = []
+    for slot, size in enumerate(synth._SLOT_SIZES.tolist()):
+        for hour in synth._SLOT_HOURS[slot, :size].tolist():
+            planted.append(hour)
+            for second, offset in itertools.product((0, 3599),
+                                                    synth.REGION_OFFSETS):
+                local = day * 86400 + hour * 3600 + second
+                np.testing.assert_array_equal(
+                    bin_timeday(local - offset * 60, offset),
+                    np.where(weekend, 3, 0) + slot)
+    assert sorted(planted) == [h for h in range(24) if not 5 <= h < 10]
+
+
+def test_weekday_matches_the_calendar():
+    epoch = datetime.date(1970, 1, 1)
+    days = np.arange(-1000, 1001)
+    expected = [(epoch + datetime.timedelta(int(d))).weekday() for d in days]
+    np.testing.assert_array_equal(features.weekday(days), expected)
 
 
 def test_bump_collisions_moves_repeats_one_second_at_a_time():
@@ -284,8 +342,9 @@ def _reference_spend_bin_txns(target, coin, low, high):
     return [high] * k
 
 
-@pytest.mark.parametrize("low,high",
-                         sorted({r for r in synth.ME_PRICE_RANGES if r}))
+@pytest.mark.parametrize("low,high", sorted(
+    {(lo, hi) for lo, hi in zip(synth._ME_LOW.tolist(),
+                                synth._ME_HIGH.tolist()) if lo <= hi}))
 def test_spend_cells_match_scalar_rule(low, high):
     centers = np.random.default_rng(3).uniform(0.0, 60.0, 2000)
     centers[::10] = 0.0
