@@ -32,10 +32,10 @@ class FactorConfig:
 class FactorModel:
     variant: str
     mu: float
-    bu: np.ndarray                 # (n_users,)
-    bi: np.ndarray                 # (n_items,)
-    P: np.ndarray                  # (n_users, f)
-    Q: np.ndarray                  # (n_items, f)
+    bu: np.ndarray | None = None   # (n_users,) all but variant d
+    bi: np.ndarray | None = None   # (n_items,)
+    P: np.ndarray | None = None    # (n_users, f)
+    Q: np.ndarray | None = None    # (n_items, f)
     ba: np.ndarray | None = None   # (n_clusters,) variant a
     Y: np.ndarray | None = None    # (n_clusters, f) variant b
     clusters: np.ndarray | None = None  # (n_users,) label per user (a, b, d)
@@ -63,12 +63,23 @@ class FactorModel:
             if self.Y is not None:
                 rows = self.clusters[u] >= 0
                 p[rows] += self.Y[self.clusters[u[rows]]]
-            # row-wise matmul gives each row the bits of the 1-D `Q[i] @ p`
-            out += np.matmul(self.Q[i][:, None, :], p[:, :, None])[:, 0, 0]
+            out += _dot(self.Q[i].T, p.T)
             if self.static is not None:
-                out += np.matmul(self.Qs[i][:, None, :],
-                                 self.static[u][:, :, None])[:, 0, 0]
+                out += _dot(self.Qs[i].T, self.static[u].T)
         return float(out[0]) if np.ndim(users) == 0 else out
+
+
+def _dot(x, y):
+    """The products x[k] * y[k] added in k order, starting from 0.0.
+
+    The one dot product of the SGD step and of `FactorModel.predict`, which
+    passes columns and gets every row's sum with the same bits. BLAS picks
+    its dot kernel by CPU, and `sum` compensates from Python 3.12.
+    """
+    total = 0.0
+    for a, b in zip(x, y):
+        total += a * b
+    return total
 
 
 def _columns(ratings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -117,9 +128,7 @@ def fit_factor(n_users: int, n_items: int, ratings, variant: str = "vanilla",
             submodels[c] = fit_factor(n_users, n_items,
                                       np.column_stack(columns)[rows],
                                       "vanilla", config=cfg)
-        model = FactorModel("d", mu, np.zeros(n_users), np.zeros(n_items),
-                            np.zeros((n_users, 1)), np.zeros((n_items, 1)),
-                            clusters=clusters, submodels=submodels,
+        model = FactorModel("d", mu, clusters=clusters, submodels=submodels,
                             empty_clusters=empty)
         model.rmse_trace = [_rmse(model, columns)]
         return model
@@ -142,11 +151,13 @@ def fit_factor(n_users: int, n_items: int, ratings, variant: str = "vanilla",
         model.static = np.asarray(static, dtype=np.float64)
         model.Qs = aug_rng.normal(0.0, scale, (n_items, model.static.shape[1]))
 
-    P, Q, Y, Qs, static = model.P, model.Q, model.Y, model.Qs, model.static
-    # the biases are Python floats during an epoch: the same IEEE double
-    # arithmetic as numpy scalars, without numpy's dispatch per operation
-    bu, bi = model.bu.tolist(), model.bi.tolist()
-    ba = None if model.ba is None else model.ba.tolist()
+    # an epoch runs on Python floats and lists: the same IEEE double
+    # arithmetic as numpy's, in the same order, without its dispatch per
+    # operation; each factor row is rebuilt element by element
+    P, Q, Y, Qs, static, bu, bi, ba = (
+        None if a is None else a.tolist()
+        for a in (model.P, model.Q, model.Y, model.Qs, model.static,
+                  model.bu, model.bi, model.ba))
     labels = [-1] * n_users if clusters is None else clusters.tolist()
     order = np.arange(len(values))
     reg = config.reg
@@ -156,34 +167,34 @@ def fit_factor(n_users: int, n_items: int, ratings, variant: str = "vanilla",
         for u, i, r in zip(users[order].tolist(), items[order].tolist(),
                            values[order].tolist()):
             c = labels[u]
-            p, q = P[u], Q[i]  # views: every use below precedes their write
+            p, q = P[u], Q[i]
             pred = mu + bi[i] + bu[u]
             if c >= 0 and ba is not None:
                 pred += ba[c]
-            user_vec = p + Y[c] if c >= 0 and Y is not None else p
-            pred += float(q.dot(user_vec))
+            if c >= 0 and Y is not None:
+                user_vec = [a + b for a, b in zip(p, Y[c])]
+            else:
+                user_vec = p
+            pred += _dot(q, user_vec)
             if static is not None:
-                pred += float(Qs[i].dot(static[u]))
+                pred += _dot(Qs[i], static[u])
             err = r - pred
             bu[u] += lr * (err - reg * bu[u])
             bi[i] += lr * (err - reg * bi[i])
             if c >= 0 and ba is not None:
                 ba[c] += lr * (err - reg * ba[c])
             if c >= 0 and Y is not None:
-                Y[c] += lr * (err * q - reg * Y[c])
+                Y[c] = [y + lr * (err * b - reg * y) for y, b in zip(Y[c], q)]
             if static is not None:
-                Qs[i] += lr * (err * static[u] - reg * Qs[i])
-            # P[u] and Q[i] in one (2, f) pass over rows [p; q] and
-            # partners [q; user_vec]: element for element the operations
-            # of p + lr * (err * q - reg * p) and of its Q twin
-            stacked = np.array((p, q, user_vec))
-            rows = stacked[:2]
-            new = rows + lr * (err * stacked[1:] - reg * rows)
-            P[u] = new[0]
-            Q[i] = new[1]
-        model.bu[:], model.bi[:] = bu, bi
-        if ba is not None:
-            model.ba[:] = ba
+                Qs[i] = [w + lr * (err * s - reg * w)
+                         for w, s in zip(Qs[i], static[u])]
+            P[u] = [a + lr * (err * b - reg * a) for a, b in zip(p, q)]
+            Q[i] = [b + lr * (err * v - reg * b) for b, v in zip(q, user_vec)]
+        for array, rows in ((model.P, P), (model.Q, Q), (model.Y, Y),
+                            (model.Qs, Qs), (model.bu, bu), (model.bi, bi),
+                            (model.ba, ba)):
+            if rows:  # None when unused; an empty Y or ba has no rows
+                array[:] = rows
         model.rmse_trace.append(_rmse(model, columns))
         if not np.isfinite(model.rmse_trace[-1]):
             raise CfError(f"SGD diverged in epoch {epoch + 1}")
@@ -202,15 +213,44 @@ def rmse(model: FactorModel, ratings) -> float:
     return _rmse(model, _columns(ratings))
 
 
+FLOAT_ARRAYS = ("bu", "bi", "P", "Q", "ba", "Y", "static", "Qs")
+
+
 def factor_model_to_dict(model: FactorModel) -> dict:
-    def arr(a):
-        return None if a is None else [[repr(v) for v in row]
-                                       for row in np.atleast_2d(a).tolist()]
+    """Every field `predict` reads, and the RMSE trace: float arrays as
+    (row) lists of `repr` strings, `None` when unused; labels as ints."""
+    def text(v):
+        return [text(x) for x in v] if isinstance(v, list) else repr(v)
 
     return {
         "variant": model.variant,
         "mu": repr(model.mu),
-        **{k: arr(getattr(model, k)) for k in ("bu", "bi", "P", "Q", "ba", "Y")},
+        **{k: None if getattr(model, k) is None
+           else text(getattr(model, k).tolist()) for k in FLOAT_ARRAYS},
+        "clusters": None if model.clusters is None
+        else model.clusters.tolist(),
+        "submodels": None if model.submodels is None
+        else {str(c): factor_model_to_dict(sub)
+              for c, sub in model.submodels.items()},
+        "rmse_trace": text(model.rmse_trace),
         "final_rmse": repr(model.rmse_trace[-1]) if model.rmse_trace else None,
         "empty_clusters": model.empty_clusters,
     }
+
+
+def factor_model_from_dict(payload: dict) -> FactorModel:
+    """The model of a `factor_model_to_dict` payload."""
+    arrays = {k: np.array(payload[k], dtype=np.float64)
+              for k in FLOAT_ARRAYS if payload[k] is not None}
+    if "Y" in arrays:  # a Y without rows keeps its f columns
+        arrays["Y"] = arrays["Y"].reshape(-1, arrays["P"].shape[1])
+    clusters, submodels = payload["clusters"], payload["submodels"]
+    return FactorModel(
+        payload["variant"], float(payload["mu"]), **arrays,
+        clusters=None if clusters is None
+        else np.array(clusters, dtype=np.int64),
+        submodels=None if submodels is None
+        else {int(c): factor_model_from_dict(sub)
+              for c, sub in submodels.items()},
+        rmse_trace=[float(v) for v in payload["rmse_trace"]],
+        empty_clusters=payload["empty_clusters"])

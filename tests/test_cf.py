@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from persona_forge import artifacts, cf
-from persona_forge.cf import (CfError, FactorConfig, factor_model_to_dict,
-                              fit_factor, rmse)
+from persona_forge.cf import (CfError, FactorConfig, factor_model_from_dict,
+                              factor_model_to_dict, fit_factor, rmse)
 
 
 def _toy_ratings(seed=0, n_users=40, n_items=25, per_user=8):
@@ -33,11 +37,20 @@ def test_diverging_sgd_raises(variant):
                    config=FactorConfig(lr=5.0, epochs=3, seed=1))
 
 
+def _loop_dot(x, y):
+    """x . y as Python floats: the products added in k order from 0.0."""
+    total = 0.0
+    for k in range(len(x)):
+        total += float(x[k]) * float(y[k])
+    return total
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _reference_fit_factor(n_users, n_items, ratings, variant, clusters=None,
                           static=None, config=FactorConfig()):
-    """The scalar SGD loop: numpy scalar biases, copied factor rows and one
-    row update at a time, in the order of the model's equations."""
+    """The scalar SGD loop: numpy scalar biases, copied factor rows, a
+    Python-float loop for each dot product and one row update at a time, in
+    the order of the model's equations."""
     users, items, values = columns = cf._columns(ratings)
     mu = float(np.mean(values))
     if variant not in ("a", "b", "d"):
@@ -53,10 +66,8 @@ def _reference_fit_factor(n_users, n_items, ratings, variant, clusters=None,
                 n_users, n_items, np.column_stack(columns)[rows], "vanilla",
                 config=FactorConfig(config.f, config.lr, config.reg,
                                     config.epochs, config.seed + c + 1))
-        model = cf.FactorModel("d", mu, np.zeros(n_users), np.zeros(n_items),
-                               np.zeros((n_users, 1)), np.zeros((n_items, 1)),
-                               clusters=clusters, submodels=submodels,
-                               empty_clusters=empty)
+        model = cf.FactorModel("d", mu, clusters=clusters,
+                               submodels=submodels, empty_clusters=empty)
         model.rmse_trace = [cf._rmse(model, columns)]
         return model
     rng = np.random.default_rng(config.seed)
@@ -91,9 +102,9 @@ def _reference_fit_factor(n_users, n_items, ratings, variant, clusters=None,
             if c >= 0 and ba is not None:
                 pred += ba[c]
             user_vec = p + Y[c] if c >= 0 and Y is not None else p
-            pred += Q[i] @ user_vec
+            pred += _loop_dot(Q[i], user_vec)
             if static is not None:
-                pred += Qs[i] @ static[u]
+                pred += _loop_dot(Qs[i], static[u])
             err = r - pred
             bu[u] += lr * (err - reg * bu[u])
             bi[i] += lr * (err - reg * bi[i])
@@ -115,22 +126,25 @@ def test_fit_factor_matches_scalar_reference(variant):
     # labels -1..3: a and b see users without a cluster; c a static block
     clusters = np.arange(n_users) % 5 - 1
     static = np.random.default_rng(2).random((n_users, 3))
-    cfg = FactorConfig(f=6, epochs=4, seed=5)
-    model = fit_factor(n_users, n_items, ratings, variant, clusters=clusters,
-                       static=static, config=cfg)
-    ref = _reference_fit_factor(n_users, n_items, ratings, variant,
-                                clusters=clusters, static=static, config=cfg)
-    pairs = [(model, ref)]
-    if variant == "d":
-        assert model.submodels.keys() == ref.submodels.keys()
-        pairs += [(model.submodels[c], ref.submodels[c])
-                  for c in ref.submodels]
-    for got, want in pairs:
-        for name in ("P", "Q", "bu", "bi", "ba", "Y", "Qs"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert (a is None) == (b is None), name
-            assert a is None or a.tobytes() == b.tobytes(), name
-        assert got.rmse_trace == want.rmse_trace
+    # OpenBLAS switches its dot to a SIMD block kernel from n = 16
+    for f in (6, 16, 32):
+        cfg = FactorConfig(f=f, epochs=4, seed=5)
+        model = fit_factor(n_users, n_items, ratings, variant,
+                           clusters=clusters, static=static, config=cfg)
+        ref = _reference_fit_factor(n_users, n_items, ratings, variant,
+                                    clusters=clusters, static=static,
+                                    config=cfg)
+        pairs = [(model, ref)]
+        if variant == "d":
+            assert model.submodels.keys() == ref.submodels.keys()
+            pairs += [(model.submodels[c], ref.submodels[c])
+                      for c in ref.submodels]
+        for got, want in pairs:
+            for name in ("P", "Q", "bu", "bi", "ba", "Y", "Qs"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a is None) == (b is None), (f, name)
+                assert a is None or a.tobytes() == b.tobytes(), (f, name)
+            assert got.rmse_trace == want.rmse_trace, f
 
 
 def test_vanilla_training_reduces_rmse():
@@ -220,9 +234,9 @@ def _reference_predict(model, u, i):
     p = model.P[u]
     if model.variant == "b" and c >= 0:
         p = p + model.Y[c]
-    r += float(model.Q[i] @ p)
+    r += _loop_dot(model.Q[i], p)
     if model.variant == "c":
-        r += float(model.Qs[i] @ model.static[u])
+        r += _loop_dot(model.Qs[i], model.static[u])
     return float(r)
 
 
@@ -267,3 +281,58 @@ def test_factor_model_json():
     payload = json.loads(text)
     assert payload["variant"] == "vanilla"
     assert artifacts.to_json(factor_model_to_dict(model)) == text
+
+
+@pytest.mark.parametrize("variant", ["vanilla", "a", "b", "c", "d"])
+def test_saved_model_reproduces_its_predictions(variant):
+    n_users, n_items, ratings = _toy_ratings(seed=14, n_users=30)
+    static = np.random.default_rng(3).random((n_users, 4))
+    # labels -1..2, and 3 for a user without ratings: an empty d cluster;
+    # then no label at all: a and b get no cluster parameters
+    labelled = np.arange(n_users) % 4 - 1
+    labelled[0] = 3
+    ratings = [(u, i, r) for u, i, r in ratings if u != 0]
+    users, items, _ = cf._columns(ratings)
+    for clusters in (labelled, np.full(n_users, -1)):
+        model = fit_factor(n_users, n_items, ratings, variant, clusters,
+                           static, FactorConfig(f=5, epochs=3, seed=3))
+        text = artifacts.to_json(factor_model_to_dict(model))
+        loaded = factor_model_from_dict(json.loads(text))
+        assert (loaded.predict(users, items).tobytes()
+                == model.predict(users, items).tobytes())
+        assert loaded.rmse_trace == model.rmse_trace
+        for name in cf.FLOAT_ARRAYS:
+            a, b = getattr(loaded, name), getattr(model, name)
+            assert (a is None) == (b is None), name
+            assert a is None or a.shape == b.shape, name
+        assert artifacts.to_json(factor_model_to_dict(loaded)) == text
+
+
+FIT_EVERY_VARIANT = """
+import numpy as np
+from persona_forge import artifacts, cf
+rng = np.random.default_rng(0)
+ratings = [(u, int(i), float(rng.integers(1, 6))) for u in range(60)
+           for i in rng.choice(30, size=8, replace=False)]
+clusters = np.arange(60) % 4 - 1
+static = np.random.default_rng(1).random((60, 5))
+print(artifacts.to_json([cf.factor_model_to_dict(cf.fit_factor(
+    60, 30, ratings, variant, clusters, static,
+    cf.FactorConfig(f=8, epochs=3, seed=2)))
+    for variant in ("vanilla", "a", "b", "c")]))
+"""
+
+
+def test_fitted_model_does_not_depend_on_the_blas_kernel():
+    # OpenBLAS picks its dot kernel by CPU; OPENBLAS_CORETYPE forces one
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = str(Path(cf.__file__).parents[1])
+    outputs = []
+    for core in ({"OPENBLAS_CORETYPE": "Nehalem"},
+                 {"OPENBLAS_CORETYPE": "Prescott"}, {}):
+        result = subprocess.run([sys.executable, "-c", FIT_EVERY_VARIANT],
+                                capture_output=True, text=True,
+                                env={**env, **core})
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1] == outputs[2]
