@@ -1,5 +1,6 @@
 """On-disk artifact format shared by every file the pipeline writes to `out/`,
-and the one reader of every JSON file it reads, the config included.
+the one reader of every JSON file it reads, the config included, and the
+hand-off table that spares a process re-parsing the files it wrote.
 
 CSV: UTF-8, LF line endings, one header row. JSON: UTF-8, two-space indent,
 sorted keys, trailing newline. Callers own only column layout and cell values:
@@ -9,8 +10,19 @@ the csv module writes each value's `str()`, which for a float is its `repr`.
 from __future__ import annotations
 
 import csv
+import dataclasses
+import hashlib
 import json
 from collections.abc import Iterable, Iterator, Sequence
+from pathlib import Path
+
+import numpy as np
+
+# The hand-off table: resolved path -> (the files the object was written to,
+# their sha256 digests, the object). It holds one directory's files.
+_handed: dict[Path, tuple[tuple[Path, ...], tuple[str, ...], object]] = {}
+# The digests that `handed` made, until `checked_digest` takes them.
+_checked: dict[Path, str] = {}
 
 
 def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:
@@ -41,3 +53,56 @@ def write_json(path, obj) -> None:
 def read_json(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def sha256(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()
+
+
+def _freeze(obj) -> None:
+    """Make every array in `obj` and in its tuples and dataclass fields
+    read-only."""
+    if isinstance(obj, np.ndarray):
+        obj.flags.writeable = False
+    elif isinstance(obj, tuple):
+        for item in obj:
+            _freeze(item)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            _freeze(getattr(obj, f.name))
+
+
+def hand_off(obj, path, *sidecars) -> None:
+    """Register `obj` as what reading `path`, with its `sidecars`, yields
+    while these files keep the bytes they hold now; its arrays become
+    read-only. The table keeps only the files of `path`'s directory: a file
+    of another directory empties it first."""
+    files = tuple(Path(p).resolve() for p in (path, *sidecars))
+    if any(key.parent != files[0].parent for key in _handed):
+        _handed.clear()
+        _checked.clear()
+    _freeze(obj)
+    _handed[files[0]] = (files, tuple(map(sha256, files)), obj)
+
+
+def handed(path):
+    """The object handed off for `path` if its files still hash to their
+    digests, else None: an edited, copied or never handed file must be
+    parsed. The digests made are kept for `checked_digest`."""
+    entry = _handed.get(Path(path).resolve())
+    if entry is None:
+        return None
+    files, digests, obj = entry
+    try:
+        now = tuple(map(sha256, files))
+    except OSError:
+        return None
+    _checked.update(zip(files, now))
+    return obj if now == digests else None
+
+
+def checked_digest(path) -> str | None:
+    """The sha256 that the last `handed` call made of `path`'s bytes, which
+    it forgets; None if no call hashed `path` since the last take."""
+    return _checked.pop(Path(path).resolve(), None)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import functools
 import json
 import sys
@@ -30,41 +29,41 @@ class NumericalError(Exception):
     kind, exit_code = "numerical", 4
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def _write_manifest(out: Path, stage: str, inputs: list[str],
+def _write_manifest(out: Path, stage: str, inputs: dict[str, str | None],
                     outputs: list[str], seed: int, params: dict) -> None:
+    """`inputs` maps each file read to the digest its hand-off check made,
+    or None where no check hashed it; those are hashed now."""
     artifacts.write_json(out / f"manifest_{stage}.json", {
         "stage": stage,
         "version": __version__,
         "seed": seed,
         "params": params,
-        "inputs": {name: _sha256(out / name) for name in sorted(inputs)},
-        "outputs": {name: _sha256(out / name) for name in sorted(outputs)},
+        "inputs": {name: inputs[name] or artifacts.sha256(out / name)
+                   for name in sorted(inputs)},
+        "outputs": {name: artifacts.sha256(out / name)
+                    for name in sorted(outputs)},
     })
 
 
-def _read_artifact(out: Path, inputs: list[str], reader, name: str,
-                   *sidecars: str):
+def _read_artifact(out: Path, inputs: dict[str, str | None], reader,
+                   name: str, *sidecars: str):
     """`reader(out / name)`. The artifact and its `sidecars` must exist and
-    are recorded as inputs; a reader error is a DataError naming them. `run`
-    hands each stage this function with `out` and `inputs` bound."""
-    for part in (name, *sidecars):
+    are recorded as inputs, with the digests the reader's hand-off check
+    made; a reader error is a DataError naming them. `run` hands each stage
+    this function with `out` and `inputs` bound."""
+    parts = (name, *sidecars)
+    for part in parts:
         if not (out / part).exists():
             raise DataError(f"requires missing artifact {part!r}")
-    inputs += [name, *sidecars]
     try:
-        return reader(out / name)
+        result = reader(out / name)
     except (OSError, ValueError, KeyError, IndexError, TypeError,
             OverflowError, csv.Error, ingest.IngestError) as exc:
-        raise DataError(f"corrupt artifact {', '.join((name, *sidecars))}: "
+        raise DataError(f"corrupt artifact {', '.join(parts)}: "
                         f"{exc}") from None
+    inputs.update((part, artifacts.checked_digest(out / part))
+                  for part in parts)
+    return result
 
 
 # Every config key, declared once: (section, key, JSON type, default, range
@@ -223,6 +222,7 @@ def stage_synth(params: dict, out: Path, seed: int, read) -> list[str]:
         raise ConfigError(f"invalid synth config: {exc}") from None
     rs, gt = synth.generate(gen_cfg)
     ingest.write_log(rs, out / "log.csv")
+    artifacts.hand_off(rs, out / "log.csv")
     synth.write_ground_truth(gt, out / "ground_truth.csv")
     return ["log.csv", "ground_truth.csv"]
 
@@ -234,6 +234,7 @@ def stage_ingest(params: dict, out: Path, seed: int, read) -> list[str]:
     if params["filter"]:
         rs = ingest.filter_inactive(rs)
     ingest.write_log(rs, out / "filtered.csv")
+    artifacts.hand_off(rs, out / "filtered.csv")
     artifacts.write_json(out / "ingest_diagnostics.json",
                          [{"row": d.row, "message": d.message}
                           for d in result.diagnostics])
@@ -248,6 +249,7 @@ def stage_featurize(params: dict, out: Path, seed: int, read) -> list[str]:
         cm = features.aggregate(rs, months, ch)
         name = f"features_{ch}.csv"
         features.write_matrix(cm, out / name)
+        artifacts.hand_off(cm, out / name, out / (name + ".json"))
         outputs += [name, name + ".json"]
     return outputs
 
@@ -261,12 +263,18 @@ def _write_assignments(path: Path, cm: features.CharacterizationMatrix,
 
 def read_assignments(path, k: int | None = None):
     """An `assignments_<ch>.csv` as (users, user, month, tau, hard); with `k`
-    given, it must have `k` clusters."""
-    users, user, month, cells = features.read_rows(path)
-    if not cells:
+    given, it must have `k` clusters. The rows are parsed unless the file
+    still holds the bytes handed off with them."""
+    rows = artifacts.handed(path)
+    if rows is None:
+        users, user, month, cells = features.read_rows(path)
+        taus = np.array([row[:-1] for row in cells], dtype=np.float64)
+        hards = np.array([row[-1] for row in cells], dtype=np.int64)
+    else:
+        users, user, month, taus, hards = rows
+        features.check_rows(user, month)
+    if not len(hards):
         raise ValueError("no assignment rows")
-    taus = np.array([row[:-1] for row in cells], dtype=np.float64)
-    hards = np.array([row[-1] for row in cells], dtype=np.int64)
     if not 0 <= hards.min() <= hards.max() < taus.shape[1]:
         raise ValueError(f"hard labels outside [0, {taus.shape[1]})")
     if k not in (None, taus.shape[1]):
@@ -330,8 +338,10 @@ def stage_cluster(params: dict, out: Path, seed: int, read) -> list[str]:
     for ch, (model, assign) in fits.items():
         artifacts.write_json(out / f"model_{ch}.json",
                              mixture.model_to_dict(model))
-        _write_assignments(out / f"assignments_{ch}.csv", matrices[ch],
-                           assign.tau, assign.hard)
+        cm, path = matrices[ch], out / f"assignments_{ch}.csv"
+        _write_assignments(path, cm, assign.tau, assign.hard)
+        artifacts.hand_off((cm.users, cm.user, cm.month, assign.tau,
+                            assign.hard), path)
         outputs += [f"model_{ch}.json", f"assignments_{ch}.csv"]
     return outputs
 
@@ -496,7 +506,7 @@ def run(config_path, out_dir=None, seed_override: int | None = None,
             raise ConfigError(f"cannot create output directory {out}: "
                               f"{exc}") from None
         for stage in [s for s in STAGES if s in top["stages"]]:
-            inputs: list[str] = []
+            inputs: dict[str, str | None] = {}
             params = settings.get(stage, {})
             try:
                 outputs = STAGE_FUNCS[stage](

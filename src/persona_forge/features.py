@@ -91,7 +91,7 @@ def bin_timeday(timestamp, region_offset_minutes):
             + time_slot((local % 86400) // 3600))
 
 
-@dataclass
+@dataclass(frozen=True)
 class CharacterizationMatrix:
     characterization: str
     labels: tuple[str, ...]
@@ -151,11 +151,18 @@ def write_rows(path, cm: CharacterizationMatrix, names, cells) -> None:
 
 
 def read_rows(path):
-    """A `write_rows` CSV as (users, user, month, each row's other cells).
-    Rows strictly increase in (user_id, month_index); no month is negative."""
+    """A `write_rows` CSV as (users, user, month, each row's other cells),
+    its rows passing `check_rows`."""
     rows = list(artifacts.read_csv(path))
     users, user = _intern([row[0] for row in rows])
     month = np.array([row[1] for row in rows], dtype=np.int64)
+    check_rows(user, month)
+    return users, user, month, [row[2:] for row in rows]
+
+
+def check_rows(user: np.ndarray, month: np.ndarray) -> None:
+    """Raise a ValueError unless rows strictly increase in (user, month) and
+    no month is negative."""
     step = np.diff(user)
     behind = np.flatnonzero((step < 0) | ((step == 0) & (np.diff(month) <= 0)))
     if len(behind):  # 1-based data rows
@@ -163,7 +170,6 @@ def read_rows(path):
                          f"{behind[0] + 1} in (user_id, month_index) order")
     if (month < 0).any():
         raise ValueError("negative month_index")
-    return users, user, month, [row[2:] for row in rows]
 
 
 def write_matrix(cm: CharacterizationMatrix, path) -> None:
@@ -183,14 +189,22 @@ def write_matrix(cm: CharacterizationMatrix, path) -> None:
 
 
 def read_matrix(path) -> CharacterizationMatrix:
-    """Read a `write_matrix` CSV and its sidecar. A cell that is negative or
-    not finite, or not a whole number in a Count matrix, raises ValueError."""
+    """Read a `write_matrix` CSV and its sidecar, unless both still hold the
+    bytes handed off with the matrix. A cell that is negative or not
+    finite, or not a whole number in a Count matrix, raises ValueError."""
     path = str(path)
-    descriptor = artifacts.read_json(path + ".json")
-    users, user, month, cells = read_rows(path)
-    labels = tuple(descriptor["labels"])
-    values = np.array(cells, dtype=float).reshape(len(cells), len(labels))
-    whole = descriptor["value_kind"] == "Count"
+    cm = artifacts.handed(path)
+    if cm is None:
+        descriptor = artifacts.read_json(path + ".json")
+        users, user, month, cells = read_rows(path)
+        labels = tuple(descriptor["labels"])
+        values = np.array(cells, dtype=float).reshape(len(cells), len(labels))
+        cm = CharacterizationMatrix(descriptor["characterization"], labels,
+                                    users, user, month, values,
+                                    descriptor["value_kind"])
+    else:
+        check_rows(cm.user, cm.month)
+    values, whole = cm.values, cm.value_kind == "Count"
     bad = ~(np.isfinite(values) & (values >= 0))
     if whole:
         bad |= values != np.floor(values)
@@ -200,9 +214,7 @@ def read_matrix(path) -> CharacterizationMatrix:
         raise ValueError(f"{path}: row {r + 1} cell v{c} = "
                          f"{float(values[r, c])!r} is not a non-negative "
                          f"{kind}")
-    return CharacterizationMatrix(descriptor["characterization"], labels,
-                                  users, user, month, values,
-                                  descriptor["value_kind"])
+    return cm
 
 
 def pool_by_user(cm: CharacterizationMatrix) -> np.ndarray:

@@ -149,8 +149,12 @@ def parse_log(path) -> ParseResult:
 
     Columns are found by their CSV_COLUMNS header names, in any order.
     Malformed rows are rejected with row-numbered diagnostics; more than
-    MAX_BAD_FRACTION malformed rows is a hard failure.
+    MAX_BAD_FRACTION malformed rows is a hard failure. A file that still
+    holds the bytes a RecordSet was handed off with is not parsed.
     """
+    handed = artifacts.handed(path)
+    if handed is not None:
+        return ParseResult(handed)
     rows: list[tuple] = []
     diagnostics: list[RowDiagnostic] = []
     seen: set[tuple[str, int, str]] = set()

@@ -313,7 +313,7 @@ def _drop_last_cluster(text):
                    for row in rows)
 
 
-@pytest.mark.parametrize("stage,name,corrupt", [
+CORRUPTIONS = [
     ("cluster", "features_TF.csv.json", lambda text: text[:20]),
     # the first row's month cell
     ("cluster", "features_TF.csv", lambda text: text.replace(",0,", ",zero,",
@@ -352,19 +352,50 @@ def _drop_last_cluster(text):
                           ("analyze", "assignments_TF.csv"),
                           ("cf", "assignments_TF.csv"))
       for corrupt in (_swap_first_rows, _repeat_first_row)),
-], ids=["cut-sidecar", "month-cell", "model-json", "hard-label",
-        "label-beyond-k", "month-beyond-int64", "label-beyond-int64",
-        "negative-cell", "nan-cell", "ctr-model-width", "ctr-model-facet",
-        "analyze-model-width", "analyze-model-facet",
-        "header-only", "k-below-model", "ctr-filtered-users",
-        "ctr-features-users", "features-short-row", "assignments-short-row",
-        "model-null-param", "sidecar-value-kind", "sidecar-labels",
-        *(f"{stage}-{case}" for stage in ("cluster", "analyze", "cf-a")
-          for case in ("unsorted-rows", "repeated-row"))])
+]
+CORRUPTION_IDS = [
+    "cut-sidecar", "month-cell", "model-json", "hard-label", "label-beyond-k",
+    "month-beyond-int64", "label-beyond-int64", "negative-cell", "nan-cell",
+    "ctr-model-width", "ctr-model-facet", "analyze-model-width",
+    "analyze-model-facet", "header-only", "k-below-model",
+    "ctr-filtered-users", "ctr-features-users", "features-short-row",
+    "assignments-short-row", "model-null-param", "sidecar-value-kind",
+    "sidecar-labels",
+    *(f"{stage}-{case}" for stage in ("cluster", "analyze", "cf-a")
+      for case in ("unsorted-rows", "repeated-row"))]
+
+
+@pytest.mark.parametrize("stage,name,corrupt", CORRUPTIONS,
+                         ids=CORRUPTION_IDS)
 def test_corrupt_artifact_is_data_error(pipeline, tmp_path, capsys, stage,
                                         name, corrupt):
+    _assert_corrupt_is_data_error(pipeline, tmp_path, capsys, stage, name,
+                                  corrupt, rerun=False)
+
+
+@pytest.mark.parametrize("stage,name,corrupt", CORRUPTIONS,
+                         ids=CORRUPTION_IDS)
+def test_corrupt_handed_artifact_is_data_error(pipeline, tmp_path, capsys,
+                                               stage, name, corrupt):
+    # the producing stage re-runs in this process first, so the file's
+    # object is in the hand-off table when the edit is made
+    _assert_corrupt_is_data_error(pipeline, tmp_path, capsys, stage, name,
+                                  corrupt, rerun=True)
+
+
+def _assert_corrupt_is_data_error(pipeline, tmp_path, capsys, stage, name,
+                                  corrupt, rerun):
     out = _copy_pipeline(pipeline, tmp_path)
     path = out / name
+    if rerun:
+        producer, = (s for s in SMALL_CONFIG["stages"] if name in json.loads(
+            (out / f"manifest_{s}.json").read_text())["outputs"])
+        before = path.read_bytes()
+        config = _write_config(tmp_path, SMALL_CONFIG, "producer.json")
+        assert cli.run(config, out, only_stage=producer) == 0
+        assert path.read_bytes() == before
+        handed = out / name.removesuffix(".json")  # a sidecar's matrix
+        assert name.startswith("model_") or artifacts.handed(handed)
     text = path.read_text()
     assert corrupt(text) != text
     path.write_text(corrupt(text))
