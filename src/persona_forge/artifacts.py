@@ -19,10 +19,9 @@ from pathlib import Path
 import numpy as np
 
 # The hand-off table: resolved path -> (the files the object was written to,
-# their sha256 digests, the object). It holds one directory's files.
+# the sha256 digests of their bytes when last hashed, the object, or None once
+# those bytes changed). It holds one directory's files.
 _handed: dict[Path, tuple[tuple[Path, ...], tuple[str, ...], object]] = {}
-# The digests that `handed` made, until `checked_digest` takes them.
-_checked: dict[Path, str] = {}
 
 
 def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:
@@ -56,21 +55,35 @@ def read_json(path):
 
 
 def sha256(path) -> str:
+    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        return hashlib.file_digest(fh, "sha256").hexdigest()
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            h.update(chunk)
+    return h.hexdigest()
 
 
-def _freeze(obj) -> None:
-    """Make every array in `obj` and in its tuples and dataclass fields
-    read-only."""
+def digest(path) -> str:
+    """The sha256 of `path`: the one the hand-off table last made of it if
+    it holds the file, else made now."""
+    path = Path(path).resolve()
+    for files, digests, _ in _handed.values():
+        if path in files:
+            return digests[files.index(path)]
+    return sha256(path)
+
+
+def freeze(obj):
+    """`obj`, with every array in it and in its tuples and dataclass fields
+    made read-only."""
     if isinstance(obj, np.ndarray):
         obj.flags.writeable = False
     elif isinstance(obj, tuple):
         for item in obj:
-            _freeze(item)
+            freeze(item)
     elif dataclasses.is_dataclass(obj):
         for f in dataclasses.fields(obj):
-            _freeze(getattr(obj, f.name))
+            freeze(getattr(obj, f.name))
+    return obj
 
 
 def hand_off(obj, path, *sidecars) -> None:
@@ -81,16 +94,15 @@ def hand_off(obj, path, *sidecars) -> None:
     files = tuple(Path(p).resolve() for p in (path, *sidecars))
     if any(key.parent != files[0].parent for key in _handed):
         _handed.clear()
-        _checked.clear()
-    _freeze(obj)
-    _handed[files[0]] = (files, tuple(map(sha256, files)), obj)
+    _handed[files[0]] = (files, tuple(map(sha256, files)), freeze(obj))
 
 
 def handed(path):
     """The object handed off for `path` if its files still hash to their
     digests, else None: an edited, copied or never handed file must be
-    parsed. The digests made are kept for `checked_digest`."""
-    entry = _handed.get(Path(path).resolve())
+    parsed. The entry keeps the digests made, for `digest`."""
+    key = Path(path).resolve()
+    entry = _handed.get(key)
     if entry is None:
         return None
     files, digests, obj = entry
@@ -98,11 +110,7 @@ def handed(path):
         now = tuple(map(sha256, files))
     except OSError:
         return None
-    _checked.update(zip(files, now))
-    return obj if now == digests else None
-
-
-def checked_digest(path) -> str | None:
-    """The sha256 that the last `handed` call made of `path`'s bytes, which
-    it forgets; None if no call hashed `path` since the last take."""
-    return _checked.pop(Path(path).resolve(), None)
+    if now != digests:
+        obj = None
+        _handed[key] = (files, now, obj)
+    return obj

@@ -29,41 +29,37 @@ class NumericalError(Exception):
     kind, exit_code = "numerical", 4
 
 
-def _write_manifest(out: Path, stage: str, inputs: dict[str, str | None],
+def _write_manifest(out: Path, stage: str, inputs: list[str],
                     outputs: list[str], seed: int, params: dict) -> None:
-    """`inputs` maps each file read to the digest its hand-off check made,
-    or None where no check hashed it; those are hashed now."""
+    """A file in the hand-off table is recorded with the digest the table
+    made of it: an input's when the stage read it."""
     artifacts.write_json(out / f"manifest_{stage}.json", {
         "stage": stage,
         "version": __version__,
         "seed": seed,
         "params": params,
-        "inputs": {name: inputs[name] or artifacts.sha256(out / name)
+        "inputs": {name: artifacts.digest(out / name)
                    for name in sorted(inputs)},
-        "outputs": {name: artifacts.sha256(out / name)
+        "outputs": {name: artifacts.digest(out / name)
                     for name in sorted(outputs)},
     })
 
 
-def _read_artifact(out: Path, inputs: dict[str, str | None], reader,
-                   name: str, *sidecars: str):
+def _read_artifact(out: Path, inputs: list[str], reader, name: str,
+                   *sidecars: str):
     """`reader(out / name)`. The artifact and its `sidecars` must exist and
-    are recorded as inputs, with the digests the reader's hand-off check
-    made; a reader error is a DataError naming them. `run` hands each stage
-    this function with `out` and `inputs` bound."""
-    parts = (name, *sidecars)
-    for part in parts:
+    are recorded as inputs; a reader error is a DataError naming them. `run`
+    hands each stage this function with `out` and `inputs` bound."""
+    for part in (name, *sidecars):
         if not (out / part).exists():
             raise DataError(f"requires missing artifact {part!r}")
+    inputs += [name, *sidecars]
     try:
-        result = reader(out / name)
+        return reader(out / name)
     except (OSError, ValueError, KeyError, IndexError, TypeError,
             OverflowError, csv.Error, ingest.IngestError) as exc:
-        raise DataError(f"corrupt artifact {', '.join(parts)}: "
+        raise DataError(f"corrupt artifact {', '.join((name, *sidecars))}: "
                         f"{exc}") from None
-    inputs.update((part, artifacts.checked_digest(out / part))
-                  for part in parts)
-    return result
 
 
 # Every config key, declared once: (section, key, JSON type, default, range
@@ -262,14 +258,16 @@ def _write_assignments(path: Path, cm: features.CharacterizationMatrix,
 
 
 def read_assignments(path, k: int | None = None):
-    """An `assignments_<ch>.csv` as (users, user, month, tau, hard); with `k`
-    given, it must have `k` clusters. The rows are parsed unless the file
-    still holds the bytes handed off with them."""
+    """An `assignments_<ch>.csv` as (users, user, month, tau, hard), its
+    arrays read-only; with `k` given, it must have `k` clusters. The rows
+    are parsed unless the file still holds the bytes handed off with a
+    tuple, which is then returned, shared."""
     rows = artifacts.handed(path)
     if rows is None:
         users, user, month, cells = features.read_rows(path)
         taus = np.array([row[:-1] for row in cells], dtype=np.float64)
         hards = np.array([row[-1] for row in cells], dtype=np.int64)
+        rows = artifacts.freeze((users, user, month, taus, hards))
     else:
         users, user, month, taus, hards = rows
         features.check_rows(user, month)
@@ -279,7 +277,7 @@ def read_assignments(path, k: int | None = None):
         raise ValueError(f"hard labels outside [0, {taus.shape[1]})")
     if k not in (None, taus.shape[1]):
         raise ValueError(f"{taus.shape[1]} clusters, not the model's K = {k}")
-    return users, user, month, taus, hards
+    return rows
 
 
 def _check_facet(ch: str, found: str, d: int) -> None:
@@ -506,7 +504,7 @@ def run(config_path, out_dir=None, seed_override: int | None = None,
             raise ConfigError(f"cannot create output directory {out}: "
                               f"{exc}") from None
         for stage in [s for s in STAGES if s in top["stages"]]:
-            inputs: dict[str, str | None] = {}
+            inputs: list[str] = []
             params = settings.get(stage, {})
             try:
                 outputs = STAGE_FUNCS[stage](

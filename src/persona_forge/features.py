@@ -190,8 +190,9 @@ def write_matrix(cm: CharacterizationMatrix, path) -> None:
 
 def read_matrix(path) -> CharacterizationMatrix:
     """Read a `write_matrix` CSV and its sidecar, unless both still hold the
-    bytes handed off with the matrix. A cell that is negative or not
-    finite, or not a whole number in a Count matrix, raises ValueError."""
+    bytes handed off with a matrix: that matrix is returned, shared. Either
+    way its arrays are read-only. A cell that is negative or not finite, or
+    not a whole number in a Count matrix, raises ValueError."""
     path = str(path)
     cm = artifacts.handed(path)
     if cm is None:
@@ -199,9 +200,9 @@ def read_matrix(path) -> CharacterizationMatrix:
         users, user, month, cells = read_rows(path)
         labels = tuple(descriptor["labels"])
         values = np.array(cells, dtype=float).reshape(len(cells), len(labels))
-        cm = CharacterizationMatrix(descriptor["characterization"], labels,
-                                    users, user, month, values,
-                                    descriptor["value_kind"])
+        cm = artifacts.freeze(CharacterizationMatrix(
+            descriptor["characterization"], labels, users, user, month,
+            values, descriptor["value_kind"]))
     else:
         check_rows(cm.user, cm.month)
     values, whole = cm.values, cm.value_kind == "Count"

@@ -150,7 +150,8 @@ def parse_log(path) -> ParseResult:
     Columns are found by their CSV_COLUMNS header names, in any order.
     Malformed rows are rejected with row-numbered diagnostics; more than
     MAX_BAD_FRACTION malformed rows is a hard failure. A file that still
-    holds the bytes a RecordSet was handed off with is not parsed.
+    holds the bytes a RecordSet was handed off with is not parsed: that
+    RecordSet is returned, shared. Either way its arrays are read-only.
     """
     handed = artifacts.handed(path)
     if handed is not None:
@@ -192,9 +193,9 @@ def parse_log(path) -> ParseResult:
             f"row {diagnostics[0].row}: {diagnostics[0].message}")
 
     columns = list(zip(*rows)) or [()] * len(CSV_COLUMNS)
-    return ParseResult(RecordSet.build(*_intern(columns[0]), *columns[1:3],
-                                       *_intern(columns[3]), *columns[4:]),
-                       diagnostics)
+    rs = RecordSet.build(*_intern(columns[0]), *columns[1:3],
+                         *_intern(columns[3]), *columns[4:])
+    return ParseResult(artifacts.freeze(rs), diagnostics)
 
 
 def write_log(rs: RecordSet, path) -> None:

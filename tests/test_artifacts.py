@@ -109,3 +109,15 @@ def test_csv_streams_any_iterable_and_reads_after_header(tmp_path):
     artifacts.write_csv(path, ("a", "b"), ([i, f"x,{i}"] for i in range(2)))
     assert path.read_bytes() == b'a,b\n0,"x,0"\n1,"x,1"\n'
     assert list(artifacts.read_csv(path)) == [["0", "x,0"], ["1", "x,1"]]
+
+
+def test_sha256_of_a_multi_chunk_file_without_file_digest(tmp_path,
+                                                          monkeypatch):
+    # hashlib.file_digest exists only from Python 3.11; the package supports
+    # 3.10
+    import hashlib
+    monkeypatch.delattr(hashlib, "file_digest", raising=False)
+    data = bytes(range(256)) * 1000  # more than one 64 KiB chunk
+    path = tmp_path / "blob"
+    path.write_bytes(data)
+    assert artifacts.sha256(path) == hashlib.sha256(data).hexdigest()

@@ -73,6 +73,8 @@ def _assert_same(handed, parsed, where):
         assert (handed.dtype, handed.shape) == (parsed.dtype,
                                                 parsed.shape), where
         assert handed.tobytes() == parsed.tobytes(), where
+        # a parse gives read-only arrays too, so no caller can tell them apart
+        assert not (handed.flags.writeable or parsed.flags.writeable), where
     elif dataclasses.is_dataclass(parsed):
         for f in dataclasses.fields(parsed):
             _assert_same(getattr(handed, f.name), getattr(parsed, f.name),
@@ -191,4 +193,9 @@ def test_manifest_records_the_bytes_read(tmp_path, monkeypatch):
     assert cli.run(config, out, only_stage="featurize") == 0
     manifest = json.loads((out / "manifest_featurize.json").read_text())
     assert manifest["inputs"] == {"filtered.csv": read_digest}
+    # each file is hashed once: an input when read, a handed output when
+    # handed off, and the manifest takes their digests from the table
     assert hashed.count("filtered.csv") == 1
+    assert hashed.count("features_TF.csv") == 1
+    assert manifest["outputs"]["features_TF.csv"] == artifacts.sha256(
+        out / "features_TF.csv")
