@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,21 +93,36 @@ def _proportions(X: np.ndarray) -> np.ndarray:
     return P
 
 
-def _posterior(model: MixtureModel, X: np.ndarray
+def _posterior(X: np.ndarray, log_pi: np.ndarray, log_theta: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
     """(tau, lse): the responsibilities of each row of X and its log
-    normaliser log sum_z pi_z prod_j theta_zj^x_j, from one pass over X."""
-    logw = X @ np.log(model.theta).T + np.log(model.pi)
-    top = logw.max(axis=1, keepdims=True)
-    w = np.exp(logw - top)
-    total = w.sum(axis=1, keepdims=True)
-    return w / total, (top + np.log(total))[:, 0]
+    normaliser log sum_z pi_z prod_j theta_zj^x_j, from one pass over X.
+
+    The row max and the normaliser are taken over the K columns one by one,
+    in index order: numpy's reductions over so narrow an axis cost more than
+    the arithmetic.  For K < 8 the normaliser equals `w.sum(axis=1)` bit
+    for bit; the max is exact for any K.
+    """
+    w = X @ log_theta.T
+    w += log_pi
+    cols = w.T
+    top = cols[0].copy()
+    for col in cols[1:]:
+        np.maximum(top, col, out=top)
+    w -= top[:, None]
+    np.exp(w, out=w)
+    total = cols[0].copy()
+    for col in cols[1:]:
+        total += col
+    w /= total[:, None]
+    top += np.log(total)
+    return w, top
 
 
-def _penalized(model: MixtureModel, lse: np.ndarray,
+def _penalized(lse: np.ndarray, log_theta: np.ndarray, smoothing: float,
                counts: np.ndarray | None = None) -> float:
     ll = float(lse.sum() if counts is None else counts @ lse)
-    return ll + model.smoothing * float(np.log(model.theta).sum())
+    return ll + smoothing * float(log_theta.sum())
 
 
 def e_step(model: MixtureModel, X: np.ndarray) -> np.ndarray:
@@ -114,13 +130,40 @@ def e_step(model: MixtureModel, X: np.ndarray) -> np.ndarray:
 
     An all-zero count row carries no evidence and degenerates to tau = pi.
     """
-    return _posterior(model, np.asarray(X, dtype=np.float64))[0]
+    return _posterior(np.asarray(X, dtype=np.float64), np.log(model.pi),
+                      np.log(model.theta))[0]
 
 
 def penalized_loglik(model: MixtureModel, X: np.ndarray) -> float:
     """Observed-data log-likelihood plus the smoothing (Dirichlet) penalty."""
-    return _penalized(model, _posterior(model,
-                                        np.asarray(X, dtype=np.float64))[1])
+    log_theta = np.log(model.theta)
+    lse = _posterior(np.asarray(X, dtype=np.float64), np.log(model.pi),
+                     log_theta)[1]
+    return _penalized(lse, log_theta, model.smoothing)
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """The rows an M-step weighs, with what it needs of them that does not
+    depend on tau: each row's multiplicity as a column, their sum and the
+    row totals."""
+    X: np.ndarray
+    counts: np.ndarray | None
+    column: np.ndarray
+    n: np.number
+    totals: np.ndarray
+
+    @classmethod
+    def of(cls, X: np.ndarray, counts: np.ndarray | None) -> _Rows:
+        c = np.ones(X.shape[0]) if counts is None else counts
+        return cls(X, counts, c[:, None], c.sum(), X.sum(axis=1))
+
+
+# The distinct rows of the fit_em call in progress, with their per-fit
+# constants, for as long as the call runs.  fit_em makes every M-step a call
+# of the public `m_step` (perfbench's tracer counts EM iterations from those
+# calls), so the constants reach it here, not through its signature.
+_FIT_ROWS: ContextVar[_Rows | None] = ContextVar("_FIT_ROWS", default=None)
 
 
 def m_step(tau: np.ndarray, X: np.ndarray, smoothing: float = SMOOTHING,
@@ -134,20 +177,27 @@ def m_step(tau: np.ndarray, X: np.ndarray, smoothing: float = SMOOTHING,
     explains worst and handed a 1/K mixing share so they can actually
     recapture mass on the next E-step.  Pass reseed=False to leave starved
     clusters alone (pi floored away from exact zero).
+
+    Within `fit_em` the terms that do not depend on tau (the row totals of
+    X, the counts and their sum) are computed once per fit, not per call.
     """
     tau = np.asarray(tau, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
+    rows = _FIT_ROWS.get()
+    if rows is None or rows.X is not X or rows.counts is not counts:
+        rows = _Rows.of(X, counts)
     d = X.shape[1]
     k = tau.shape[1]
-    counts = np.ones(X.shape[0]) if counts is None else counts
-    mass = tau * counts[:, None]
-    weights = mass.sum(axis=0)
-    pi = weights / counts.sum()
-    num = mass.T @ X + smoothing
-    den = mass.T @ X.sum(axis=1) + smoothing * d
-    theta = num / den[:, None]
+    mass = tau * rows.column
+    weights = np.einsum("ik->k", mass)     # mass.sum(axis=0), bit for bit
+    pi = weights / rows.n
+    theta = mass.T @ X
+    theta += smoothing
+    den = mass.T @ rows.totals
+    den += smoothing * d
+    theta /= den[:, None]
     empty = weights < 1e-10
-    if np.any(empty):
+    if empty.any():
         if reseed:
             worst = int(np.argmin(tau.max(axis=1)))
             for j in np.flatnonzero(empty):
@@ -160,6 +210,20 @@ def m_step(tau: np.ndarray, X: np.ndarray, smoothing: float = SMOOTHING,
             pi[empty] = 1e-300
         pi = pi / pi.sum()
     return pi, theta
+
+
+def _starved(tau: np.ndarray, column: np.ndarray) -> int:
+    """How many clusters hold under 1e-10 of the row mass `tau * column`.
+
+    Counts are at least 1 and a rounded sum of non-negative terms is never
+    below its largest term, so a column of tau with an entry >= 1e-10 is
+    never starved: when every column has one, the count is 0 without
+    forming the mass.  (The column maxima are taken on a copy of tau.T:
+    numpy's max over axis 0 of so narrow an array is several times slower.)
+    """
+    if tau.T.copy().max(axis=1).min() >= 1e-10:
+        return 0
+    return int(((tau * column).sum(axis=0) < 1e-10).sum())
 
 
 def _kmeanspp_seed(P: np.ndarray, k: int, rng) -> np.ndarray:
@@ -205,7 +269,12 @@ def fit_em(X: np.ndarray, k: int, config: EMConfig | None = None,
     EM runs on the distinct rows of X weighted by their multiplicity, which
     is the same fixed-point iteration as on X itself.  Each iteration makes
     one pass over them: the posterior of the model just fitted gives both
-    that model's log-likelihood and the next E-step.
+    that model's log-likelihood and the next E-step.  What does not change
+    during the fit (the rows, their counts and totals) is computed once per
+    call; log theta is taken once per iteration; the row max and normaliser
+    over the K posteriors are taken column by column in index order.  That
+    is the same arithmetic as numpy's row reductions for k < 8; for k >= 8
+    results may differ from earlier versions in their last bits.
     """
     config = config or EMConfig()
     X = np.asarray(X, dtype=np.float64)
@@ -218,36 +287,44 @@ def fit_em(X: np.ndarray, k: int, config: EMConfig | None = None,
     rng = np.random.default_rng(config.seed)
     P = _proportions(X)
     U, counts, inverse = _distinct_rows(X)
-    best: MixtureModel | None = None
-    restart_logliks = []
-    for _ in range(max(1, config.restarts)):
-        tau = np.eye(k)[_hard_assign(P, _kmeanspp_seed(P, k, rng))]
-        pi, theta = m_step(tau, X)
-        model = MixtureModel(k, d, pi, theta, [], SMOOTHING, config.seed,
-                             characterization)
-        tau, lse = _posterior(model, U)
-        ll = _penalized(model, lse, counts)
-        model.loglik_trace.append(ll)
-        reseed_budget = 3 * k   # after this, starved clusters are left dead
-        for it in range(config.max_iter):
-            starved = int(((tau * counts[:, None]).sum(axis=0) < 1e-10).sum())
-            do_reseed = starved > 0 and reseed_budget > 0
-            if do_reseed:
-                model.reseed_iters.append(it)
-                reseed_budget -= starved
-            model.pi, model.theta = m_step(tau, U, reseed=do_reseed,
-                                           counts=counts)
-            tau, lse = _posterior(model, U)
-            ll_new = _penalized(model, lse, counts)
-            model.loglik_trace.append(ll_new)
-            if not starved and abs(ll_new - ll) <= config.tol * (abs(ll) + 1.0):
-                model.converged = True
-                break
-            ll = ll_new
-        model.n_iter = len(model.loglik_trace) - 1
-        restart_logliks.append(model.loglik_trace[-1])
-        if best is None or model.loglik_trace[-1] > best.loglik_trace[-1]:
-            best, best_tau = model, tau
+    rows = _Rows.of(U, counts)
+    token = _FIT_ROWS.set(rows)
+    try:
+        best: MixtureModel | None = None
+        restart_logliks = []
+        for _ in range(max(1, config.restarts)):
+            tau = np.eye(k)[_hard_assign(P, _kmeanspp_seed(P, k, rng))]
+            pi, theta = m_step(tau, X)
+            model = MixtureModel(k, d, pi, theta, [], SMOOTHING, config.seed,
+                                 characterization)
+            log_theta = np.log(model.theta)
+            tau, lse = _posterior(U, np.log(model.pi), log_theta)
+            ll = _penalized(lse, log_theta, SMOOTHING, counts)
+            model.loglik_trace.append(ll)
+            reseed_budget = 3 * k   # after this, starved clusters stay dead
+            for it in range(config.max_iter):
+                starved = _starved(tau, rows.column)
+                do_reseed = starved > 0 and reseed_budget > 0
+                if do_reseed:
+                    model.reseed_iters.append(it)
+                    reseed_budget -= starved
+                model.pi, model.theta = m_step(tau, U, reseed=do_reseed,
+                                               counts=counts)
+                log_theta = np.log(model.theta)
+                tau, lse = _posterior(U, np.log(model.pi), log_theta)
+                ll_new = _penalized(lse, log_theta, SMOOTHING, counts)
+                model.loglik_trace.append(ll_new)
+                if (not starved
+                        and abs(ll_new - ll) <= config.tol * (abs(ll) + 1.0)):
+                    model.converged = True
+                    break
+                ll = ll_new
+            model.n_iter = len(model.loglik_trace) - 1
+            restart_logliks.append(model.loglik_trace[-1])
+            if best is None or model.loglik_trace[-1] > best.loglik_trace[-1]:
+                best, best_tau = model, tau
+    finally:
+        _FIT_ROWS.reset(token)
 
     best.restart_logliks = restart_logliks
     tau = best_tau[inverse]

@@ -399,3 +399,180 @@ def test_fit_em_diagnostics():
     del payload["diagnostics"]      # a model file written without them
     old = model_from_dict(json.loads(json.dumps(payload)))
     assert (old.converged, old.n_iter, old.restart_logliks) == (False, 0, [])
+
+
+# The EM iteration as it stood before reductions over the K posteriors ran
+# column by column and per-fit constants were computed once, copied with
+# names prefixed and docstrings and logging dropped: the bit-identity
+# reference for `fit_em`, `m_step`, `e_step` and `penalized_loglik`.
+
+def _plain_posterior(model, X):
+    logw = X @ np.log(model.theta).T + np.log(model.pi)
+    top = logw.max(axis=1, keepdims=True)
+    w = np.exp(logw - top)
+    total = w.sum(axis=1, keepdims=True)
+    return w / total, (top + np.log(total))[:, 0]
+
+
+def _plain_penalized(model, lse, counts=None):
+    ll = float(lse.sum() if counts is None else counts @ lse)
+    return ll + model.smoothing * float(np.log(model.theta).sum())
+
+
+def _plain_m_step(tau, X, smoothing=mixture.SMOOTHING, reseed=True,
+                  counts=None):
+    tau = np.asarray(tau, dtype=np.float64)
+    X = np.asarray(X, dtype=np.float64)
+    d = X.shape[1]
+    k = tau.shape[1]
+    counts = np.ones(X.shape[0]) if counts is None else counts
+    mass = tau * counts[:, None]
+    weights = mass.sum(axis=0)
+    pi = weights / counts.sum()
+    num = mass.T @ X + smoothing
+    den = mass.T @ X.sum(axis=1) + smoothing * d
+    theta = num / den[:, None]
+    empty = weights < 1e-10
+    if np.any(empty):
+        if reseed:
+            worst = int(np.argmin(tau.max(axis=1)))
+            for j in np.flatnonzero(empty):
+                theta[j] = ((X[worst] + smoothing)
+                            / (X[worst].sum() + smoothing * d))
+                pi[j] = 1.0 / k
+        else:
+            pi[empty] = 1e-300
+        pi = pi / pi.sum()
+    return pi, theta
+
+
+def _plain_fit_em(X, k, config, characterization=""):
+    X = np.asarray(X, dtype=np.float64)
+    d = X.shape[1]
+    rng = np.random.default_rng(config.seed)
+    P = mixture._proportions(X)
+    U, counts, inverse = mixture._distinct_rows(X)
+    best = None
+    restart_logliks = []
+    for _ in range(max(1, config.restarts)):
+        tau = np.eye(k)[mixture._hard_assign(P,
+                                             mixture._kmeanspp_seed(P, k, rng))]
+        pi, theta = _plain_m_step(tau, X)
+        model = MixtureModel(k, d, pi, theta, [], mixture.SMOOTHING,
+                             config.seed, characterization)
+        tau, lse = _plain_posterior(model, U)
+        ll = _plain_penalized(model, lse, counts)
+        model.loglik_trace.append(ll)
+        reseed_budget = 3 * k
+        for it in range(config.max_iter):
+            starved = int(((tau * counts[:, None]).sum(axis=0) < 1e-10).sum())
+            do_reseed = starved > 0 and reseed_budget > 0
+            if do_reseed:
+                model.reseed_iters.append(it)
+                reseed_budget -= starved
+            model.pi, model.theta = _plain_m_step(tau, U, reseed=do_reseed,
+                                                  counts=counts)
+            tau, lse = _plain_posterior(model, U)
+            ll_new = _plain_penalized(model, lse, counts)
+            model.loglik_trace.append(ll_new)
+            if not starved and abs(ll_new - ll) <= config.tol * (abs(ll) + 1.0):
+                model.converged = True
+                break
+            ll = ll_new
+        model.n_iter = len(model.loglik_trace) - 1
+        restart_logliks.append(model.loglik_trace[-1])
+        if best is None or model.loglik_trace[-1] > best.loglik_trace[-1]:
+            best, best_tau = model, tau
+    best.restart_logliks = restart_logliks
+    tau = best_tau[inverse]
+    return best, AssignmentSet(tau, np.argmax(tau, axis=1))
+
+
+def _bit_identity_inputs():
+    yield from _em_inputs()
+    rng = np.random.default_rng(41)
+    yield ("fractional", rng.gamma(0.7, 2.0, (250, 5)), 3,
+           EMConfig(restarts=3, seed=3))
+    zero_rows = rng.integers(0, 6, (200, 7))
+    zero_rows[::17] = 0
+    yield "zero_rows", zero_rows, 4, EMConfig(restarts=2, seed=5)
+    yield ("capped", rng.integers(0, 50, (100, 12)), 4,
+           EMConfig(restarts=2, max_iter=5, seed=4))
+
+
+@pytest.mark.parametrize("name,X,k,config", list(_bit_identity_inputs()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_fit_em_is_bit_identical_to_the_plain_iteration(name, X, k, config):
+    expect_model, expect = _plain_fit_em(X, k, config, "TF")
+    model, got = fit_em(X, k, config, "TF")
+    assert mixture._FIT_ROWS.get() is None      # reset when the fit returns
+    for a, b in ((model.pi, expect_model.pi),
+                 (model.theta, expect_model.theta),
+                 (got.tau, expect.tau), (got.hard, expect.hard)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    for attr in ("loglik_trace", "restart_logliks", "reseed_iters", "n_iter",
+                 "converged"):
+        assert getattr(model, attr) == getattr(expect_model, attr), attr
+    if name == "capped":
+        assert not model.converged and model.n_iter == config.max_iter
+    for U in (X, X[: len(X) // 3]):
+        tau, lse = _plain_posterior(model, np.asarray(U, dtype=np.float64))
+        assert e_step(model, U).tobytes() == tau.tobytes()
+        assert penalized_loglik(model, U) == _plain_penalized(model, lse)
+
+
+def test_fit_em_at_nine_clusters_is_within_rounding_of_the_plain_iteration():
+    # from K = 8 numpy's row sum is pairwise, not in index order: the
+    # normaliser may differ in its last bits, nothing more
+    X = np.random.default_rng(43).integers(0, 30, (300, 10))
+    config = EMConfig(restarts=2, seed=6)
+    expect_model, expect = _plain_fit_em(X, 9, config)
+    model, got = fit_em(X, 9, config)
+    np.testing.assert_array_equal(got.hard, expect.hard)
+    np.testing.assert_allclose(got.tau, expect.tau, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(model.pi, expect_model.pi, rtol=1e-12)
+    np.testing.assert_allclose(model.theta, expect_model.theta, rtol=1e-12)
+    assert len(model.loglik_trace) == len(expect_model.loglik_trace)
+    np.testing.assert_allclose(model.loglik_trace, expect_model.loglik_trace,
+                               rtol=1e-12, atol=0)
+    np.testing.assert_allclose(model.restart_logliks,
+                               expect_model.restart_logliks, rtol=1e-12)
+
+
+def test_m_step_is_bit_identical_to_the_plain_update():
+    rng = np.random.default_rng(47)
+    U = rng.integers(0, 6, (9, 4)).astype(float)
+    counts = rng.integers(1, 5, 9)
+    tau = rng.dirichlet(np.ones(3), size=9)
+    tau[:, 1] = 0.0
+    tau /= tau.sum(axis=1, keepdims=True)
+    for kwargs in ({}, {"counts": counts}, {"reseed": False},
+                   {"reseed": False, "counts": counts}):
+        got = m_step(tau, U, 0.5, **kwargs)
+        expect = _plain_m_step(tau, U, 0.5, **kwargs)
+        for a, b in zip(got, expect):
+            assert a.tobytes() == b.tobytes()
+
+
+def _plain_starved(tau, counts):
+    return int(((tau * counts[:, None]).sum(axis=0) < 1e-10).sum())
+
+
+@pytest.mark.parametrize("column", [
+    np.full(6, 1e-10),                                # entries at 1e-10
+    np.array([1e-10, 0, 0, 0, 0, 0]),
+    np.full(6, np.nextafter(1e-10, 0)),               # just under each
+    np.zeros(6),                                      # all zero
+    np.full(6, 2e-11),                                # each under, sum over
+    np.array([9e-11, 0, 0, 0, 0, 1.1e-11]),
+    np.array([5e-11, 0, 0, 0, 0, 0]),                 # weighted sum 1e-10
+    np.array([1e-11, 0, 0, 0, 0, 0]),                 # weighted sum under
+], ids=["at", "one-at", "under", "zero", "sum-over", "pair-over",
+        "weighted-at", "weighted-under"])
+def test_starved_count_equals_the_mass_formula(column):
+    counts = np.array([2, 1, 1, 1, 1, 9])
+    tau = np.column_stack([np.full(6, 0.5), column, 0.5 - column])
+    expect = _plain_starved(tau, counts)
+    assert mixture._starved(tau, counts[:, None].astype(float)) == expect
+    assert mixture._starved(tau, counts[:, None]) == expect

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from persona_forge import cf, ctr
+from persona_forge import cf, ctr, mixture
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -92,6 +92,36 @@ def test_fit_item_model_takes_one_gradient_per_iteration(monkeypatch):
     calls.clear()
     assert not ctr.fit_item_model(X, y, 0.01).converged
     assert len(calls) == iterations - 1
+
+
+def test_fit_em_takes_one_m_step_per_restart_and_per_iteration(monkeypatch):
+    # mixture.ms_per_em_iter, maxiter_ratio and reseeds count the m_step
+    # calls under fit_em: one without `reseed` starts each restart, then one
+    # with `reseed` per iteration, True at each re-seed event
+    from test_mixture import _em_inputs
+
+    _, X, k, config = next(c for c in _em_inputs() if c[0] == "reseeds")
+    calls = []
+    inner = mixture.m_step
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("reseed"))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(mixture, "m_step", counted)
+    model, _ = mixture.fit_em(X, k, config)
+    runs = []
+    for reseed in calls:
+        if reseed is None:
+            runs.append([])
+        else:
+            runs[-1].append(reseed)
+    assert calls[0] is None and len(runs) == config.restarts
+    assert all(0 < len(run) <= config.max_iter for run in runs)
+    best = runs[model.restart_logliks.index(max(model.restart_logliks))]
+    assert len(best) == model.n_iter
+    reseeded = [it for it, reseed in enumerate(best) if reseed]
+    assert reseeded == model.reseed_iters != []
 
 
 @pytest.mark.parametrize("variant", ["vanilla", "a"])
