@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -54,18 +55,15 @@ def stability_check(X: np.ndarray, k: int, epsilon: float, delta: float,
 
     failed = [r for r, (_, shares) in enumerate(results)
               if np.any(shares == 0)]
-    ok = [r for r in range(runs) if r not in failed]
+    ok = [results[r] for r in range(runs) if r not in failed]
     eps_obs = 0.0
     delta_obs = 0.0
-    for ai in range(len(ok)):
-        for bi in range(ai + 1, len(ok)):
-            ca, sa = results[ok[ai]]
-            cb, sb = results[ok[bi]]
-            rows, cols = match_clusters(ca, cb)
-            eps_obs = max(eps_obs, float(
-                np.linalg.norm(ca[rows] - cb[cols], axis=1).max()))
-            delta_obs = max(delta_obs, float(
-                np.abs(sa[rows] - sb[cols]).max()))
+    for (ca, sa), (cb, sb) in combinations(ok, 2):
+        rows, cols = match_clusters(ca, cb)
+        eps_obs = max(eps_obs, float(
+            np.linalg.norm(ca[rows] - cb[cols], axis=1).max()))
+        delta_obs = max(delta_obs, float(
+            np.abs(sa[rows] - sb[cols]).max()))
     passed = (not failed) and eps_obs <= epsilon and delta_obs <= delta
     return StabilityReport(eps_obs, delta_obs, runs, passed, failed)
 
@@ -76,12 +74,26 @@ class DominanceReport:
     shares: np.ndarray  # sorted descending
 
 
+def _crosstab(a: np.ndarray, b: np.ndarray, ka: int,
+              kb: int) -> tuple[np.ndarray, np.ndarray]:
+    """(counts, shares) of the (ka, kb) table of label pairs (a[i], b[i]);
+    each row of `shares` sums to 1, or is all 0 where its row has no count.
+    A label outside [0, ka) or [0, kb) raises a ValueError."""
+    for labels, k in ((a, ka), (b, kb)):
+        if len(labels) and not 0 <= labels.min() <= labels.max() < k:
+            raise ValueError(f"labels outside [0, {k})")
+    counts = np.bincount(a * kb + b, minlength=ka * kb).reshape(ka, kb)
+    totals = counts.sum(axis=1, keepdims=True)
+    return counts, np.divide(counts, totals, out=np.zeros((ka, kb)),
+                             where=totals > 0)
+
+
 def dominance_check(hard: np.ndarray, kappa: float, k_max: int,
                     k: int) -> DominanceReport:
     """True iff every share of the k hard clusters is at least kappa and
-    k <= k_max."""
+    k <= k_max. The shares are the one-row cross-tab of `hard`."""
     hard = np.asarray(hard)
-    shares = np.bincount(hard, minlength=k) / len(hard)
+    shares = _crosstab(np.zeros_like(hard), hard, 1, k)[1][0]
     shares = np.sort(shares)[::-1]
     passed = bool(k <= k_max and shares.min() >= kappa)
     return DominanceReport(passed, shares)
@@ -100,11 +112,7 @@ def migration_matrix(user: np.ndarray, month: np.ndarray, labels: np.ndarray,
     user-month rows sorted by (user, month)."""
     user, month, labels = (np.asarray(a) for a in (user, month, labels))
     step = (user[1:] == user[:-1]) & (month[1:] == month[:-1] + 1)
-    counts = np.bincount(labels[:-1][step] * k + labels[1:][step],
-                         minlength=k * k).reshape(k, k)
-    totals = counts.sum(axis=1, keepdims=True)
-    matrix = np.divide(counts, totals, out=np.zeros((k, k)),
-                       where=totals > 0)
+    counts, matrix = _crosstab(labels[:-1][step], labels[1:][step], k, k)
     return MigrationMatrix(characterization, matrix, counts)
 
 
@@ -115,11 +123,7 @@ def divisive_overlap(labels_parent: np.ndarray, labels_child: np.ndarray,
     labels_child = np.asarray(labels_child)
     if labels_parent.shape != labels_child.shape:
         raise ValueError("assignments cover different rows")
-    counts = np.zeros((k_parent, k_child), dtype=np.int64)
-    np.add.at(counts, (labels_parent, labels_child), 1)
-    totals = counts.sum(axis=1, keepdims=True)
-    return np.divide(counts, totals, out=np.zeros((k_parent, k_child)),
-                     where=totals > 0)
+    return _crosstab(labels_parent, labels_child, k_parent, k_child)[1]
 
 
 @dataclass
@@ -153,14 +157,10 @@ def layered_fit(X_inner: np.ndarray, parent_labels: np.ndarray, k_inner: int,
         models[parent] = model
 
     divergence = 0.0
-    parents = sorted(models)
-    for i in range(len(parents)):
-        for j in range(i + 1, len(parents)):
-            ca = models[parents[i]].theta
-            cb = models[parents[j]].theta
-            rows, cols = match_clusters(ca, cb, metric="cityblock")
-            divergence = max(divergence, float(
-                np.abs(ca[rows] - cb[cols]).sum(axis=1).max()))
+    for ca, cb in combinations([models[p].theta for p in sorted(models)], 2):
+        rows, cols = match_clusters(ca, cb, metric="cityblock")
+        divergence = max(divergence, float(
+            np.abs(ca[rows] - cb[cols]).sum(axis=1).max()))
     return LayeredReport(models, divergence, skipped)
 
 

@@ -92,10 +92,8 @@ def design(features: UserPersonaFeatures,
 
 @dataclass
 class CtrDataset:
-    X: np.ndarray
+    rows: np.ndarray                # user codes: rows of the design matrix
     y: np.ndarray
-    rows: np.ndarray                # user codes into `features.users`
-    hard: np.ndarray                # partition labels, all 0 without 'h'
     negatives_short: bool = False   # fewer eligible negatives than requested
 
 
@@ -109,22 +107,21 @@ def item_user_sets(rs: RecordSet) -> dict[str, np.ndarray]:
             for c, group in zip(codes.tolist(), np.split(user, starts[1:]))}
 
 
-def build_dataset(items: dict[str, np.ndarray],
-                  features: UserPersonaFeatures, recipe: FeatureModeRecipe,
-                  item_id: str, neg_ratio: int = 5, seed: int = 0,
+def build_dataset(items: dict[str, np.ndarray], n_users: int, item_id: str,
+                  neg_ratio: int = 5, seed: int = 0,
                   eligible_users: np.ndarray | None = None) -> CtrDataset:
     """Labeled per-item rows: transacting users plus sampled non-transactors.
 
-    `items` maps each item to its user codes into `features.users`
-    (`item_user_sets`). `eligible_users`, sorted distinct codes, restricts
-    both classes (e.g. to a train or test split); negatives are sampled
-    uniformly without replacement.
+    `items` maps each item to its user codes into the `n_users` sorted user
+    ids (`item_user_sets`). `eligible_users`, sorted distinct codes,
+    restricts both classes (e.g. to a train or test split); negatives are
+    sampled uniformly without replacement.
     """
     if neg_ratio < 1:
         raise CtrError("neg_ratio must be at least 1")
     if item_id not in items:
         raise CtrError(f"item {item_id!r} has no transactions")
-    universe = (np.arange(len(features.users)) if eligible_users is None
+    universe = (np.arange(n_users) if eligible_users is None
                 else np.asarray(eligible_users, dtype=np.int64))
     bought = np.isin(universe, items[item_id])
     positives, candidates = universe[bought], universe[~bought]
@@ -139,13 +136,9 @@ def build_dataset(items: dict[str, np.ndarray],
         pick = rng.choice(len(candidates), size=wanted, replace=False)
         negatives = candidates[np.sort(pick)]
     rows = np.concatenate([positives, negatives])
-    X = design(features, recipe)[rows]
     y = np.zeros(len(rows))
     y[:len(positives)] = 1.0
-    hard_ch = recipe.hard_characterization
-    hard = (features.hard[hard_ch][rows] if hard_ch
-            else np.zeros(len(rows), dtype=np.int64))
-    return CtrDataset(X, y, rows, hard, short)
+    return CtrDataset(rows, y, short)
 
 
 # ---------------------------------------------------------------------------
@@ -404,12 +397,18 @@ def run_ctr_experiment(items: dict[str, np.ndarray],
                        config: CtrExperimentConfig | None = None
                        ) -> CtrEvaluation:
     """Train per-item models on a user-disjoint split and report mean AUC
-    over the most popular items."""
+    over the most popular items. Each item's train and test sets are row
+    samples of one design matrix and one array of partition labels."""
     config = config or CtrExperimentConfig()
-    train_users, test_users = split_users(len(features.users),
-                                          config.test_fraction, config.seed)
+    n_users = len(features.users)
+    train_users, test_users = split_users(n_users, config.test_fraction,
+                                          config.seed)
     chosen = top_items(items, config.top_n)
-    p = design(features, recipe).shape[1]
+    X = design(features, recipe)
+    p = X.shape[1]
+    hard_ch = recipe.hard_characterization
+    hard = (features.hard[hard_ch] if hard_ch
+            else np.zeros(n_users, dtype=np.int64))
 
     per_item: dict[str, float] = {}
     skipped: list[str] = []
@@ -417,11 +416,11 @@ def run_ctr_experiment(items: dict[str, np.ndarray],
     fits: list[CtrItemModel] = []
     single_class = short = 0
     for j, item in enumerate(chosen):
-        train = build_dataset(items, features, recipe, item,
+        train = build_dataset(items, n_users, item,
                               neg_ratio=config.neg_ratio,
                               seed=config.seed * 100003 + j,
                               eligible_users=train_users)
-        test = build_dataset(items, features, recipe, item,
+        test = build_dataset(items, n_users, item,
                              neg_ratio=config.neg_ratio,
                              seed=config.seed * 100003 + j + 1,
                              eligible_users=test_users)
@@ -430,12 +429,12 @@ def run_ctr_experiment(items: dict[str, np.ndarray],
             skipped.append(item)  # a split lacks positive or negative rows
             continue
         n_rows.append(len(train.y))
-        model = fit_mode_h(train.X, train.y, train.hard, config.lam,
-                           item_id=item)
+        model = fit_mode_h(X[train.rows], train.y, hard[train.rows],
+                           config.lam, item_id=item)
         fits += model.submodels.values()
         single_class += len(model.single_class)
-        per_item[item] = auc_score(test.y,
-                                   predict_scores_h(model, test.X, test.hard))
+        per_item[item] = auc_score(test.y, predict_scores_h(
+            model, X[test.rows], hard[test.rows]))
 
     mean_auc = float(np.mean(list(per_item.values()))) if per_item else float("nan")
     mean_n = float(np.mean(n_rows)) if n_rows else 0.0

@@ -174,3 +174,40 @@ def test_center_report_layout():
     assert rows[2] == [1, 25.0, 75.0]
     rows = center_report(centers, ("a", "b"), as_percent=False)
     assert rows[1] == [0, 0.5, 0.5]
+
+
+def test_tables_reject_labels_outside_range():
+    # a 1 -> 3 step at k = 3 is no 2 -> 0 step
+    with pytest.raises(ValueError):
+        migration_matrix(np.array([0, 0]), np.array([0, 1]),
+                         np.array([1, 3]), 3)
+    with pytest.raises(ValueError):
+        migration_matrix(np.array([0, 0]), np.array([0, 1]),
+                         np.array([-1, 0]), 3)
+    # child -1 is not the last child, and child 2 is no child of k = 2
+    for child in ([0, -1], [0, 2]):
+        with pytest.raises(ValueError):
+            divisive_overlap(np.array([0, 1]), np.array(child), 2, 2)
+    with pytest.raises(ValueError):
+        divisive_overlap(np.array([0, 2]), np.array([0, 1]), 2, 2)
+    # four shares for three clusters
+    for hard in ([0, 3], [-1, 0]):
+        with pytest.raises(ValueError):
+            dominance_check(np.array(hard), kappa=0.02, k_max=6, k=3)
+
+
+def test_divisive_overlap_and_dominance_match_reference():
+    rng = np.random.default_rng(6)
+    for _ in range(300):
+        n = int(rng.integers(1, 60))
+        ka, kb = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+        a, b = rng.integers(0, ka, n), rng.integers(0, kb, n)
+        counts = np.zeros((ka, kb), dtype=np.int64)
+        np.add.at(counts, (a, b), 1)
+        totals = counts.sum(axis=1, keepdims=True)
+        expect = np.divide(counts, totals, out=np.zeros((ka, kb)),
+                           where=totals > 0)
+        assert divisive_overlap(a, b, ka, kb).tobytes() == expect.tobytes()
+        shares = np.sort(np.bincount(b, minlength=kb) / n)[::-1]
+        assert dominance_check(b, 0.02, 6, kb).shares.tobytes() == (
+            shares.tobytes())

@@ -94,52 +94,50 @@ def test_feature_layout_widths():
     assert [w for _, _, w in layout] == [0, 16, 13]
 
 
+def _sample(feats, recipe, ds):
+    """A row sample's design rows and partition labels (all 0 without 'h')."""
+    ch = recipe.hard_characterization
+    hard = (feats.hard[ch][ds.rows] if ch
+            else np.zeros(len(ds.rows), dtype=np.int64))
+    return design(feats, recipe)[ds.rows], hard
+
+
 def test_build_dataset_labels_and_negatives():
     matrices, models, _ = _toy_features()
     feats = persona_features(matrices, models)
     items = {"i0": np.array([3, 9, 17, 28])}
     recipe = FeatureModeRecipe({"CR": "c", "DG": "-", "ME": "-"})
-    ds = build_dataset(items, feats, recipe, "i0", neg_ratio=2, seed=1)
+    ds = build_dataset(items, len(feats.users), "i0", neg_ratio=2, seed=1)
     assert ds.y.sum() == 4
     assert len(ds.y) == 12
     assert not ds.negatives_short
-    assert ds.X.shape == (12, 5)
+    assert design(feats, recipe)[ds.rows].shape == (12, 5)
     assert ds.rows[:4].tolist() == [3, 9, 17, 28]
     for u, y in zip(ds.rows, ds.y):
         assert (u in items["i0"]) == bool(y)
 
 
 def test_build_dataset_negatives_short():
-    matrices, models, _ = _toy_features()
-    feats = persona_features(matrices, models)
     items = {"i0": np.arange(25)}
-    recipe = FeatureModeRecipe({"CR": "c"})
-    ds = build_dataset(items, feats, recipe, "i0", neg_ratio=5, seed=1)
+    ds = build_dataset(items, 30, "i0", neg_ratio=5, seed=1)
     assert ds.negatives_short
     assert len(ds.y) == 30
 
 
 def test_build_dataset_eligible_users_restrict():
-    matrices, models, _ = _toy_features()
-    feats = persona_features(matrices, models)
     items = {"i0": np.arange(0, 30, 3)}
     eligible = np.arange(15)
-    recipe = FeatureModeRecipe({"CR": "c"})
-    ds = build_dataset(items, feats, recipe, "i0", neg_ratio=1, seed=1,
+    ds = build_dataset(items, 30, "i0", neg_ratio=1, seed=1,
                        eligible_users=eligible)
     assert set(ds.rows.tolist()) <= set(eligible.tolist())
     assert ds.y.sum() == 5
 
 
 def test_build_dataset_validation():
-    matrices, models, _ = _toy_features()
-    feats = persona_features(matrices, models)
-    recipe = FeatureModeRecipe({"CR": "c"})
     with pytest.raises(CtrError):
-        build_dataset({}, feats, recipe, "missing")
+        build_dataset({}, 30, "missing")
     with pytest.raises(CtrError):
-        build_dataset({"i0": np.array([0])}, feats, recipe, "i0",
-                      neg_ratio=0)
+        build_dataset({"i0": np.array([0])}, 30, "i0", neg_ratio=0)
 
 
 def test_smooth_gradient_matches_finite_differences():
@@ -684,16 +682,17 @@ def test_build_dataset_matches_id_list_reference():
         item = str(rng.choice(sorted(items)))
         recipe = recipes[case % len(recipes)]
         neg_ratio, seed = int(rng.integers(1, 7)), int(rng.integers(0, 99))
-        ds = build_dataset(items, feats, recipe, item, neg_ratio=neg_ratio,
-                           seed=seed, eligible_users=eligible)
+        ds = build_dataset(items, n, item, neg_ratio=neg_ratio, seed=seed,
+                           eligible_users=eligible)
         X, y, ref_users, hard, short = _reference_build_dataset(
             {k: {users[u] for u in v.tolist()} for k, v in items.items()},
             feats, recipe, item, neg_ratio, seed,
             None if eligible is None else [users[u] for u in eligible])
         assert [users[u] for u in ds.rows.tolist()] == ref_users
-        np.testing.assert_array_equal(ds.X, X)
+        ds_X, ds_hard = _sample(feats, recipe, ds)
+        np.testing.assert_array_equal(ds_X, X)
         np.testing.assert_array_equal(ds.y, y)
-        np.testing.assert_array_equal(ds.hard, hard)
+        np.testing.assert_array_equal(ds_hard, hard)
         assert ds.negatives_short == short
         shorts += short
     assert 0 < shorts < 300
@@ -754,11 +753,11 @@ def _reference_run_ctr_experiment(items, features, recipe, config):
             for ch in CTR_CHARACTERIZATIONS)
     per_item, skipped, n_rows = {}, [], []
     for j, item in enumerate(top_items(items, config.top_n)):
-        train = build_dataset(items, features, recipe, item,
+        train = build_dataset(items, len(features.users), item,
                               neg_ratio=config.neg_ratio,
                               seed=config.seed * 100003 + j,
                               eligible_users=train_users)
-        test = build_dataset(items, features, recipe, item,
+        test = build_dataset(items, len(features.users), item,
                              neg_ratio=config.neg_ratio,
                              seed=config.seed * 100003 + j + 1,
                              eligible_users=test_users)
@@ -769,12 +768,14 @@ def _reference_run_ctr_experiment(items, features, recipe, config):
             skipped.append(item)
             continue
         n_rows.append(len(train.y))
+        (train_X, train_hard), (test_X, test_hard) = (
+            _sample(features, recipe, ds) for ds in (train, test))
         if recipe.hard_characterization:
-            model = fit_mode_h(train.X, train.y, train.hard, config.lam)
-            scores = predict_scores_h(model, test.X, test.hard)
+            model = fit_mode_h(train_X, train.y, train_hard, config.lam)
+            scores = predict_scores_h(model, test_X, test_hard)
         else:
-            model = fit_item_model(train.X, train.y, config.lam)
-            scores = predict_scores(model, test.X)
+            model = fit_item_model(train_X, train.y, config.lam)
+            scores = predict_scores(model, test_X)
         per_item[item] = auc_score(test.y, scores)
     mean_n = float(np.mean(n_rows)) if n_rows else 0.0
     return per_item, skipped, p, mean_n
@@ -795,3 +796,23 @@ def test_run_ctr_experiment_matches_two_path_reference(modes):
         items, feats, recipe, cfg)
     assert ev.per_item and ev.per_item == per_item
     assert (ev.skipped, ev.p, ev.mean_n) == (skipped, p, mean_n)
+
+
+@pytest.mark.parametrize("modes", ["c,s,-", "h,c,c"])
+def test_run_ctr_experiment_builds_the_design_once(modes, monkeypatch):
+    matrices, models, _ = _toy_features()
+    feats = persona_features(matrices, models)
+    recipe = FeatureModeRecipe(dict(zip(CTR_CHARACTERIZATIONS,
+                                        modes.split(","))))
+    calls = []
+
+    def counted(features, recipe):
+        calls.append(recipe.name())
+        return design(features, recipe)
+
+    monkeypatch.setattr(ctr, "design", counted)
+    cfg = ctr.CtrExperimentConfig(lam=0.01, neg_ratio=2, top_n=4,
+                                  test_fraction=0.3, seed=1)
+    ev = ctr.run_ctr_experiment(_toy_items(), feats, recipe, cfg)
+    assert len(ev.per_item) + len(ev.skipped) == 4
+    assert calls == [modes]
