@@ -59,9 +59,8 @@ def stability_check(X: np.ndarray, k: int, epsilon: float, delta: float,
     eps_obs = 0.0
     delta_obs = 0.0
     for (ca, sa), (cb, sb) in combinations(ok, 2):
-        rows, cols = match_clusters(ca, cb)
-        eps_obs = max(eps_obs, float(
-            np.linalg.norm(ca[rows] - cb[cols], axis=1).max()))
+        rows, cols, dist = match_clusters(ca, cb)
+        eps_obs = max(eps_obs, float(dist.max()))
         delta_obs = max(delta_obs, float(
             np.abs(sa[rows] - sb[cols]).max()))
     passed = (not failed) and eps_obs <= epsilon and delta_obs <= delta
@@ -74,14 +73,18 @@ class DominanceReport:
     shares: np.ndarray  # sorted descending
 
 
+def _check_range(labels: np.ndarray, k: int) -> None:
+    if len(labels) and not 0 <= labels.min() <= labels.max() < k:
+        raise ValueError(f"labels outside [0, {k})")
+
+
 def _crosstab(a: np.ndarray, b: np.ndarray, ka: int,
               kb: int) -> tuple[np.ndarray, np.ndarray]:
     """(counts, shares) of the (ka, kb) table of label pairs (a[i], b[i]);
     each row of `shares` sums to 1, or is all 0 where its row has no count.
     A label outside [0, ka) or [0, kb) raises a ValueError."""
-    for labels, k in ((a, ka), (b, kb)):
-        if len(labels) and not 0 <= labels.min() <= labels.max() < k:
-            raise ValueError(f"labels outside [0, {k})")
+    _check_range(a, ka)
+    _check_range(b, kb)
     counts = np.bincount(a * kb + b, minlength=ka * kb).reshape(ka, kb)
     totals = counts.sum(axis=1, keepdims=True)
     return counts, np.divide(counts, totals, out=np.zeros((ka, kb)),
@@ -109,8 +112,10 @@ class MigrationMatrix:
 def migration_matrix(user: np.ndarray, month: np.ndarray, labels: np.ndarray,
                      k: int, characterization: str = "") -> MigrationMatrix:
     """Pooled first-order transitions between consecutive tenure months of
-    user-month rows sorted by (user, month)."""
+    user-month rows sorted by (user, month). A label outside [0, k) raises
+    a ValueError, on a row with no consecutive-month neighbour too."""
     user, month, labels = (np.asarray(a) for a in (user, month, labels))
+    _check_range(labels, k)
     step = (user[1:] == user[:-1]) & (month[1:] == month[:-1] + 1)
     counts, matrix = _crosstab(labels[:-1][step], labels[1:][step], k, k)
     return MigrationMatrix(characterization, matrix, counts)
@@ -158,9 +163,8 @@ def layered_fit(X_inner: np.ndarray, parent_labels: np.ndarray, k_inner: int,
 
     divergence = 0.0
     for ca, cb in combinations([models[p].theta for p in sorted(models)], 2):
-        rows, cols = match_clusters(ca, cb, metric="cityblock")
-        divergence = max(divergence, float(
-            np.abs(ca[rows] - cb[cols]).sum(axis=1).max()))
+        dist = match_clusters(ca, cb, metric="cityblock")[2]
+        divergence = max(divergence, float(dist.max()))
     return LayeredReport(models, divergence, skipped)
 
 

@@ -75,6 +75,11 @@ class KMeansModel:
     seed: int = 0
     characterization: str = ""
 
+    def __post_init__(self):
+        self.centers = np.asarray(self.centers, dtype=np.float64)
+        if self.centers.ndim != 2 or self.centers.shape[0] != self.k:
+            raise ValueError("model parameter shapes disagree")
+
     @property
     def d(self) -> int:
         return self.centers.shape[1]
@@ -226,11 +231,18 @@ def _starved(tau: np.ndarray, column: np.ndarray) -> int:
     return int(((tau * column).sum(axis=0) < 1e-10).sum())
 
 
+def _sq_distances(P: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, k) squared distances, one centre at a time: no n × k × d array."""
+    if not len(centers):
+        return np.empty((len(P), 0))
+    return np.stack([((P - c) ** 2).sum(axis=1) for c in centers], axis=1)
+
+
 def _kmeanspp_seed(P: np.ndarray, k: int, rng) -> np.ndarray:
     n = P.shape[0]
     centers = np.empty((k, P.shape[1]))
     centers[0] = P[rng.integers(n)]
-    d2 = ((P - centers[0]) ** 2).sum(axis=1)
+    d2 = _sq_distances(P, centers[:1])[:, 0]
     for j in range(1, k):
         total = d2.sum()
         if total <= 0:
@@ -238,17 +250,8 @@ def _kmeanspp_seed(P: np.ndarray, k: int, rng) -> np.ndarray:
         else:
             idx = int(rng.choice(n, p=d2 / total))
         centers[j] = P[idx]
-        d2 = np.minimum(d2, ((P - centers[j]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, _sq_distances(P, centers[j:j + 1])[:, 0])
     return centers
-
-
-def _sq_distances(P: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(n, k) squared distances, one centre at a time: no n × k × d array."""
-    return np.stack([((P - c) ** 2).sum(axis=1) for c in centers], axis=1)
-
-
-def _hard_assign(P: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    return np.argmin(_sq_distances(P, centers), axis=1)
 
 
 def _distinct_rows(X: np.ndarray
@@ -293,7 +296,8 @@ def fit_em(X: np.ndarray, k: int, config: EMConfig | None = None,
         best: MixtureModel | None = None
         restart_logliks = []
         for _ in range(max(1, config.restarts)):
-            tau = np.eye(k)[_hard_assign(P, _kmeanspp_seed(P, k, rng))]
+            seeds = _kmeanspp_seed(P, k, rng)
+            tau = np.eye(k)[np.argmin(_sq_distances(P, seeds), axis=1)]
             pi, theta = m_step(tau, X)
             model = MixtureModel(k, d, pi, theta, [], SMOOTHING, config.seed,
                                  characterization)
@@ -350,7 +354,8 @@ def fit_kmeans(X: np.ndarray, k: int, config: KMeansConfig | None = None,
     best_labels = None
     for _ in range(max(1, config.restarts)):
         centers = _kmeanspp_seed(X, k, rng)
-        labels = _hard_assign(X, centers)
+        d2 = _sq_distances(X, centers)
+        labels = np.argmin(d2, axis=1)
         for _ in range(KMEANS_MAX_ITER):
             new_centers = centers.copy()
             for j in range(k):
@@ -358,11 +363,10 @@ def fit_kmeans(X: np.ndarray, k: int, config: KMeansConfig | None = None,
                 if np.any(mask):
                     new_centers[j] = X[mask].mean(axis=0)
                 else:
-                    d2 = ((X - centers[labels]) ** 2).sum(axis=1)
-                    new_centers[j] = X[int(np.argmax(d2))]
-            new_labels = _hard_assign(X, new_centers)
+                    new_centers[j] = X[np.argmax(d2[np.arange(n), labels])]
+            d2 = _sq_distances(X, new_centers)
             moved = float(((new_centers - centers) ** 2).sum())
-            centers, labels = new_centers, new_labels
+            centers, labels = new_centers, np.argmin(d2, axis=1)
             if moved <= KMEANS_TOL:
                 break
         inertia = float(((X - centers[labels]) ** 2).sum())
@@ -396,7 +400,8 @@ def hard_labels(model: MixtureModel | KMeansModel, X: np.ndarray) -> np.ndarray:
     """Hard cluster labels for new rows under a fitted model."""
     if isinstance(model, MixtureModel):
         return np.argmax(e_step(model, X), axis=1)
-    return _hard_assign(np.asarray(X, dtype=np.float64), model.centers)
+    X = np.asarray(X, dtype=np.float64)
+    return np.argmin(_sq_distances(X, model.centers), axis=1)
 
 
 def _min_cost_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -444,19 +449,21 @@ def _min_cost_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def match_clusters(centers_a: np.ndarray, centers_b: np.ndarray,
-                   metric: str = "euclidean") -> tuple[np.ndarray, np.ndarray]:
+                   metric: str = "euclidean"
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Min-cost bipartite matching of cluster centers under the "euclidean"
-    or "cityblock" distance; returns (rows, cols) with rows ascending."""
-    diff = (np.asarray(centers_a, dtype=np.float64)[:, None, :]
-            - np.asarray(centers_b, dtype=np.float64)[None, :, :])
+    or "cityblock" distance: (rows ascending, cols, matched distances)."""
+    a = np.asarray(centers_a, dtype=np.float64)
+    b = np.asarray(centers_b, dtype=np.float64)
     if metric == "euclidean":
-        cost = np.sqrt((diff * diff).sum(axis=2))
+        cost = np.sqrt(_sq_distances(a, b))
     elif metric == "cityblock":
-        cost = np.abs(diff).sum(axis=2)
+        cost = np.abs(a[:, None, :] - b[None, :, :]).sum(axis=2)
     else:
         raise ValueError(f"unknown metric {metric!r}: "
                          "use 'euclidean' or 'cityblock'")
-    return _min_cost_assignment(cost)
+    rows, cols = _min_cost_assignment(cost)
+    return rows, cols, cost[rows, cols]
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +502,8 @@ def model_from_dict(payload: dict) -> MixtureModel | KMeansModel:
     params = [np.array(payload[name], dtype=np.float64) for name in names]
     if not all(np.isfinite(p).all() for p in params):  # JSON null reads nan
         raise ValueError(f"{' or '.join(names)} holds a non-finite value")
+    if params[-1].shape[1:] != (payload["d"],):     # theta or centers
+        raise ValueError("model parameter shapes disagree")
     if payload["kind"] == "mmm":
         diag = payload.get("diagnostics", {})
         return MixtureModel(payload["K"], payload["d"], *params, [],

@@ -17,8 +17,8 @@ def _aggregate(rs, ch):
 
 
 def _relabel(fit_centers, true_centers, labels, metric="euclidean"):
-    rows, cols = mixture.match_clusters(fit_centers, true_centers,
-                                        metric=metric)
+    rows, cols, _ = mixture.match_clusters(fit_centers, true_centers,
+                                           metric=metric)
     to_true = np.empty(len(rows), dtype=int)
     to_true[rows] = cols
     return to_true, to_true[labels]

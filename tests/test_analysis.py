@@ -190,6 +190,13 @@ def test_tables_reject_labels_outside_range():
             divisive_overlap(np.array([0, 1]), np.array(child), 2, 2)
     with pytest.raises(ValueError):
         divisive_overlap(np.array([0, 2]), np.array([0, 1]), 2, 2)
+    # a label on a row with no consecutive-month neighbour is checked too
+    with pytest.raises(ValueError):
+        migration_matrix(np.array([0, 0, 0]), np.array([0, 1, 3]),
+                         np.array([0, 1, 5]), 2)
+    with pytest.raises(ValueError):
+        migration_matrix(np.array([0, 1]), np.array([0, 0]),
+                         np.array([0, -1]), 2)
     # four shares for three clusters
     for hard in ([0, 3], [-1, 0]):
         with pytest.raises(ValueError):

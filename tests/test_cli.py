@@ -274,6 +274,18 @@ def _widen_model(text):
     return json.dumps(model)
 
 
+def _drop_last_center(text):
+    # a k-means model with one center fewer than its K
+    model = json.loads(text)
+    model["centers"] = model["centers"][:-1]
+    return json.dumps(model)
+
+
+def _misstate_width(text):
+    # a k-means model whose d disagrees with its centers' width
+    return json.dumps({**json.loads(text), "d": 99})
+
+
 def _relabel_model(text):
     return text.replace('"characterization": "CR"', '"characterization": "DG"')
 
@@ -335,6 +347,9 @@ CORRUPTIONS = [
     ("ctr", "model_CR.json", _relabel_model),
     ("analyze", "model_CR.json", _widen_model),
     ("analyze", "model_CR.json", _relabel_model),
+    ("analyze", "model_ME.json", _drop_last_center),
+    ("ctr", "model_ME.json", _drop_last_center),
+    ("analyze", "model_ME.json", _misstate_width),
     ("analyze", "assignments_TF.csv", lambda text: text.split("\n", 1)[0]
      + "\n"),
     ("analyze", "assignments_TF.csv", _drop_last_cluster),
@@ -357,7 +372,8 @@ CORRUPTION_IDS = [
     "cut-sidecar", "month-cell", "model-json", "hard-label", "label-beyond-k",
     "month-beyond-int64", "label-beyond-int64", "negative-cell", "nan-cell",
     "ctr-model-width", "ctr-model-facet", "analyze-model-width",
-    "analyze-model-facet", "header-only", "k-below-model",
+    "analyze-model-facet", "analyze-model-k", "ctr-model-k",
+    "analyze-model-d", "header-only", "k-below-model",
     "ctr-filtered-users", "ctr-features-users", "features-short-row",
     "assignments-short-row", "model-null-param", "sidecar-value-kind",
     "sidecar-labels",

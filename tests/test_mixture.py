@@ -1,5 +1,8 @@
+import inspect
 import json
+import sys
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -7,9 +10,10 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
-from persona_forge import artifacts, mixture
+from persona_forge import analysis, artifacts, mixture
 from persona_forge.mixture import (AssignmentSet, EMConfig, KMeansConfig,
-                                   MixtureModel, e_step, fit_em, fit_kmeans,
+                                   KMeansModel, MixtureModel, e_step, fit_em,
+                                   fit_kmeans,
                                    hard_labels, m_step, match_clusters,
                                    model_from_dict, model_to_dict,
                                    penalized_loglik, soft_features)
@@ -104,7 +108,7 @@ def test_fit_em_recovers_separated_clusters():
     theta = np.array([[0.85, 0.1, 0.05], [0.05, 0.1, 0.85]])
     X, z = _draw(rng, 600, [0.5, 0.5], theta)
     model, assign = fit_em(X, 2, EMConfig(restarts=4, seed=2))
-    rows, cols = match_clusters(model.theta, theta)
+    rows, cols, _ = match_clusters(model.theta, theta)
     relabel = np.empty(2, dtype=int)
     relabel[rows] = cols
     acc = (relabel[assign.hard] == z).mean()
@@ -132,8 +136,9 @@ def test_permutation_invariance():
 
 def test_match_clusters_identity_on_permutation():
     centers = np.array([[0.0, 0.0], [5.0, 5.0], [9.0, 0.0]])
-    rows, cols = match_clusters(centers[[2, 0, 1]], centers)
+    rows, cols, dist = match_clusters(centers[[2, 0, 1]], centers)
     assert list(cols[np.argsort(rows)]) == [2, 0, 1]
+    assert dist.tolist() == [0.0, 0.0, 0.0]
 
 
 def _shapes():
@@ -147,10 +152,12 @@ def test_match_clusters_equals_scipy_without_ties():
     for n_a, n_b in _shapes():
         for d in (2, 5, 16):
             a, b = rng.random((n_a, d)), rng.random((n_b, d))
-            rows, cols = match_clusters(a, b)
-            want = linear_sum_assignment(cdist(a, b))
+            rows, cols, dist = match_clusters(a, b)
+            cost = cdist(a, b)
+            want = linear_sum_assignment(cost)
             assert rows.tolist() == want[0].tolist()
             assert cols.tolist() == want[1].tolist()
+            np.testing.assert_allclose(dist, cost[want], rtol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["integer", "d1", "cityblock"])
@@ -166,13 +173,15 @@ def test_match_clusters_total_cost_equals_scipy_with_ties(kind):
             else:
                 a, b = rng.random((n_a, d)), rng.random((n_b, d))
             cost = cdist(a, b, metric=metric)
-            rows, cols = match_clusters(a, b, metric=metric)
+            rows, cols, dist = match_clusters(a, b, metric=metric)
             want = linear_sum_assignment(cost)
             assert len(rows) == len(want[0]) == min(n_a, n_b)
             assert np.all(np.diff(rows) > 0)
             assert len(set(cols.tolist())) == len(cols)
             assert abs(cost[rows, cols].sum()
                        - cost[want].sum()) <= 1e-12
+            np.testing.assert_allclose(dist, cost[rows, cols], rtol=1e-12,
+                                       atol=1e-15)
 
 
 def test_match_clusters_rejects_unknown_metric_and_nan():
@@ -189,8 +198,7 @@ def test_kmeans_recovers_blobs():
     z = rng.integers(0, 3, 300)
     X = centers[z] + rng.normal(0, 0.4, (300, 2))
     model, assign = fit_kmeans(X, 3, KMeansConfig(restarts=4, seed=1))
-    rows, cols = match_clusters(model.centers, centers)
-    err = np.linalg.norm(model.centers[rows] - centers[cols], axis=1)
+    rows, cols, err = match_clusters(model.centers, centers)
     assert err.max() < 0.3
     relabel = np.empty(3, dtype=int)
     relabel[rows] = cols
@@ -301,7 +309,7 @@ def _reference_fit_em(X, k, config):
     P = mixture._proportions(X)
     best = None
     for _ in range(max(1, config.restarts)):
-        labels = mixture._hard_assign(P, mixture._kmeanspp_seed(P, k, rng))
+        labels = _plain_hard_assign(P, _plain_kmeanspp_seed(P, k, rng))
         tau = np.zeros((n, k))
         tau[np.arange(n), labels] = 1.0
         model = MixtureModel(k, d, *m_step(tau, X, mixture.SMOOTHING), [],
@@ -455,8 +463,7 @@ def _plain_fit_em(X, k, config, characterization=""):
     best = None
     restart_logliks = []
     for _ in range(max(1, config.restarts)):
-        tau = np.eye(k)[mixture._hard_assign(P,
-                                             mixture._kmeanspp_seed(P, k, rng))]
+        tau = np.eye(k)[_plain_hard_assign(P, _plain_kmeanspp_seed(P, k, rng))]
         pi, theta = _plain_m_step(tau, X)
         model = MixtureModel(k, d, pi, theta, [], mixture.SMOOTHING,
                              config.seed, characterization)
@@ -576,3 +583,285 @@ def test_starved_count_equals_the_mass_formula(column):
     expect = _plain_starved(tau, counts)
     assert mixture._starved(tau, counts[:, None].astype(float)) == expect
     assert mixture._starved(tau, counts[:, None]) == expect
+
+
+# Seeding, Lloyd's iteration and cluster matching as they stood before every
+# squared distance came from `_sq_distances`, copied with names prefixed:
+# the bit-identity reference for `_kmeanspp_seed`, `fit_kmeans`,
+# `hard_labels`, `match_clusters` and the matched distances that
+# `stability_check` (ε) and `layered_fit` (divergence) read from it.
+
+def _plain_kmeanspp_seed(P, k, rng):
+    n = P.shape[0]
+    centers = np.empty((k, P.shape[1]))
+    centers[0] = P[rng.integers(n)]
+    d2 = ((P - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=d2 / total))
+        centers[j] = P[idx]
+        d2 = np.minimum(d2, ((P - centers[j]) ** 2).sum(axis=1))
+    return centers
+
+
+def _plain_hard_assign(P, centers):
+    d2 = np.stack([((P - c) ** 2).sum(axis=1) for c in centers], axis=1)
+    return np.argmin(d2, axis=1)
+
+
+def _plain_fit_kmeans(X, k, config, characterization=""):
+    X = np.asarray(X, dtype=np.float64)
+    rng = np.random.default_rng(config.seed)
+    best_inertia = np.inf
+    best_centers = None
+    best_labels = None
+    for _ in range(max(1, config.restarts)):
+        centers = _plain_kmeanspp_seed(X, k, rng)
+        labels = _plain_hard_assign(X, centers)
+        for _ in range(mixture.KMEANS_MAX_ITER):
+            new_centers = centers.copy()
+            for j in range(k):
+                mask = labels == j
+                if np.any(mask):
+                    new_centers[j] = X[mask].mean(axis=0)
+                else:
+                    d2 = ((X - centers[labels]) ** 2).sum(axis=1)
+                    new_centers[j] = X[int(np.argmax(d2))]
+            new_labels = _plain_hard_assign(X, new_centers)
+            moved = float(((new_centers - centers) ** 2).sum())
+            centers, labels = new_centers, new_labels
+            if moved <= mixture.KMEANS_TOL:
+                break
+        inertia = float(((X - centers[labels]) ** 2).sum())
+        if inertia < best_inertia:
+            best_inertia, best_centers, best_labels = inertia, centers, labels
+    model = KMeansModel(k, best_centers, best_inertia, config.seed,
+                        characterization)
+    return model, AssignmentSet(np.eye(k)[best_labels], best_labels)
+
+
+def _plain_cost(centers_a, centers_b, metric="euclidean"):
+    diff = (np.asarray(centers_a, dtype=np.float64)[:, None, :]
+            - np.asarray(centers_b, dtype=np.float64)[None, :, :])
+    if metric == "euclidean":
+        return np.sqrt((diff * diff).sum(axis=2))
+    return np.abs(diff).sum(axis=2)
+
+
+def _plain_match_clusters(centers_a, centers_b, metric="euclidean"):
+    return mixture._min_cost_assignment(_plain_cost(centers_a, centers_b,
+                                                    metric))
+
+
+def _plain_matched_distances(ca, cb, rows, cols, metric="euclidean"):
+    """stability_check's ε terms (euclidean) and layered_fit's divergence
+    terms (cityblock), recomputed from the matched centers."""
+    if metric == "euclidean":
+        return np.linalg.norm(ca[rows] - cb[cols], axis=1)
+    return np.abs(ca[rows] - cb[cols]).sum(axis=1)
+
+
+def _assert_same_bits(*pairs):
+    for a, b in pairs:
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+DIMS = [2, 7, 8, 13, 16]      # from d = 8 numpy sums a row pairwise
+
+
+def _spread_rows(d, n=240):
+    rng = np.random.default_rng(50 + d)
+    blobs = rng.normal(0, 4, (5, d))
+    return blobs[rng.integers(0, 5, n)] + rng.gamma(0.8, 1.0, (n, d))
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_sq_distances_are_bit_identical_to_the_plain_sums(d):
+    X = _spread_rows(d)
+    rng = np.random.default_rng(d)
+    for k in (1, 3, 7):
+        centers = rng.normal(0, 4, (k, d))
+        d2 = mixture._sq_distances(X, centers)
+        for j in range(k):
+            _assert_same_bits((d2[:, j], ((X - centers[j]) ** 2).sum(axis=1)))
+        # Lloyd's empty-cluster pick reads each row's distance from its own
+        # centre off the matrix
+        labels = rng.integers(0, k, len(X))
+        _assert_same_bits((d2[np.arange(len(X)), labels],
+                           ((X - centers[labels]) ** 2).sum(axis=1)))
+        _assert_same_bits((np.argmin(d2, axis=1),
+                           _plain_hard_assign(X, centers)))
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_kmeanspp_seed_is_bit_identical_to_the_plain_seeding(d):
+    X = _spread_rows(d)
+    for P in (X, mixture._proportions(X)):
+        for k in (1, 2, 5, 8):
+            _assert_same_bits(
+                (mixture._kmeanspp_seed(P, k, np.random.default_rng(k)),
+                 _plain_kmeanspp_seed(P, k, np.random.default_rng(k))))
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_fit_kmeans_is_bit_identical_to_the_plain_lloyd(d):
+    X = _spread_rows(d)
+    for k in (1, 4, 6):
+        config = KMeansConfig(restarts=3, seed=d + k)
+        model, got = fit_kmeans(X, k, config, "ME")
+        expect_model, expect = _plain_fit_kmeans(X, k, config, "ME")
+        _assert_same_bits((model.centers, expect_model.centers),
+                          (got.tau, expect.tau), (got.hard, expect.hard),
+                          (hard_labels(model, X),
+                           _plain_hard_assign(X, model.centers)))
+        assert model.inertia.hex() == expect_model.inertia.hex()
+
+
+def _empty_cluster_hits(X, k, config):
+    """(fit_kmeans(X, k, config), how often its empty-cluster pick ran)."""
+    source, first = inspect.getsourcelines(mixture.fit_kmeans)
+    line, = (first + i for i, text in enumerate(source)
+             if "d2[np.arange(n), labels]" in text)
+    hits = []
+
+    def trace(frame, event, arg):
+        if frame.f_code is not mixture.fit_kmeans.__code__:
+            return None
+        if event == "line" and frame.f_lineno == line:
+            hits.append(frame.f_lineno)
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        fit = fit_kmeans(X, k, config)
+    finally:
+        sys.settrace(previous)
+    return fit, len(hits)
+
+
+def test_fit_kmeans_empty_cluster_branch_matches_the_plain_lloyd():
+    # two distinct rows and k = 3: k-means++ repeats a centre, and the
+    # repeat's cluster is empty (argmin takes the lower index on a tie)
+    X = np.array([[0.0, 1.0, 4.0], [2.0, 0.5, 3.0]])[np.arange(12) % 2]
+    config = KMeansConfig(restarts=3, seed=5)
+    (model, got), hits = _empty_cluster_hits(X, 3, config)
+    assert hits >= config.restarts
+    expect_model, expect = _plain_fit_kmeans(X, 3, config)
+    _assert_same_bits((model.centers, expect_model.centers),
+                      (got.hard, expect.hard))
+    assert model.inertia.hex() == expect_model.inertia.hex() == 0.0.hex()
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_match_clusters_is_bit_identical_to_the_plain_matching(d):
+    rng = np.random.default_rng(60 + d)
+    for n_a, n_b in ((1, 1), (3, 3), (5, 3), (2, 6), (7, 7)):
+        a, b = rng.normal(0, 1, (n_a, d)), rng.gamma(1.0, 1.0, (n_b, d))
+        _assert_same_bits((np.sqrt(mixture._sq_distances(a, b)),
+                           _plain_cost(a, b)))
+        for metric in ("euclidean", "cityblock"):
+            rows, cols, dist = match_clusters(a, b, metric)
+            want_rows, want_cols = _plain_match_clusters(a, b, metric)
+            _assert_same_bits((rows, want_rows), (cols, want_cols),
+                              (dist, _plain_matched_distances(
+                                  a, b, want_rows, want_cols, metric)))
+
+
+def test_match_clusters_with_an_empty_center_set():
+    some, none = np.ones((3, 2)), np.empty((0, 2))
+    assert mixture._sq_distances(some, none).shape == (3, 0)
+    for a, b in ((none, some), (some, none), (none, none)):
+        for metric in ("euclidean", "cityblock"):
+            rows, cols, dist = match_clusters(a, b, metric)
+            assert rows.shape == cols.shape == dist.shape == (0,)
+
+
+def _record(monkeypatch, name):
+    """Record every call of analysis.<name> with its result."""
+    calls = []
+    inner = getattr(analysis, name)
+
+    def recorded(X, k, config, *args):
+        result = inner(X, k, config, *args)
+        calls.append((X, k, config, result))
+        return result
+    monkeypatch.setattr(analysis, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["em", "kmeans"])
+def test_stability_report_equals_the_plain_formulas(monkeypatch, kind):
+    rng = np.random.default_rng(71)
+    if kind == "em":
+        theta = np.array([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6], [0.3, 0.4, 0.3]])
+        X = _draw(rng, 400, [0.4, 0.3, 0.3], theta)[0]
+        config, plain_fit = EMConfig(restarts=2), _plain_fit_em
+    else:
+        X = _spread_rows(8, n=400)
+        config, plain_fit = KMeansConfig(restarts=2), _plain_fit_kmeans
+    calls = _record(monkeypatch, "fit_model")
+    report = analysis.stability_check(X, 3, epsilon=1.0, delta=1.0, runs=4,
+                                      seed=3, fit_config=config)
+    assert report.failed_runs == [] and len(calls) == 4
+    results = []
+    for sub, k, cfg, (model, _) in calls:
+        expect_model, expect = plain_fit(sub, k, cfg)
+        _assert_same_bits((model.centers, expect_model.centers))
+        results.append((expect_model.centers,
+                        np.bincount(expect.hard, minlength=k) / len(sub)))
+    eps = delta = 0.0
+    for (ca, sa), (cb, sb) in combinations(results, 2):
+        rows, cols = _plain_match_clusters(ca, cb)
+        eps = max(eps, float(_plain_matched_distances(ca, cb, rows,
+                                                      cols).max()))
+        delta = max(delta, float(np.abs(sa[rows] - sb[cols]).max()))
+    assert report.epsilon_observed.hex() == eps.hex() != 0.0.hex()
+    assert report.delta_observed.hex() == delta.hex()
+
+
+def test_layered_report_equals_the_plain_formula(monkeypatch):
+    rng = np.random.default_rng(73)
+    theta = np.array([[0.8, 0.1, 0.1], [0.1, 0.1, 0.8]])
+    X = _draw(rng, 900, [0.5, 0.5], theta)[0]
+    parents = rng.integers(0, 3, 900)
+    calls = _record(monkeypatch, "fit_em")
+    report = analysis.layered_fit(X, parents, 2, EMConfig(restarts=2, seed=1))
+    assert len(calls) == 3
+    thetas = []
+    for rows, k, cfg, (model, _) in calls:
+        expect_model = _plain_fit_em(rows, k, cfg)[0]
+        _assert_same_bits((model.theta, expect_model.theta))
+        thetas.append(expect_model.theta)
+    divergence = 0.0
+    for ca, cb in combinations(thetas, 2):
+        rows, cols = _plain_match_clusters(ca, cb, metric="cityblock")
+        divergence = max(divergence, float(_plain_matched_distances(
+            ca, cb, rows, cols, "cityblock").max()))
+    assert report.divergence.hex() == divergence.hex() != 0.0.hex()
+
+
+def test_model_from_dict_rejects_a_payload_whose_shape_contradicts_itself():
+    X = np.random.default_rng(79).normal(0, 1, (40, 13))
+    payload = model_to_dict(fit_kmeans(X, 4, KMeansConfig(seed=1), "ME")[0])
+    assert model_from_dict(payload).centers.shape == (4, 13)
+    for K, d, rows in ((4, 99, 3), (4, 13, 3), (3, 99, 3), (4, 99, 4),
+                       (5, 13, 4)):
+        bad = {**payload, "K": K, "d": d, "centers": payload["centers"][:rows]}
+        with pytest.raises(ValueError, match="shapes disagree"):
+            model_from_dict(bad)
+    with pytest.raises(ValueError, match="shapes disagree"):
+        KMeansModel(4, np.zeros((3, 13)), 0.0)
+    with pytest.raises(ValueError, match="shapes disagree"):
+        KMeansModel(3, np.zeros(3), 0.0)
+    rng = np.random.default_rng(83)
+    em = model_to_dict(fit_em(rng.integers(0, 9, (40, 5)), 3,
+                              EMConfig(restarts=1))[0])
+    for K, d in ((3, 6), (4, 5), (2, 5)):
+        with pytest.raises(ValueError, match="shapes disagree"):
+            model_from_dict({**em, "K": K, "d": d})
