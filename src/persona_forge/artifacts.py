@@ -2,9 +2,12 @@
 the one reader of every JSON file it reads, the config included, and the
 hand-off table that spares a process re-parsing the files it wrote.
 
-CSV: UTF-8, LF line endings, one header row. JSON: UTF-8, two-space indent,
-sorted keys, trailing newline. Callers own only column layout and cell values:
-the csv module writes each value's `str()`, which for a float is its `repr`.
+CSV: UTF-8, LF line endings, one header row, the bytes `csv.writer` writes.
+`write_csv` is the one CSV writer: callers hand it columns, not rows, and own
+only column layout and cell values. A number is written as its `str()`, which
+for a float is its `repr`; a text column is a short table of distinct texts,
+each quoted once by the csv module, and codes into it. JSON: UTF-8, two-space
+indent, sorted keys, trailing newline.
 """
 
 from __future__ import annotations
@@ -24,12 +27,66 @@ import numpy as np
 _handed: dict[Path, tuple[tuple[Path, ...], tuple[str, ...], object]] = {}
 
 
-def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:
-    """Write the header, then stream `rows` without materializing them."""
+# Rows turned into text at a time: peak memory stays flat as files grow.
+CHUNK_ROWS = 65_536
+
+
+class _Lines(list):
+    """A file for `csv.writer` that keeps each row it writes as one item."""
+    write = list.append
+
+
+def _cell_texts(texts: Sequence[str], width: int) -> np.ndarray:
+    """Each of `texts` as the csv module writes it in a row of `width`
+    cells, quoting included; a lone empty cell is written as `""`."""
+    lines = _Lines()
+    pad = [""] * (width > 1)
+    csv.writer(lines, lineterminator="\n").writerows([text, *pad]
+                                                     for text in texts)
+    return np.array([line[:-1 - len(pad)] for line in lines], dtype=object)
+
+
+def _chunk_texts(values: np.ndarray, table, rows: slice) -> Iterable[str]:
+    """The text of the cells `rows` of one column: `table` entries indexed
+    by `values`, or without a table each value's `str()`. An int chunk that
+    spans fewer values than it has cells makes each value's text once."""
+    chunk = values[rows]
+    if table is None and chunk.dtype.kind in "iu" and len(chunk):
+        low, high = int(chunk.min()), int(chunk.max())
+        if high - low < len(chunk):
+            table = np.array([str(v) for v in range(low, high + 1)],
+                             dtype=object)
+            chunk = chunk - low
+    if table is None:
+        return map(str, chunk.tolist())
+    return np.take(table, chunk).tolist()
+
+
+def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
+    """Write the header, then the rows that `columns` hold side by side.
+
+    A column is either a 1-D numeric array, whose items are written as the
+    `str()` of their `tolist()`, or a `(texts, codes)` pair: a sequence of
+    strings and an int array that indexes it, each text made cell text
+    once. Rows are turned into text CHUNK_ROWS at a time, column by column,
+    and joined.
+    """
+    if len(columns) != len(header):
+        raise ValueError(f"{len(columns)} columns under {len(header)} names")
+    cells = [(np.asarray(column[1]), _cell_texts(column[0], len(columns)))
+             if isinstance(column, tuple) else (np.asarray(column), None)
+             for column in columns]
+    if len({len(values) for values, _ in cells}) > 1:
+        raise ValueError("columns of different lengths")
+    n = len(cells[0][0]) if cells else 0
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for start in range(0, n, CHUNK_ROWS):
+            rows = slice(start, start + CHUNK_ROWS)
+            texts = [_chunk_texts(values, table, rows)
+                     for values, table in cells]
+            fh.write("\n".join(map(",".join, zip(*texts))))
+            fh.write("\n")
 
 
 def read_csv(path) -> Iterator[list[str]]:

@@ -254,7 +254,7 @@ def _write_assignments(path: Path, cm: features.CharacterizationMatrix,
                        tau: np.ndarray, hard: np.ndarray) -> None:
     features.write_rows(
         path, cm, [f"tau_{j}" for j in range(tau.shape[1])] + ["hard"],
-        (row.tolist() + [label] for row, label in zip(tau, hard)))
+        [*tau.T, hard])
 
 
 def read_assignments(path, k: int | None = None):
@@ -380,12 +380,13 @@ def stage_analyze(params: dict, out: Path, seed: int, read) -> list[str]:
         report["migration_support"][ch] = int(mig.support.sum())
         artifacts.write_csv(
             out / f"migration_{ch}.csv", [f"to_{j}" for j in range(k)],
-            (row.tolist() for row in mig.matrix))
+            mig.matrix.T)
 
         table = analysis.center_report(models[ch].centers,
                                        features.CHARACTERIZATION_LABELS[ch],
                                        as_percent=not _amount(ch))
-        artifacts.write_csv(out / f"centers_{ch}.csv", table[0], table[1:])
+        artifacts.write_csv(out / f"centers_{ch}.csv", table[0],
+                            [*map(np.array, zip(*table[1:]))])
         outputs += [f"migration_{ch}.csv", f"centers_{ch}.csv"]
 
     artifacts.write_json(out / "analyze_report.json", report)
@@ -414,24 +415,26 @@ def stage_ctr(params: dict, out: Path, seed: int, read) -> list[str]:
         _same_users(cm.users, rs.users, f"features_{ch}.csv", "filtered.csv")
     persona = ctr.persona_features(matrices, _read_models(read, chars))
     items = ctr.item_user_sets(rs)
-    rows, diagnostics = [], []
+    evaluations = []
     for recipe in recipes:
         evaluation = ctr.run_ctr_experiment(items, persona, recipe, exp_cfg)
         if not evaluation.per_item:  # no test user, or every item skipped
             raise DataError(f"recipe {evaluation.recipe!r} evaluated no item "
                             f"({len(evaluation.skipped)} skipped: a train or "
                             f"test split lacked positive or negative rows)")
-        rows.append([recipe.mode("CR"), recipe.mode("DG"), recipe.mode("ME"),
-                     round(evaluation.mean_auc, 6),
-                     round(evaluation.mean_n, 2), evaluation.p,
-                     round(evaluation.complexity_proxy, 2)])
-        diagnostics.append(evaluation.diagnostics())
-    artifacts.write_csv(out / "ctr_eval.csv",
-                        ["recency", "genre", "economic", "F", "n", "p",
-                         "O_proxy"], rows)
+        evaluations.append(evaluation)
+    row = np.arange(len(recipes))  # each recipe's mode is its row's own text
+    artifacts.write_csv(
+        out / "ctr_eval.csv",
+        ["recency", "genre", "economic", "F", "n", "p", "O_proxy"],
+        [*(([r.mode(ch) for r in recipes], row) for ch in ("CR", "DG", "ME")),
+         np.array([round(e.mean_auc, 6) for e in evaluations]),
+         np.array([round(e.mean_n, 2) for e in evaluations]),
+         np.array([e.p for e in evaluations]),
+         np.array([round(e.complexity_proxy, 2) for e in evaluations])])
     artifacts.write_json(out / "ctr_diagnostics.json", {
         "kkt_tol": ctr.KKT_TOL, "max_iter": ctr.MAX_ITER,
-        "recipes": diagnostics})
+        "recipes": [e.diagnostics() for e in evaluations]})
     return ["ctr_eval.csv", "ctr_diagnostics.json"]
 
 

@@ -141,13 +141,11 @@ def aggregate(rs: RecordSet, months: np.ndarray,
                                   VALUE_KINDS[ch])
 
 
-def write_rows(path, cm: CharacterizationMatrix, names, cells) -> None:
+def write_rows(path, cm: CharacterizationMatrix, names, columns) -> None:
     """A user-month CSV: the rows of `cm` as user_id,month_index, then the
-    `names` columns, each row's text in `cells`."""
-    artifacts.write_csv(
-        path, ["user_id", "month_index", *names],
-        ([cm.users[u], m, *row] for u, m, row in
-         zip(cm.user.tolist(), cm.month.tolist(), cells)))
+    `names` columns, given as `artifacts.write_csv` columns."""
+    artifacts.write_csv(path, ["user_id", "month_index", *names],
+                        [(cm.users, cm.user), cm.month, *columns])
 
 
 def read_rows(path):
@@ -179,8 +177,7 @@ def write_matrix(cm: CharacterizationMatrix, path) -> None:
     """
     path = str(path)
     values = cm.values.astype(np.int64 if cm.value_kind == "Count" else float)
-    write_rows(path, cm, [f"v{i}" for i in range(cm.d)],
-               (row.tolist() for row in values))
+    write_rows(path, cm, [f"v{i}" for i in range(cm.d)], values.T)
     artifacts.write_json(path + ".json", {
         "characterization": cm.characterization,
         "labels": list(cm.labels),

@@ -200,13 +200,12 @@ def parse_log(path) -> ParseResult:
 
 def write_log(rs: RecordSet, path) -> None:
     """Write the log with the CSV_COLUMNS header."""
-    artifacts.write_csv(path, CSV_COLUMNS, (
-        [rs.users[u], ts, offset, rs.contents[c], "R" if rental else "P",
-         format_price(cents), GENRES[g], year]
-        for u, ts, offset, c, rental, cents, g, year in zip(
-            rs.user.tolist(), rs.timestamp.tolist(), rs.offset.tolist(),
-            rs.content.tolist(), rs.rental.tolist(), rs.cents.tolist(),
-            rs.genre.tolist(), rs.year.tolist())))
+    prices, price = np.unique(rs.cents, return_inverse=True)
+    artifacts.write_csv(path, CSV_COLUMNS, [
+        (rs.users, rs.user), rs.timestamp, rs.offset,
+        (rs.contents, rs.content), (("P", "R"), rs.rental),
+        ([*map(format_price, prices.tolist())], price), (GENRES, rs.genre),
+        rs.year])
 
 
 def tenure_align(rs: RecordSet) -> np.ndarray:

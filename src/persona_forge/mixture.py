@@ -352,8 +352,13 @@ def fit_kmeans(X: np.ndarray, k: int, config: KMeansConfig | None = None,
     best_inertia = np.inf
     best_centers = None
     best_labels = None
-    for _ in range(max(1, config.restarts)):
+    for restart in range(max(1, config.restarts)):
         centers = _kmeanspp_seed(X, k, rng)
+        # k-means++ repeats a seed only once every row is a seed
+        if restart == 0 and len(np.unique(centers, axis=0)) < k:
+            log.warning("k-means on %r: fewer than k=%d distinct rows, so "
+                        "centres repeat and a cluster stays empty",
+                        characterization, k)
         d2 = _sq_distances(X, centers)
         labels = np.argmin(d2, axis=1)
         for _ in range(KMEANS_MAX_ITER):

@@ -346,7 +346,6 @@ def generate(cfg: GeneratorConfig) -> tuple[RecordSet, GroundTruth]:
           - offset[user] * 60)
 
     code = (genre * _RECENCY_BINS + cr) * cfg.items_per_cell + cell
-    _bump_collisions(user, ts, code)
     distinct, content = np.unique(code, return_inverse=True)
     gr, x = np.divmod(distinct, cfg.items_per_cell)
     g, r = np.divmod(gr, _RECENCY_BINS)
@@ -355,18 +354,27 @@ def generate(cfg: GeneratorConfig) -> tuple[RecordSet, GroundTruth]:
     # same-width zero-padded numbers sort as the ints they write
     uid_width = max(6, len(str(n_users - 1)))
     uids = tuple(f"u{u:0{uid_width}d}" for u in range(n_users))
-    return (RecordSet.build(uids, user, ts, offset[user], contents,
-                            cell_code[content], rental, cents, genre, year),
-            GroundTruth(uids, truth))
+    rs = RecordSet.build(uids, user, ts, offset[user], contents,
+                         cell_code[content], rental, cents, genre, year)
+    # A repeated (user, ts, content) key sits next to its twin in the built
+    # table; only then are the rows bumped and sorted again.
+    if ((np.diff(rs.user) == 0) & (np.diff(rs.timestamp) == 0)
+            & (np.diff(rs.content) == 0)).any():
+        _bump_collisions(user, ts, code)
+        rs = RecordSet.build(uids, user, ts, offset[user], contents,
+                             cell_code[content], rental, cents, genre, year)
+    return rs, GroundTruth(uids, truth)
 
 
 def write_ground_truth(gt: GroundTruth, path) -> None:
+    """Rows user_id,month_index,characterization,label, by characterization
+    name, then user, then month."""
+    chars = sorted(gt.labels)
+    labels = np.stack([gt.labels[ch] for ch in chars])  # (ch, user, month)
+    ch, user, month = np.indices(labels.shape).reshape(3, -1)
     artifacts.write_csv(
         path, ["user_id", "month_index", "characterization", "label"],
-        ([user, month, ch, label]
-         for ch in sorted(gt.labels)
-         for user, row in zip(gt.users, gt.labels[ch].tolist())
-         for month, label in enumerate(row)))
+        [(gt.users, user), month, (chars, ch), labels.ravel()])
 
 
 # ---------------------------------------------------------------------------

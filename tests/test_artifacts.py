@@ -104,9 +104,10 @@ def test_json_format(tmp_path):
     assert artifacts.to_json([]) == "[]\n"
 
 
-def test_csv_streams_any_iterable_and_reads_after_header(tmp_path):
+def test_csv_writes_columns_and_reads_after_header(tmp_path):
     path = tmp_path / "t.csv"
-    artifacts.write_csv(path, ("a", "b"), ([i, f"x,{i}"] for i in range(2)))
+    artifacts.write_csv(path, ("a", "b"),
+                        [np.arange(2), (["x,1", "x,0"], np.array([1, 0]))])
     assert path.read_bytes() == b'a,b\n0,"x,0"\n1,"x,1"\n'
     assert list(artifacts.read_csv(path)) == [["0", "x,0"], ["1", "x,1"]]
 

@@ -758,6 +758,20 @@ def test_fit_kmeans_empty_cluster_branch_matches_the_plain_lloyd():
     assert model.inertia.hex() == expect_model.inertia.hex() == 0.0.hex()
 
 
+def test_fit_kmeans_warns_once_on_fewer_distinct_rows_than_k(caplog):
+    X = np.array([[0.0, 1.0, 4.0], [2.0, 0.5, 3.0]])[np.arange(12) % 2]
+    with caplog.at_level("WARNING", logger="persona_forge.mixture"):
+        fit_kmeans(X, 2, KMeansConfig(restarts=3, seed=5), "TF")
+        fit_kmeans(np.random.default_rng(0).normal(size=(40, 3)), 3,
+                   KMeansConfig(restarts=3, seed=5), "TF")
+    assert caplog.records == []
+    with caplog.at_level("WARNING", logger="persona_forge.mixture"):
+        fit_kmeans(X, 3, KMeansConfig(restarts=3, seed=5), "TF")
+    assert [r.getMessage() for r in caplog.records] == [
+        "k-means on 'TF': fewer than k=3 distinct rows, so centres repeat "
+        "and a cluster stays empty"]
+
+
 @pytest.mark.parametrize("d", DIMS)
 def test_match_clusters_is_bit_identical_to_the_plain_matching(d):
     rng = np.random.default_rng(60 + d)

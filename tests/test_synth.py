@@ -275,6 +275,44 @@ def test_bump_collisions_moves_repeats_one_second_at_a_time():
     assert ts[4] == 5 and ts[5] == 5
 
 
+class _BumpFirst(synth.RecordSet):
+    """The generator's former order: every repeated key bumped, then one
+    sort. Content codes group rows into keys as the item codes do."""
+
+    @classmethod
+    def build(cls, users, user, timestamp, offset, contents, content, *rest):
+        timestamp = np.array(timestamp)
+        synth._bump_collisions(user, timestamp, content)
+        return super().build(users, user, timestamp, offset, contents,
+                             content, *rest)
+
+
+@pytest.mark.parametrize("items_per_cell", [1, 10, 12])
+def test_repeated_keys_are_bumped_as_before_one_sort(monkeypatch,
+                                                     items_per_cell):
+    # one day and one hour per TDT slot, one genre, recency and slot: many
+    # rows share a second, some more than once over (items_per_cell > 10
+    # sorts content names out of code order)
+    one = {ch: PlantedMixture(np.array([1.0]), np.eye(d)[[1]])
+           for ch, d in (("DG", 16), ("CR", 5), ("TDT", 6))}
+    cfg = GeneratorConfig(30, 2, seed=0, items_per_cell=items_per_cell,
+                          poisson_mean=150.0,
+                          mixtures={"TF": synth.default_mixtures()["TF"],
+                                    **one})
+    monkeypatch.setattr(synth, "_SLOT_SIZES", np.ones(3, np.int64))
+    monkeypatch.setattr(synth, "_DAYS_PER_TYPE", np.ones(2, np.int64))
+    bumps, bump = [], synth._bump_collisions
+    monkeypatch.setattr(synth, "_bump_collisions",
+                        lambda *args: bumps.append(bump(*args)))
+    rs, _ = generate(cfg)
+    assert bumps  # the keys did repeat
+    monkeypatch.setattr(synth, "RecordSet", _BumpFirst)
+    expected, _ = generate(cfg)
+    assert rows(rs) == rows(expected)
+    keys = {(r.user_id, r.timestamp, r.content_id) for r in rows(rs)}
+    assert len(keys) == len(rs)
+
+
 def test_planted_bin_shares_match_theta():
     # one cluster per facet, so every row draws from one theta row; each
     # share lies within 5 binomial standard errors of its theta entry, and
@@ -390,11 +428,13 @@ def test_ground_truth_io_roundtrip(tmp_path):
 
 def _reference_write_ground_truth(labels, path):
     """The dict writer: `labels` maps ch -> {(user, month): label}."""
+    user, month, ch, label = zip(*(
+        (user, month, ch, label) for ch in sorted(labels)
+        for (user, month), label in sorted(labels[ch].items())))
+    row = np.arange(len(user))  # each row's text in a table of its own
     artifacts.write_csv(
         path, ["user_id", "month_index", "characterization", "label"],
-        ([user, month, ch, label]
-         for ch in sorted(labels)
-         for (user, month), label in sorted(labels[ch].items())))
+        [(user, row), np.array(month), (ch, row), np.array(label)])
 
 
 @pytest.mark.parametrize("n_users", [1, 9, 10, 40])
