@@ -17,6 +17,7 @@ import dataclasses
 import hashlib
 import json
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -131,10 +132,13 @@ def digest(path) -> str:
 
 def freeze(obj):
     """`obj`, with every array in it and in its tuples and dataclass fields
-    made read-only."""
+    made read-only. A tuple of strings, such as an id table, holds no array
+    and is passed over in one C-level type check."""
     if isinstance(obj, np.ndarray):
         obj.flags.writeable = False
     elif isinstance(obj, tuple):
+        if all(map(isinstance, obj, repeat(str))):
+            return obj
         for item in obj:
             freeze(item)
     elif dataclasses.is_dataclass(obj):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field, replace
 
@@ -72,9 +73,10 @@ class FactorModel:
 def _dot(x, y):
     """The products x[k] * y[k] added in k order, starting from 0.0.
 
-    The one dot product of the SGD step and of `FactorModel.predict`, which
-    passes columns and gets every row's sum with the same bits. BLAS picks
-    its dot kernel by CPU, and `sum` compensates from Python 3.12.
+    The one dot product rule. `FactorModel.predict` passes columns and gets
+    every row's sum with the same bits; each generated SGD epoch (`_epoch`)
+    writes it out term by term, in this order. BLAS picks its dot kernel by
+    CPU, and `sum` compensates from Python 3.12.
     """
     total = 0.0
     for a, b in zip(x, y):
@@ -82,10 +84,106 @@ def _dot(x, y):
     return total
 
 
+def _epoch_source(variant: str, f: int, g: int = 0) -> str:
+    """Python source of `epoch`, one SGD epoch of `variant` at factor width
+    f (g: the static width of variant c), as straight-line code.
+
+    Each factor row is unpacked into locals and rebuilt as a list display;
+    each dot product is `d = 0.0` then one `d += x * y` statement per term,
+    `_dot`'s order (a single `+` expression of thousands of terms overflows
+    the compiler's recursion limit). Only the terms of `variant` are
+    written: a and b keep their `c >= 0` test. The IEEE operations are
+    those of the model's equations, in their order.
+    """
+    def names(prefix, n):
+        return [f"{prefix}{k}" for k in range(n)]
+
+    def unpack(targets, row):
+        return [f"{', '.join(targets)}, = {row}"] if targets else []
+
+    def dot(x, y):
+        return ["d = 0.0", *(f"d += {a} * {b}" for a, b in zip(x, y)),
+                "pred += d"]
+
+    def step(row, old, grad):  # row = old + lr * (err * grad - reg * old)
+        terms = (f"{o} + lr * (err * {x} - reg * {o})"
+                 for o, x in zip(old, grad))
+        return [f"{row} = [{', '.join(terms)}]"]
+
+    def when_clustered(lines):
+        return ["if c >= 0:", *(f"    {line}" for line in lines)]
+
+    p, q, y = names("p", f), names("q", f), names("y", f)
+    w, s = names("w", g), names("s", g)
+    v = names("v", f) if variant == "b" else p  # the user vector
+    body = ["c = labels[u]"] if variant in ("a", "b") else []
+    body += [*unpack(p, "P[u]"), *unpack(q, "Q[i]"),
+             "bu_u = bu[u]", "bi_i = bi[i]", "pred = mu + bi_i + bu_u"]
+    if variant == "a":
+        body += when_clustered(["pred += ba[c]"])
+    if variant == "b" and f:  # an empty `if` block is a SyntaxError
+        body += when_clustered([*unpack(y, "Y[c]"),
+                                *(f"{a} = {b} + {x}"
+                                  for a, b, x in zip(v, p, y))])
+        body += ["else:", *(f"    {a} = {b}" for a, b in zip(v, p))]
+    body += dot(q, v)
+    if variant == "c":
+        body += [*unpack(w, "Qs[i]"), *unpack(s, "static[u]"), *dot(w, s)]
+    body += ["err = r - pred",
+             "bu[u] = bu_u + lr * (err - reg * bu_u)",
+             "bi[i] = bi_i + lr * (err - reg * bi_i)"]
+    if variant == "a":
+        body += when_clustered(["ba[c] += lr * (err - reg * ba[c])"])
+    if variant == "b":
+        body += when_clustered(step("Y[c]", y, q))
+    if variant == "c":
+        body += step("Qs[i]", w, s)
+    body += [*step("P[u]", p, q), *step("Q[i]", q, v)]
+    return "\n".join([
+        "def epoch(users, items, values, lr, reg, mu, P, Q, bu, bi, labels,",
+        "          ba, Y, Qs, static):",
+        "    for u, i, r in zip(users, items, values):",
+        *(f"        {line}" for line in body), ""])
+
+
+@functools.lru_cache(maxsize=32)
+def _epoch(variant: str, f: int, g: int = 0):
+    """The compiled `_epoch_source` function, made once per (variant, f, g)
+    at fit time. It runs one SGD epoch over the shuffled rating columns
+    (Python lists), updating the factor and bias lists in place."""
+    namespace: dict = {}
+    exec(compile(_epoch_source(variant, f, g),
+                 f"<cf epoch {variant} f={f} g={g}>", "exec"), namespace)
+    return namespace["epoch"]
+
+
 def _columns(ratings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Contiguous (users, items, values) columns of (u, i, r) triples."""
     u, i, r = np.asarray(ratings, dtype=np.float64).reshape(-1, 3).T.copy()
     return u.astype(np.int64), i.astype(np.int64), r
+
+
+def _check_ratings(table: np.ndarray, n_users: int, n_items: int) -> None:
+    """Raise CfError unless the float `table` holds one or more rows of
+    three: an integer user index in [0, n_users), an integer item index in
+    [0, n_items) and a finite value."""
+    if not table.size:
+        raise CfError("ratings must be non-empty")
+    if table.ndim != 2 or table.shape[1] != 3:
+        raise CfError(f"ratings must be (user, item, value) rows, not an "
+                      f"array of shape {table.shape}")
+    for column, name, n in ((0, "user", n_users), (1, "item", n_items)):
+        index = table[:, column]
+        bad = np.flatnonzero((index != np.floor(index)) | (index < 0)
+                             | (index >= n))
+        if len(bad):
+            raise CfError(f"rating row {bad[0]}: {name} index "
+                          f"{float(index[bad[0]])!r} is not an integer in "
+                          f"[0, {n})")
+    bad = np.flatnonzero(~np.isfinite(table[:, 2]))
+    if len(bad):
+        raise CfError(f"rating row {bad[0]}: value "
+                      f"{float(table[bad[0], 2])!r} is not finite")
 
 
 @np.errstate(over="ignore", invalid="ignore")  # divergence raises CfError
@@ -95,9 +193,11 @@ def fit_factor(n_users: int, n_items: int, ratings, variant: str = "vanilla",
     """SGD fit of a biased latent factor model, optionally persona-augmented.
 
     `ratings` holds (user_index, item_index, value) rows, an (n, 3) array or
-    a sequence of triples; `len(ratings)` is the rating count. Variants a, b
-    and d read `clusters`, one int label per user (for a and b a negative
-    label means no cluster); variant c reads `static`, one row per user.
+    a sequence of triples; `len(ratings)` is the rating count. An index that
+    is not an integer in range, or a non-finite value, raises CfError before
+    training. Variants a, b and d read `clusters`, one int label per user
+    (for a and b a negative label means no cluster); variant c reads
+    `static`, one row per user. Each epoch runs `_epoch(variant, f, g)`.
     """
     if variant not in VARIANTS:
         raise CfError(f"unknown variant {variant!r}")
@@ -108,9 +208,9 @@ def fit_factor(n_users: int, n_items: int, ratings, variant: str = "vanilla",
     if variant == "c" and (np.ndim(static) != 2 or len(static) != n_users):
         raise CfError("variant c needs one static feature row per user")
     config = config or FactorConfig()
-    users, items, values = columns = _columns(ratings)
-    if not len(values):
-        raise CfError("ratings must be non-empty")
+    table = np.asarray(ratings, dtype=np.float64)
+    _check_ratings(table, n_users, n_items)
+    users, items, values = columns = _columns(table)
     mu = float(np.mean(values))
     if clusters is not None:
         clusters = np.asarray(clusters, dtype=np.int64)
@@ -153,43 +253,21 @@ def fit_factor(n_users: int, n_items: int, ratings, variant: str = "vanilla",
 
     # an epoch runs on Python floats and lists: the same IEEE double
     # arithmetic as numpy's, in the same order, without its dispatch per
-    # operation; each factor row is rebuilt element by element
+    # operation
     P, Q, Y, Qs, static, bu, bi, ba = (
         None if a is None else a.tolist()
         for a in (model.P, model.Q, model.Y, model.Qs, model.static,
                   model.bu, model.bi, model.ba))
-    labels = [-1] * n_users if clusters is None else clusters.tolist()
+    labels = None if clusters is None else clusters.tolist()
+    run = _epoch(variant, config.f,
+                 0 if static is None else model.static.shape[1])
     order = np.arange(len(values))
-    reg = config.reg
     for epoch in range(config.epochs):
         lr = float(config.lr / np.sqrt(1.0 + epoch))
         rng.shuffle(order)
-        for u, i, r in zip(users[order].tolist(), items[order].tolist(),
-                           values[order].tolist()):
-            c = labels[u]
-            p, q = P[u], Q[i]
-            pred = mu + bi[i] + bu[u]
-            if c >= 0 and ba is not None:
-                pred += ba[c]
-            if c >= 0 and Y is not None:
-                user_vec = [a + b for a, b in zip(p, Y[c])]
-            else:
-                user_vec = p
-            pred += _dot(q, user_vec)
-            if static is not None:
-                pred += _dot(Qs[i], static[u])
-            err = r - pred
-            bu[u] += lr * (err - reg * bu[u])
-            bi[i] += lr * (err - reg * bi[i])
-            if c >= 0 and ba is not None:
-                ba[c] += lr * (err - reg * ba[c])
-            if c >= 0 and Y is not None:
-                Y[c] = [y + lr * (err * b - reg * y) for y, b in zip(Y[c], q)]
-            if static is not None:
-                Qs[i] = [w + lr * (err * s - reg * w)
-                         for w, s in zip(Qs[i], static[u])]
-            P[u] = [a + lr * (err * b - reg * a) for a, b in zip(p, q)]
-            Q[i] = [b + lr * (err * v - reg * b) for b, v in zip(q, user_vec)]
+        run(users[order].tolist(), items[order].tolist(),
+            values[order].tolist(), lr, config.reg, mu, P, Q, bu, bi, labels,
+            ba, Y, Qs, static)
         for array, rows in ((model.P, P), (model.Q, Q), (model.Y, Y),
                             (model.Qs, Qs), (model.bu, bu), (model.bi, bi),
                             (model.ba, ba)):

@@ -122,3 +122,15 @@ def test_sha256_of_a_multi_chunk_file_without_file_digest(tmp_path,
     path = tmp_path / "blob"
     path.write_bytes(data)
     assert artifacts.sha256(path) == hashlib.sha256(data).hexdigest()
+
+
+def test_freeze_passes_over_id_tuples_and_freezes_every_array():
+    rs = make_record_set(make_record("u1", 10, 0, "c1", "R", 199, "Drama",
+                                     2010))
+    ids, codes, loose = ("u1", "u2"), np.arange(3), np.zeros(2)
+    nested = (ids, codes, ("label", loose), (), rs)
+    assert artifacts.freeze(nested) is nested
+    assert artifacts.freeze(ids) is ids
+    assert not codes.flags.writeable and not loose.flags.writeable
+    assert not any(getattr(rs, name).flags.writeable
+                   for name in ("user", "content", "timestamp", "cents"))

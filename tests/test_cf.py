@@ -24,16 +24,43 @@ def _toy_ratings(seed=0, n_users=40, n_items=25, per_user=8):
 def test_fit_factor_validation():
     with pytest.raises(CfError):
         fit_factor(2, 2, [(0, 0, 1.0)], "z")
-    with pytest.raises(CfError):
+    with pytest.raises(CfError, match="non-empty"):
         fit_factor(2, 2, [], "vanilla")
+    for ratings in ([(0, 0)], np.zeros((3, 2)), np.zeros((2, 3, 1))):
+        with pytest.raises(CfError, match="must be .user, item, value. rows"):
+            fit_factor(2, 2, ratings, "vanilla")
 
 
-@pytest.mark.parametrize("variant", ["vanilla", "d"])
+@pytest.mark.parametrize("bad, message", [
+    ((0, -1, 1.0), "item index -1.0 is not an integer in [0, 3)"),
+    ((2.7, 0, 1.0), "user index 2.7 is not an integer in [0, 4)"),
+    ((4, 0, 1.0), "user index 4.0 is not an integer in [0, 4)"),
+    ((0, 3, 1.0), "item index 3.0 is not an integer in [0, 3)"),
+    ((-0.5, 0, 1.0), "user index -0.5 is not an integer in [0, 4)"),
+    ((np.nan, 0, 1.0), "user index nan is not an integer in [0, 4)"),
+    ((0, np.inf, 1.0), "item index inf is not an integer in [0, 3)"),
+    ((0, 0, np.nan), "value nan is not finite"),
+    ((0, 0, -np.inf), "value -inf is not finite"),
+])
+@pytest.mark.parametrize("variant", ["vanilla", "a", "d"])
+def test_fit_factor_rejects_bad_ratings_before_training(monkeypatch, bad,
+                                                        message, variant):
+    # before validation: item -1 trained the last item, user 2.7 user 2, an
+    # index >= n raised a bare IndexError and a NaN value "diverged"
+    monkeypatch.setattr(cf, "_epoch", None)  # training would call it
+    ratings = [(0, 0, 1.0), (3, 2, 4.0), bad]
+    with pytest.raises(CfError) as info:
+        fit_factor(4, 3, ratings, variant, clusters=np.zeros(4, int))
+    assert str(info.value) == f"rating row 2: {message}"
+
+
+@pytest.mark.parametrize("variant", ["vanilla", "a", "b", "c", "d"])
 def test_diverging_sgd_raises(variant):
     n_users, n_items, ratings = _toy_ratings(seed=3)
     clusters = np.arange(n_users) % 2
+    static = np.ones((n_users, 2))
     with pytest.raises(CfError, match="diverged in epoch 1"):
-        fit_factor(n_users, n_items, ratings, variant, clusters,
+        fit_factor(n_users, n_items, ratings, variant, clusters, static,
                    config=FactorConfig(lr=5.0, epochs=3, seed=1))
 
 
@@ -125,26 +152,70 @@ def test_fit_factor_matches_scalar_reference(variant):
     n_users, n_items, ratings = _toy_ratings(seed=13, n_users=50)
     # labels -1..3: a and b see users without a cluster; c a static block
     clusters = np.arange(n_users) % 5 - 1
-    static = np.random.default_rng(2).random((n_users, 3))
-    # OpenBLAS switches its dot to a SIMD block kernel from n = 16
-    for f in (6, 16, 32):
-        cfg = FactorConfig(f=f, epochs=4, seed=5)
-        model = fit_factor(n_users, n_items, ratings, variant,
-                           clusters=clusters, static=static, config=cfg)
-        ref = _reference_fit_factor(n_users, n_items, ratings, variant,
-                                    clusters=clusters, static=static,
-                                    config=cfg)
-        pairs = [(model, ref)]
-        if variant == "d":
-            assert model.submodels.keys() == ref.submodels.keys()
-            pairs += [(model.submodels[c], ref.submodels[c])
-                      for c in ref.submodels]
-        for got, want in pairs:
-            for name in ("P", "Q", "bu", "bi", "ba", "Y", "Qs"):
-                a, b = getattr(got, name), getattr(want, name)
-                assert (a is None) == (b is None), (f, name)
-                assert a is None or a.tobytes() == b.tobytes(), (f, name)
-            assert got.rmse_trace == want.rmse_trace, f
+    # OpenBLAS switches its dot to a SIMD block kernel from n = 16; the
+    # epoch is generated per (variant, f, g), g the static width of c
+    for f in (1, 2, 6, 8, 16, 32):
+        for g in (0, 1, 3) if variant == "c" else (3,):
+            static = np.random.default_rng(2).random((n_users, g))
+            cfg = FactorConfig(f=f, epochs=4, seed=5)
+            model = fit_factor(n_users, n_items, ratings, variant,
+                               clusters=clusters, static=static, config=cfg)
+            ref = _reference_fit_factor(n_users, n_items, ratings, variant,
+                                        clusters=clusters, static=static,
+                                        config=cfg)
+            _assert_same_fit(model, ref, (f, g))
+
+
+def _assert_same_fit(model, ref, tag):
+    """Every fitted array of `model` and its submodels has `ref`'s bytes,
+    and every RMSE trace its values."""
+    pairs = [(model, ref)]
+    if model.variant == "d":
+        assert model.submodels.keys() == ref.submodels.keys()
+        pairs += [(model.submodels[c], ref.submodels[c])
+                  for c in ref.submodels]
+    for got, want in pairs:
+        for name in ("P", "Q", "bu", "bi", "ba", "Y", "Qs"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a is None) == (b is None), (tag, name)
+            assert a is None or a.tobytes() == b.tobytes(), (tag, name)
+        assert got.rmse_trace == want.rmse_trace, tag
+
+
+@pytest.mark.parametrize("variant", ["b", "c"])
+def test_generated_epoch_compiles_at_a_wide_factor(variant):
+    # one statement per dot term: a single `+` expression of 3,000 terms
+    # would exceed the compiler's recursion limit
+    n_users, n_items, ratings = _toy_ratings(seed=16, n_users=6, n_items=5,
+                                             per_user=3)
+    clusters = np.arange(n_users) % 3 - 1
+    static = np.random.default_rng(4).random((n_users, 2))
+    cfg = FactorConfig(f=3000, epochs=1, seed=2)
+    model = fit_factor(n_users, n_items, ratings, variant, clusters, static,
+                       cfg)
+    _assert_same_fit(model, _reference_fit_factor(
+        n_users, n_items, ratings, variant, clusters, static, cfg), 3000)
+
+
+def test_variant_d_submodels_share_one_generated_epoch():
+    n_users, n_items, ratings = _toy_ratings(seed=17)
+    cf._epoch.cache_clear()
+    model = fit_factor(n_users, n_items, ratings, "d",
+                       clusters=np.arange(n_users) % 4,
+                       config=FactorConfig(f=7, epochs=2, seed=1))
+    assert len(model.submodels) == 4
+    info = cf._epoch.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+
+
+def test_epochs_are_generated_at_fit_time_not_at_import():
+    env = {**os.environ, "PYTHONPATH": str(Path(cf.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", "import persona_forge.cli; from persona_forge "
+         "import cf; print(cf._epoch.cache_info().currsize)"],
+        capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0\n"
 
 
 def test_vanilla_training_reduces_rmse():
