@@ -225,8 +225,8 @@ def fit_item_model(X: np.ndarray, y: np.ndarray, lam: float) -> CtrItemModel:
     if n_pos == 0 or n_pos == len(y):
         raise CtrError("training rows must contain both classes")
 
-    mu = X.mean(axis=0) if X.shape[1] else np.zeros(0)
-    sd = X.std(axis=0) if X.shape[1] else np.zeros(0)
+    mu = X.mean(axis=0)
+    sd = X.std(axis=0)
     sd = np.where(sd == 0, 1.0, sd)
     Xs = (X - mu) / sd
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import logging
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,7 +152,6 @@ class _Rows:
     depend on tau: each row's multiplicity as a column, their sum and the
     row totals."""
     X: np.ndarray
-    counts: np.ndarray | None
     column: np.ndarray
     n: np.number
     totals: np.ndarray
@@ -161,19 +159,12 @@ class _Rows:
     @classmethod
     def of(cls, X: np.ndarray, counts: np.ndarray | None) -> _Rows:
         c = np.ones(X.shape[0]) if counts is None else counts
-        return cls(X, counts, c[:, None], c.sum(), X.sum(axis=1))
+        return cls(X, c[:, None], c.sum(), X.sum(axis=1))
 
 
-# The distinct rows of the fit_em call in progress, with their per-fit
-# constants, for as long as the call runs.  fit_em makes every M-step a call
-# of the public `m_step` (perfbench's tracer counts EM iterations from those
-# calls), so the constants reach it here, not through its signature.
-_FIT_ROWS: ContextVar[_Rows | None] = ContextVar("_FIT_ROWS", default=None)
-
-
-def m_step(tau: np.ndarray, X: np.ndarray, smoothing: float = SMOOTHING,
-           reseed: bool = True, counts: np.ndarray | None = None
-           ) -> tuple[np.ndarray, np.ndarray]:
+def m_step(tau: np.ndarray, X: np.ndarray | _Rows,
+           smoothing: float = SMOOTHING, reseed: bool = True,
+           counts: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Weighted-MLE update of (pi, theta) with additive smoothing on theta.
 
     `counts[i]` is how many times row i occurs in the data (default 1 each),
@@ -183,14 +174,14 @@ def m_step(tau: np.ndarray, X: np.ndarray, smoothing: float = SMOOTHING,
     recapture mass on the next E-step.  Pass reseed=False to leave starved
     clusters alone (pi floored away from exact zero).
 
-    Within `fit_em` the terms that do not depend on tau (the row totals of
-    X, the counts and their sum) are computed once per fit, not per call.
+    `fit_em` passes its `_Rows` as X: the rows with their counts and the
+    terms that do not depend on tau (row totals, the counts' sum), computed
+    once per fit; `counts` is then not read.
     """
     tau = np.asarray(tau, dtype=np.float64)
-    X = np.asarray(X, dtype=np.float64)
-    rows = _FIT_ROWS.get()
-    if rows is None or rows.X is not X or rows.counts is not counts:
-        rows = _Rows.of(X, counts)
+    rows = (X if isinstance(X, _Rows)
+            else _Rows.of(np.asarray(X, dtype=np.float64), counts))
+    X = rows.X
     d = X.shape[1]
     k = tau.shape[1]
     mass = tau * rows.column
@@ -254,6 +245,13 @@ def _kmeanspp_seed(P: np.ndarray, k: int, rng) -> np.ndarray:
     return centers
 
 
+def _check_k(k: int, n: int) -> None:
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if k > n:
+        raise ValueError(f"k={k} exceeds the number of rows n={n}")
+
+
 def _distinct_rows(X: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(U, counts, inverse): the distinct rows of X in order of first
@@ -274,61 +272,56 @@ def fit_em(X: np.ndarray, k: int, config: EMConfig | None = None,
     one pass over them: the posterior of the model just fitted gives both
     that model's log-likelihood and the next E-step.  What does not change
     during the fit (the rows, their counts and totals) is computed once per
-    call; log theta is taken once per iteration; the row max and normaliser
-    over the K posteriors are taken column by column in index order.  That
-    is the same arithmetic as numpy's row reductions for k < 8; for k >= 8
-    results may differ from earlier versions in their last bits.
+    call and handed to every M-step, each restart's first one included,
+    whose one-hot tau holds the k-means++ label of each distinct row.  Log
+    theta is taken once per iteration; the row max and normaliser over the
+    K posteriors are taken column by column in index order.  That is the
+    same arithmetic as numpy's row reductions for k < 8; for k >= 8 results
+    may differ from earlier versions in their last bits.
     """
     config = config or EMConfig()
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if k > n:
-        raise ValueError(f"k={k} exceeds the number of rows n={n}")
+    _check_k(k, n)
 
     rng = np.random.default_rng(config.seed)
     P = _proportions(X)
     U, counts, inverse = _distinct_rows(X)
     rows = _Rows.of(U, counts)
-    token = _FIT_ROWS.set(rows)
-    try:
-        best: MixtureModel | None = None
-        restart_logliks = []
-        for _ in range(max(1, config.restarts)):
-            seeds = _kmeanspp_seed(P, k, rng)
-            tau = np.eye(k)[np.argmin(_sq_distances(P, seeds), axis=1)]
-            pi, theta = m_step(tau, X)
-            model = MixtureModel(k, d, pi, theta, [], SMOOTHING, config.seed,
-                                 characterization)
+    hard = np.empty(len(U), dtype=np.intp)
+    best: MixtureModel | None = None
+    restart_logliks = []
+    for _ in range(max(1, config.restarts)):
+        seeds = _kmeanspp_seed(P, k, rng)
+        hard[inverse] = np.argmin(_sq_distances(P, seeds), axis=1)
+        pi, theta = m_step(np.eye(k)[hard], rows)
+        model = MixtureModel(k, d, pi, theta, [], SMOOTHING, config.seed,
+                             characterization)
+        log_theta = np.log(model.theta)
+        tau, lse = _posterior(U, np.log(model.pi), log_theta)
+        ll = _penalized(lse, log_theta, SMOOTHING, counts)
+        model.loglik_trace.append(ll)
+        reseed_budget = 3 * k   # after this, starved clusters stay dead
+        for it in range(config.max_iter):
+            starved = _starved(tau, rows.column)
+            do_reseed = starved > 0 and reseed_budget > 0
+            if do_reseed:
+                model.reseed_iters.append(it)
+                reseed_budget -= starved
+            model.pi, model.theta = m_step(tau, rows, reseed=do_reseed)
             log_theta = np.log(model.theta)
             tau, lse = _posterior(U, np.log(model.pi), log_theta)
-            ll = _penalized(lse, log_theta, SMOOTHING, counts)
-            model.loglik_trace.append(ll)
-            reseed_budget = 3 * k   # after this, starved clusters stay dead
-            for it in range(config.max_iter):
-                starved = _starved(tau, rows.column)
-                do_reseed = starved > 0 and reseed_budget > 0
-                if do_reseed:
-                    model.reseed_iters.append(it)
-                    reseed_budget -= starved
-                model.pi, model.theta = m_step(tau, U, reseed=do_reseed,
-                                               counts=counts)
-                log_theta = np.log(model.theta)
-                tau, lse = _posterior(U, np.log(model.pi), log_theta)
-                ll_new = _penalized(lse, log_theta, SMOOTHING, counts)
-                model.loglik_trace.append(ll_new)
-                if (not starved
-                        and abs(ll_new - ll) <= config.tol * (abs(ll) + 1.0)):
-                    model.converged = True
-                    break
-                ll = ll_new
-            model.n_iter = len(model.loglik_trace) - 1
-            restart_logliks.append(model.loglik_trace[-1])
-            if best is None or model.loglik_trace[-1] > best.loglik_trace[-1]:
-                best, best_tau = model, tau
-    finally:
-        _FIT_ROWS.reset(token)
+            ll_new = _penalized(lse, log_theta, SMOOTHING, counts)
+            model.loglik_trace.append(ll_new)
+            if (not starved
+                    and abs(ll_new - ll) <= config.tol * (abs(ll) + 1.0)):
+                model.converged = True
+                break
+            ll = ll_new
+        model.n_iter = len(model.loglik_trace) - 1
+        restart_logliks.append(model.loglik_trace[-1])
+        if best is None or model.loglik_trace[-1] > best.loglik_trace[-1]:
+            best, best_tau = model, tau
 
     best.restart_logliks = restart_logliks
     tau = best_tau[inverse]
@@ -343,10 +336,7 @@ def fit_kmeans(X: np.ndarray, k: int, config: KMeansConfig | None = None,
     config = config or KMeansConfig()
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if k > n:
-        raise ValueError(f"k={k} exceeds the number of rows n={n}")
+    _check_k(k, n)
 
     rng = np.random.default_rng(config.seed)
     best_inertia = np.inf

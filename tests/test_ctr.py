@@ -798,6 +798,34 @@ def test_run_ctr_experiment_matches_two_path_reference(modes):
     assert (ev.skipped, ev.p, ev.mean_n) == (skipped, p, mean_n)
 
 
+def test_run_ctr_experiment_without_features_fits_intercepts_only():
+    # an all-'-' recipe has p = 0: each item model is its intercept, the log
+    # odds of its training set, so every test score ties and the AUC is 1/2
+    matrices, models, _ = _toy_features()
+    feats = persona_features(matrices, models)
+    recipe = FeatureModeRecipe(dict.fromkeys(CTR_CHARACTERIZATIONS, "-"))
+    cfg = ctr.CtrExperimentConfig(lam=0.01, neg_ratio=2, top_n=6,
+                                  test_fraction=0.3, seed=1)
+    items = _toy_items()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ev = ctr.run_ctr_experiment(items, feats, recipe, cfg)
+    assert ev.p == 0 and ev.complexity_proxy == 0.0
+    assert ev.per_item and len(ev.fits) == len(ev.per_item)
+    train_users = split_users(len(feats.users), cfg.test_fraction,
+                              cfg.seed)[0]
+    chosen = top_items(items, cfg.top_n)
+    for item, m in zip(ev.per_item, ev.fits):
+        y = build_dataset(items, len(feats.users), item,
+                          neg_ratio=cfg.neg_ratio,
+                          seed=cfg.seed * 100003 + chosen.index(item),
+                          eligible_users=train_users).y
+        assert m.weights.shape == m.feature_means.shape == (0,)
+        assert m.converged and m.n_iter == 1
+        assert m.intercept == np.log(y.sum() / (len(y) - y.sum()))
+    assert set(ev.per_item.values()) == {0.5} and ev.mean_auc == 0.5
+
+
 @pytest.mark.parametrize("modes", ["c,s,-", "h,c,c"])
 def test_run_ctr_experiment_builds_the_design_once(modes, monkeypatch):
     matrices, models, _ = _toy_features()

@@ -512,7 +512,6 @@ def _bit_identity_inputs():
 def test_fit_em_is_bit_identical_to_the_plain_iteration(name, X, k, config):
     expect_model, expect = _plain_fit_em(X, k, config, "TF")
     model, got = fit_em(X, k, config, "TF")
-    assert mixture._FIT_ROWS.get() is None      # reset when the fit returns
     for a, b in ((model.pi, expect_model.pi),
                  (model.theta, expect_model.theta),
                  (got.tau, expect.tau), (got.hard, expect.hard)):
@@ -558,8 +557,29 @@ def test_m_step_is_bit_identical_to_the_plain_update():
                    {"reseed": False, "counts": counts}):
         got = m_step(tau, U, 0.5, **kwargs)
         expect = _plain_m_step(tau, U, 0.5, **kwargs)
-        for a, b in zip(got, expect):
-            assert a.tobytes() == b.tobytes()
+        # fit_em's form: the rows and counts handed over as one _Rows
+        rows = mixture._Rows.of(U, kwargs.get("counts"))
+        handed = m_step(tau, rows, 0.5, reseed=kwargs.get("reseed", True))
+        for a, b, c in zip(got, expect, handed):
+            assert a.tobytes() == b.tobytes() == c.tobytes()
+
+
+def test_fit_em_computes_its_row_constants_once(monkeypatch):
+    # the rows, counts and totals are built once per fit and handed to every
+    # M-step, not rebuilt by each restart or iteration
+    calls = []
+    inner = mixture._Rows.of
+
+    def counted(cls, X, counts):
+        calls.append(len(X))
+        return inner(X, counts)
+
+    monkeypatch.setattr(mixture._Rows, "of", classmethod(counted))
+    for name, X, k, config in _em_inputs():
+        calls.clear()
+        model, _ = fit_em(X, k, config)
+        assert model.n_iter > 0 and config.restarts > 1
+        assert calls == [len(np.unique(X, axis=0))], name
 
 
 def _plain_starved(tau, counts):
