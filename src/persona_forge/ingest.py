@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import operator
 from dataclasses import dataclass, field
@@ -116,32 +117,148 @@ def format_price(cents: int) -> str:
     return f"{cents // 100}.{cents % 100:02d}"
 
 
+# The rules for one cell, in the order `_parse_row` applies them. Each turns
+# a cell's text into its value or raises ValueError; `parse_log` runs each
+# once per distinct text of its column.
+
+def _offset(text: str) -> int:
+    offset = int(text)
+    if not -14 * 60 <= offset <= 14 * 60:
+        raise ValueError(f"implausible region offset {offset}")
+    return offset
+
+
+def _rental(text: str) -> bool:
+    code = text.strip()
+    if code not in ("R", "P"):
+        raise ValueError(f"unknown txn_type {code!r}")
+    return code == "R"
+
+
+def _genre(text: str) -> int:
+    genre = text.strip()
+    if genre not in GENRE_INDEX:
+        raise ValueError(f"unknown genre {genre!r}")
+    return GENRE_INDEX[genre]
+
+
+def _release_year(text: str) -> int:
+    year = int(text)
+    if not MIN_RELEASE_YEAR <= year <= MAX_RELEASE_YEAR:
+        raise ValueError(f"release_year {year} out of range")
+    return year
+
+
+def _exact(value: int) -> bool:
+    """Whether int64 and float64 sums of such values stay exact."""
+    return abs(value) < 2**53
+
+
 def _parse_row(user_id: str, timestamp: str, offset: str, content_id: str,
                txn_type: str, net_price: str, genre: str,
                release_year: str) -> tuple:
     """One validated row; its cells come and go in CSV_COLUMNS order."""
     ts = int(timestamp)
-    offset = int(offset)
-    if not -14 * 60 <= offset <= 14 * 60:
-        raise ValueError(f"implausible region offset {offset}")
-    code = txn_type.strip()
-    if code not in ("R", "P"):
-        raise ValueError(f"unknown txn_type {code!r}")
+    offset = _offset(offset)
+    rental = _rental(txn_type)
     cents = parse_price_cents(net_price)
-    genre = genre.strip()
-    if genre not in GENRE_INDEX:
-        raise ValueError(f"unknown genre {genre!r}")
-    year = int(release_year)
-    if not MIN_RELEASE_YEAR <= year <= MAX_RELEASE_YEAR:
-        raise ValueError(f"release_year {year} out of range")
+    genre = _genre(genre)
+    year = _release_year(release_year)
     user_id = user_id.strip()
     content_id = content_id.strip()
     if not user_id or not content_id:
         raise ValueError("empty user_id or content_id")
-    if max(abs(ts), cents) >= 2**53:  # beyond exact int64/float64 sums
+    if not (_exact(ts) and _exact(cents)):
         raise ValueError(f"timestamp {ts} or price out of range")
-    return (user_id, ts, offset, content_id, code == "R", cents,
-            GENRE_INDEX[genre], year)
+    return (user_id, ts, offset, content_id, rental, cents, genre, year)
+
+
+# A chunk of the log: characters read at a time, rounded up to a whole
+# line, or the rows that csv.reader reads at a time once it has taken over.
+CHUNK_CHARS = 1 << 18
+CHUNK_ROWS = 4096
+_BAD = np.iinfo(np.int64).min  # the value of a cell that breaks its rule
+
+
+class _Column(dict):
+    """Cell text -> int value of one column, by `rule`, which runs once per
+    distinct text; a text it rejects, or whose value `exact` fails, maps to
+    _BAD. Called with a column's cells, it gives their values."""
+
+    def __init__(self, rule, exact=False):
+        super().__init__()
+        self.rule, self.exact = rule, exact
+
+    def __missing__(self, text: str) -> int:
+        try:
+            value = self.rule(text)
+        except ValueError:
+            value = _BAD
+        if self.exact and value != _BAD and not _exact(value):
+            value = _BAD
+        self[text] = value
+        return value
+
+    def __call__(self, texts: list[str]) -> np.ndarray:
+        return np.fromiter(map(self.__getitem__, texts), np.int64,
+                           len(texts))
+
+
+def _id_rule(ids: dict[str, int]):
+    """The rule of an id column: the stripped id's code in `ids`, a table
+    that grows in first-seen order."""
+    def code(text: str) -> int:
+        key = text.strip()
+        if not key:
+            raise ValueError("empty id")
+        return ids.setdefault(key, len(ids))
+    return code
+
+
+def _timestamps(texts: list[str]) -> np.ndarray:
+    """The timestamp column: its cells are nearly all distinct, so each is
+    converted by `int` at once, and only a chunk holding a cell that `int`
+    rejects goes through a `_Column`."""
+    try:
+        ts = np.fromiter(map(int, texts), np.int64, len(texts))
+    except (ValueError, OverflowError):
+        return _Column(int, exact=True)(texts)
+    ts[(ts >= 2**53) | (ts <= -2**53)] = _BAD
+    return ts
+
+
+def _row_chunks(fh, width: int, limit: int):
+    """The data rows of `fh` in chunks of about CHUNK_CHARS, each ending
+    where a line ends: a bool array, whether each row has `width` cells, and
+    the cells of those rows, flat. While a chunk holds no quote, CR or NUL,
+    its rows are its lines split on commas; from the first one that does,
+    `csv.reader` reads that chunk and the rest, so quoting, line ends and
+    NUL are the csv module's. A cell longer than `limit` raises the csv
+    module's error either way."""
+    while text := fh.read(CHUNK_CHARS):
+        if not text.endswith("\n"):
+            text += fh.readline()  # a lone "\r" gets its "\n", if it has one
+        if '"' in text or "\r" in text or "\0" in text:
+            yield from _csv_chunks(csv.reader(itertools.chain(
+                io.StringIO(text, newline=""), fh)), width)
+            return
+        lines = text.removesuffix("\n").split("\n")
+        if max(map(len, lines)) > limit and any(
+                len(cell) > limit for line in lines if len(line) > limit
+                for cell in line.split(",")):
+            raise csv.Error(f"field larger than field limit ({limit})")
+        good = np.fromiter(map(str.count, lines, itertools.repeat(",")),
+                           np.int64, len(lines)) == width - 1
+        kept = list(itertools.compress(lines, good))
+        yield good, ",".join(kept).split(",") if kept else []
+
+
+def _csv_chunks(reader, width: int):
+    """`_row_chunks` of the rows of a `csv.reader`."""
+    while rows := list(itertools.islice(reader, CHUNK_ROWS)):
+        good = np.fromiter(map(len, rows), np.int64, len(rows)) == width
+        yield good, list(itertools.chain.from_iterable(
+            itertools.compress(rows, good)))
 
 
 def parse_log(path) -> ParseResult:
@@ -152,49 +269,86 @@ def parse_log(path) -> ParseResult:
     MAX_BAD_FRACTION malformed rows is a hard failure. A file that still
     holds the bytes a RecordSet was handed off with is not parsed: that
     RecordSet is returned, shared. Either way its arrays are read-only.
+
+    The log is read in chunks of rows and checked column by column, each
+    distinct cell text once, by the rules `_parse_row` applies; only a row
+    with a failing cell goes through `_parse_row`, for its message. A row
+    whose (user_id, timestamp, content_id) an earlier accepted row holds is
+    a duplicate: one stable sort finds them.
     """
     handed = artifacts.handed(path)
     if handed is not None:
         return ParseResult(handed)
-    rows: list[tuple] = []
-    diagnostics: list[RowDiagnostic] = []
-    seen: set[tuple[str, int, str]] = set()
+    user_ids: dict[str, int] = {}
+    content_ids: dict[str, int] = {}
+    rules = (_Column(_id_rule(user_ids)), _timestamps, _Column(_offset),
+             _Column(_id_rule(content_ids)), _Column(_rental),
+             _Column(parse_price_cents, exact=True), _Column(_genre),
+             _Column(_release_year))
+    # per column, then per chunk: the values of the accepted rows
+    parts = [[np.zeros(0, np.int64)] for _ in CSV_COLUMNS]
+    numbers = [np.zeros(0, np.int64)]  # and their row numbers
+    diagnostics: list[tuple[int, str]] = []
+    n_rows = 0
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise IngestError(f"{path}: empty file, header required") from None
         for name in CSV_COLUMNS:
             if name not in header:
                 raise IngestError(f"{path}: header missing column {name!r}")
-        pick = operator.itemgetter(*map(header.index, CSV_COLUMNS))
-        for i, raw in enumerate(reader, start=1):
-            if len(raw) != len(header):
-                diagnostics.append(RowDiagnostic(i, "wrong field count"))
-                continue
-            try:
-                cells = _parse_row(*pick(raw))
-            except ValueError as exc:
-                diagnostics.append(RowDiagnostic(i, str(exc)))
-                continue
-            key = (cells[0], cells[1], cells[3])
-            if key in seen:
-                diagnostics.append(RowDiagnostic(i, f"duplicate key {key}"))
-                continue
-            seen.add(key)
-            rows.append(cells)
+        width = len(header)
+        where = [*map(header.index, CSV_COLUMNS)]
+        pick = operator.itemgetter(*where)
+        for good, cells in _row_chunks(fh, width, csv.field_size_limit()):
+            rows = np.arange(n_rows + 1, n_rows + 1 + len(good))
+            n_rows += len(good)
+            diagnostics += [(i, "wrong field count")
+                            for i in rows[~good].tolist()]
+            values = [rule(cells[j::width]) for rule, j in zip(rules, where)]
+            ok = np.logical_and.reduce([v != _BAD for v in values])
+            rows = rows[good]
+            for k in np.flatnonzero(~ok).tolist():
+                try:
+                    _parse_row(*pick(cells[k * width:(k + 1) * width]))
+                except ValueError as exc:
+                    diagnostics.append((int(rows[k]), str(exc)))
+            for part, column in zip(parts, values):
+                part.append(column[ok])
+            numbers.append(rows[ok])
 
-    n_rows = len(rows) + len(diagnostics)  # one diagnostic per rejected row
+    columns = [np.concatenate(parts.pop(0)) for _ in CSV_COLUMNS]
+    # the id tables in first-seen order, so `rank` takes codes to sorted ids
+    users, rank = _intern(list(user_ids))
+    columns[0] = rank[columns[0]]
+    contents, rank = _intern(list(content_ids))
+    columns[3] = rank[columns[3]]
+    # stable, so each key's first row in file order leads its run
+    order = np.lexsort((columns[3], columns[1], columns[0]))
+    key = np.stack([columns[j][order] for j in (0, 1, 3)])
+    repeat = np.zeros(len(order), bool)
+    repeat[1:] = (key[:, 1:] == key[:, :-1]).all(axis=0)
+    rows = np.concatenate(numbers)
+    for i, (u, t, c) in zip(rows[order[repeat]].tolist(),
+                            key[:, repeat].T.tolist()):
+        diagnostics.append((i, f"duplicate key {(users[u], t, contents[c])}"))
+    diagnostics = [RowDiagnostic(*d) for d in sorted(diagnostics)]
+
     if n_rows and len(diagnostics) > MAX_BAD_FRACTION * n_rows:
         raise IngestError(
             f"{path}: {len(diagnostics)}/{n_rows} rows malformed "
             f"(limit {MAX_BAD_FRACTION:.0%}); first: "
             f"row {diagnostics[0].row}: {diagnostics[0].message}")
 
-    columns = list(zip(*rows)) or [()] * len(CSV_COLUMNS)
-    rs = RecordSet.build(*_intern(columns[0]), *columns[1:3],
-                         *_intern(columns[3]), *columns[4:])
+    if repeat.any():
+        keep = np.ones(len(order), bool)
+        keep[order[repeat]] = False
+        for j, column in enumerate(columns):
+            columns[j] = column[keep]
+    del key, order
+    rs = RecordSet.build(users, columns[0], columns[1], columns[2], contents,
+                         *columns[3:])
     return ParseResult(artifacts.freeze(rs), diagnostics)
 
 

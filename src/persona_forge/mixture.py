@@ -501,12 +501,24 @@ def model_from_dict(payload: dict) -> MixtureModel | KMeansModel:
         raise ValueError("model parameter shapes disagree")
     if payload["kind"] == "mmm":
         diag = payload.get("diagnostics", {})
+        if not isinstance(diag, dict):
+            raise ValueError("diagnostics is not an object")
+        converged = diag.get("converged", False)
+        n_iter = diag.get("n_iter", 0)
+        logliks = diag.get("restart_logliks", [])
+        if not isinstance(converged, bool):
+            raise ValueError("diagnostics.converged is not a bool")
+        if type(n_iter) is not int or n_iter < 0:
+            raise ValueError("diagnostics.n_iter is not an int >= 0")
+        if not isinstance(logliks, list):
+            raise ValueError("diagnostics.restart_logliks is not a list")
+        logliks = [float(v) for v in logliks]
+        if not np.isfinite(logliks).all():
+            raise ValueError("diagnostics.restart_logliks holds a non-finite "
+                             "value")
         return MixtureModel(payload["K"], payload["d"], *params, [],
                             payload["smoothing"], payload["seed"],
-                            payload["characterization"],
-                            converged=diag.get("converged", False),
-                            n_iter=diag.get("n_iter", 0),
-                            restart_logliks=[float(v) for v in
-                                             diag.get("restart_logliks", [])])
+                            payload["characterization"], converged=converged,
+                            n_iter=n_iter, restart_logliks=logliks)
     return KMeansModel(payload["K"], *params, float(payload["inertia"]),
                        payload["seed"], payload["characterization"])

@@ -318,6 +318,23 @@ def _null_first_pi(text):
     return json.dumps(model)
 
 
+def _set_diagnostics(value):
+    """A model whose `diagnostics` block is `value`, or, for an object, has
+    its fields."""
+    def corrupt(text):
+        model = json.loads(text)
+        if isinstance(value, dict):
+            model["diagnostics"].update(value)
+        else:
+            model["diagnostics"] = value
+        return json.dumps(model)
+    return corrupt
+
+
+DIAGNOSTICS_VALUES = [None, -1, "x", True, [[1]], {"converged": "yes"},
+                      {"n_iter": "many"}]
+
+
 def _drop_last_cluster(text):
     # well-formed assignments of one cluster fewer than the model's K = 4
     rows = [line.split(",") for line in text.splitlines()]
@@ -367,6 +384,8 @@ CORRUPTIONS = [
                           ("analyze", "assignments_TF.csv"),
                           ("cf", "assignments_TF.csv"))
       for corrupt in (_swap_first_rows, _repeat_first_row)),
+    *(("analyze", "model_TF.json", _set_diagnostics(value))
+      for value in DIAGNOSTICS_VALUES),
 ]
 CORRUPTION_IDS = [
     "cut-sidecar", "month-cell", "model-json", "hard-label", "label-beyond-k",
@@ -378,7 +397,10 @@ CORRUPTION_IDS = [
     "assignments-short-row", "model-null-param", "sidecar-value-kind",
     "sidecar-labels",
     *(f"{stage}-{case}" for stage in ("cluster", "analyze", "cf-a")
-      for case in ("unsorted-rows", "repeated-row"))]
+      for case in ("unsorted-rows", "repeated-row")),
+    *(f"model-diagnostics-{case}" for case in (
+        "null", "negative", "string", "bool", "nested-list", "converged-str",
+        "n-iter-str"))]
 
 
 @pytest.mark.parametrize("stage,name,corrupt", CORRUPTIONS,

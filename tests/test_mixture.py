@@ -407,6 +407,16 @@ def test_fit_em_diagnostics():
     del payload["diagnostics"]      # a model file written without them
     old = model_from_dict(json.loads(json.dumps(payload)))
     assert (old.converged, old.n_iter, old.restart_logliks) == (False, 0, [])
+    # each field of the block has its type; a missing field its default
+    for bad in (None, [], {"converged": 1}, {"n_iter": -1}, {"n_iter": 2.0},
+                {"n_iter": True}, {"restart_logliks": "x"},
+                {"restart_logliks": ["nan"]}, {"restart_logliks": ["1e400"]}):
+        payload["diagnostics"] = bad
+        with pytest.raises(ValueError, match="diagnostics"):
+            model_from_dict(json.loads(json.dumps(payload)))
+    payload["diagnostics"] = {"n_iter": 3}
+    partial = model_from_dict(json.loads(json.dumps(payload)))
+    assert (partial.converged, partial.n_iter) == (False, 3)
 
 
 # The EM iteration as it stood before reductions over the K posteriors ran
