@@ -43,7 +43,8 @@ class RecordSet:
     `users` and `contents` are the sorted distinct ids; the `user` and
     `content` columns hold int codes into them, so rows sorted by code are
     sorted by `(user_id, timestamp, content_id)`. `RecordSet.build` keeps
-    both invariants.
+    both invariants; `parse_log`, which sorts its rows to find duplicate
+    keys, keeps them itself.
     """
     users: tuple[str, ...]
     contents: tuple[str, ...]
@@ -216,15 +217,9 @@ def _id_rule(ids: dict[str, int]):
 
 
 def _timestamps(texts: list[str]) -> np.ndarray:
-    """The timestamp column: its cells are nearly all distinct, so each is
-    converted by `int` at once, and only a chunk holding a cell that `int`
-    rejects goes through a `_Column`."""
-    try:
-        ts = np.fromiter(map(int, texts), np.int64, len(texts))
-    except (ValueError, OverflowError):
-        return _Column(int, exact=True)(texts)
-    ts[(ts >= 2**53) | (ts <= -2**53)] = _BAD
-    return ts
+    """The timestamp column, whose cells are nearly all distinct: a new
+    `_Column` per chunk, so no table of them outlives its chunk."""
+    return _Column(int, exact=True)(texts)
 
 
 def _row_chunks(fh, width: int, limit: int):
@@ -341,14 +336,15 @@ def parse_log(path) -> ParseResult:
             f"(limit {MAX_BAD_FRACTION:.0%}); first: "
             f"row {diagnostics[0].row}: {diagnostics[0].message}")
 
-    if repeat.any():
-        keep = np.ones(len(order), bool)
-        keep[order[repeat]] = False
-        for j, column in enumerate(columns):
-            columns[j] = column[keep]
-    del key, order
-    rs = RecordSet.build(users, columns[0], columns[1], columns[2], contents,
-                         *columns[3:])
+    del key
+    # the rows left in `order` are sorted and distinct, so this is what
+    # RecordSet.build would make, without its sort
+    order = order[~repeat]
+    users, user = _compact(users, columns[0][order])
+    contents, content = _compact(contents, columns[3][order])
+    rs = RecordSet(users, contents, user, content, columns[1][order],
+                   columns[2][order], columns[4][order].astype(bool),
+                   *(column[order] for column in columns[5:]))
     return ParseResult(artifacts.freeze(rs), diagnostics)
 
 
