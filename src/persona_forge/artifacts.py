@@ -1,13 +1,15 @@
 """On-disk artifact format shared by every file the pipeline writes to `out/`,
-the one reader of every JSON file it reads, the config included, and the
-hand-off table that spares a process re-parsing the files it wrote.
+the one reader and the one writer of its CSV and JSON files (the config is
+read here too), and the hand-off table that spares a process re-parsing the
+files it wrote.
 
 CSV: UTF-8, LF line endings, one header row, the bytes `csv.writer` writes.
 `write_csv` is the one CSV writer: callers hand it columns, not rows, and own
 only column layout and cell values. A number is written as its `str()`, which
 for a float is its `repr`; a text column is a short table of distinct texts,
-each quoted once by the csv module, and codes into it. JSON: UTF-8, two-space
-indent, sorted keys, trailing newline.
+each quoted once by the csv module, and codes into it. `read_csv` is the one
+CSV reader: it gives chunks of flat cells, which callers take by column. JSON:
+UTF-8, two-space indent, sorted keys, trailing newline.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import repeat
+from itertools import chain, compress, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +33,10 @@ _handed: dict[Path, tuple[tuple[Path, ...], tuple[str, ...], object]] = {}
 
 # Rows turned into text at a time: peak memory stays flat as files grow.
 CHUNK_ROWS = 65_536
+# A file is read CHUNK_CHARS characters at a time, rounded up to a whole line,
+# or READER_ROWS rows at a time once csv.reader has taken over.
+CHUNK_CHARS = 1 << 18
+READER_ROWS = 4096
 
 
 class _Lines(list):
@@ -90,12 +97,42 @@ def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
             fh.write("\n")
 
 
-def read_csv(path) -> Iterator[list[str]]:
-    """Yield the data rows that follow the header row."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        yield from reader
+def read_csv(path) -> Iterator:
+    """Yield the header row, unless the file is empty, then the data rows in
+    chunks that end where a line ends: a bool array, whether each row has
+    the header's width, and the cells of those rows, flat.
+
+    While a chunk holds no quote, CR or NUL, its rows are its lines split on
+    commas; from the first one that does, `csv.reader` reads that chunk and
+    the rest, so quoting, line ends and NUL are the csv module's. A cell
+    longer than the csv module's field limit raises its error either way. A
+    byte-order mark before the header is dropped."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        header = next(csv.reader(fh), None)
+        if header is None:
+            return
+        yield header
+        width, limit = len(header), csv.field_size_limit()
+        while text := fh.read(CHUNK_CHARS):
+            if not text.endswith("\n"):
+                text += fh.readline()  # a lone "\r" gets its "\n", if any
+            if '"' in text or "\r" in text or "\0" in text:
+                reader = csv.reader(chain(io.StringIO(text, newline=""), fh))
+                while rows := list(islice(reader, READER_ROWS)):
+                    good = np.fromiter(map(len, rows), np.int64,
+                                       len(rows)) == width
+                    cells = chain.from_iterable(compress(rows, good))
+                    yield good, list(cells)
+                return
+            lines = text.removesuffix("\n").split("\n")
+            if max(map(len, lines)) > limit and any(
+                    len(cell) > limit for line in lines if len(line) > limit
+                    for cell in line.split(",")):
+                raise csv.Error(f"field larger than field limit ({limit})")
+            good = np.fromiter(map(str.count, lines, repeat(",")), np.int64,
+                               len(lines)) == width - 1
+            kept = list(compress(lines, good))
+            yield good, ",".join(kept).split(",") if kept else []
 
 
 def to_json(obj) -> str:

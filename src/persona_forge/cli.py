@@ -265,8 +265,9 @@ def read_assignments(path, k: int | None = None):
     rows = artifacts.handed(path)
     if rows is None:
         users, user, month, cells = features.read_rows(path)
-        taus = np.array([row[:-1] for row in cells], dtype=np.float64)
-        hards = np.array([row[-1] for row in cells], dtype=np.int64)
+        taus = np.array(cells[:-1], dtype=np.float64).reshape(
+            len(cells) - 1, len(user)).T.copy()
+        hards = np.array(cells[-1], dtype=np.int64)
         rows = artifacts.freeze((users, user, month, taus, hards))
     else:
         users, user, month, taus, hards = rows

@@ -149,13 +149,22 @@ def write_rows(path, cm: CharacterizationMatrix, names, columns) -> None:
 
 
 def read_rows(path):
-    """A `write_rows` CSV as (users, user, month, each row's other cells),
-    its rows passing `check_rows`."""
-    rows = list(artifacts.read_csv(path))
-    users, user = _intern([row[0] for row in rows])
-    month = np.array([row[1] for row in rows], dtype=np.int64)
+    """A `write_rows` CSV as (users, user, month, each other column's
+    texts), its rows passing `check_rows`, each of the header's width."""
+    chunks = artifacts.read_csv(path)
+    columns = [[] for _ in next(chunks, ())]
+    if len(columns) < 2:
+        raise ValueError("no user_id and month_index header")
+    for good, cells in chunks:
+        if not good.all():
+            row = len(columns[0]) + np.argmin(good) + 1
+            raise ValueError(f"row {row} is not {len(columns)} cells wide")
+        for j, column in enumerate(columns):
+            column += cells[j::len(columns)]
+    users, user = _intern(columns[0])
+    month = np.array(columns[1], dtype=np.int64)
     check_rows(user, month)
-    return users, user, month, [row[2:] for row in rows]
+    return users, user, month, columns[2:]
 
 
 def check_rows(user: np.ndarray, month: np.ndarray) -> None:
@@ -196,7 +205,7 @@ def read_matrix(path) -> CharacterizationMatrix:
         descriptor = artifacts.read_json(path + ".json")
         users, user, month, cells = read_rows(path)
         labels = tuple(descriptor["labels"])
-        values = np.array(cells, dtype=float).reshape(len(cells), len(labels))
+        values = np.array(cells, dtype=float).T.copy()  # C-contiguous
         cm = artifacts.freeze(CharacterizationMatrix(
             descriptor["characterization"], labels, users, user, month,
             values, descriptor["value_kind"]))

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -42,9 +40,8 @@ class RecordSet:
 
     `users` and `contents` are the sorted distinct ids; the `user` and
     `content` columns hold int codes into them, so rows sorted by code are
-    sorted by `(user_id, timestamp, content_id)`. `RecordSet.build` keeps
-    both invariants; `parse_log`, which sorts its rows to find duplicate
-    keys, keeps them itself.
+    sorted by `(user_id, timestamp, content_id)`. `RecordSet.build` makes
+    both invariants hold, and `take` keeps them for rows picked in order.
     """
     users: tuple[str, ...]
     contents: tuple[str, ...]
@@ -65,17 +62,20 @@ class RecordSet:
               cents, genre, year) -> "RecordSet":
         """Columns in CSV_COLUMNS order, each id column as a sorted id tuple
         and codes into it; drops unused ids, sorts by (user, ts, content)."""
-        users, user = _compact(users, user)
-        contents, content = _compact(contents, content)
-        timestamp = np.asarray(timestamp, dtype=np.int64)
-        order = np.lexsort((content, timestamp, user))
-        return cls(users, contents, user[order], content[order],
-                   timestamp[order],
-                   np.asarray(offset, dtype=np.int64)[order],
-                   np.asarray(rental, dtype=bool)[order],
-                   np.asarray(cents, dtype=np.int64)[order],
-                   np.asarray(genre, dtype=np.int64)[order],
-                   np.asarray(year, dtype=np.int64)[order])
+        user, timestamp, offset, content, cents, genre, year = (
+            np.asarray(column, dtype=np.int64) for column in (
+                user, timestamp, offset, content, cents, genre, year))
+        rs = cls(users, contents, user, content, timestamp, offset,
+                 np.asarray(rental, dtype=bool), cents, genre, year)
+        return rs.take(np.lexsort((content, timestamp, user)))
+
+    def take(self, rows) -> "RecordSet":
+        """The rows that an index array or a bool mask picks, in that
+        order; drops the ids that no picked row uses."""
+        users, user = _compact(self.users, self.user[rows])
+        contents, content = _compact(self.contents, self.content[rows])
+        rest = (getattr(self, f.name)[rows] for f in fields(self)[4:])
+        return RecordSet(users, contents, user, content, *rest)
 
 
 def _intern(ids) -> tuple[tuple[str, ...], np.ndarray]:
@@ -174,10 +174,6 @@ def _parse_row(user_id: str, timestamp: str, offset: str, content_id: str,
     return (user_id, ts, offset, content_id, rental, cents, genre, year)
 
 
-# A chunk of the log: characters read at a time, rounded up to a whole
-# line, or the rows that csv.reader reads at a time once it has taken over.
-CHUNK_CHARS = 1 << 18
-CHUNK_ROWS = 4096
 _BAD = np.iinfo(np.int64).min  # the value of a cell that breaks its rule
 
 
@@ -222,40 +218,6 @@ def _timestamps(texts: list[str]) -> np.ndarray:
     return _Column(int, exact=True)(texts)
 
 
-def _row_chunks(fh, width: int, limit: int):
-    """The data rows of `fh` in chunks of about CHUNK_CHARS, each ending
-    where a line ends: a bool array, whether each row has `width` cells, and
-    the cells of those rows, flat. While a chunk holds no quote, CR or NUL,
-    its rows are its lines split on commas; from the first one that does,
-    `csv.reader` reads that chunk and the rest, so quoting, line ends and
-    NUL are the csv module's. A cell longer than `limit` raises the csv
-    module's error either way."""
-    while text := fh.read(CHUNK_CHARS):
-        if not text.endswith("\n"):
-            text += fh.readline()  # a lone "\r" gets its "\n", if it has one
-        if '"' in text or "\r" in text or "\0" in text:
-            yield from _csv_chunks(csv.reader(itertools.chain(
-                io.StringIO(text, newline=""), fh)), width)
-            return
-        lines = text.removesuffix("\n").split("\n")
-        if max(map(len, lines)) > limit and any(
-                len(cell) > limit for line in lines if len(line) > limit
-                for cell in line.split(",")):
-            raise csv.Error(f"field larger than field limit ({limit})")
-        good = np.fromiter(map(str.count, lines, itertools.repeat(",")),
-                           np.int64, len(lines)) == width - 1
-        kept = list(itertools.compress(lines, good))
-        yield good, ",".join(kept).split(",") if kept else []
-
-
-def _csv_chunks(reader, width: int):
-    """`_row_chunks` of the rows of a `csv.reader`."""
-    while rows := list(itertools.islice(reader, CHUNK_ROWS)):
-        good = np.fromiter(map(len, rows), np.int64, len(rows)) == width
-        yield good, list(itertools.chain.from_iterable(
-            itertools.compress(rows, good)))
-
-
 def parse_log(path) -> ParseResult:
     """Parse a CSV transaction log into a sorted, validated RecordSet.
 
@@ -265,9 +227,9 @@ def parse_log(path) -> ParseResult:
     holds the bytes a RecordSet was handed off with is not parsed: that
     RecordSet is returned, shared. Either way its arrays are read-only.
 
-    The log is read in chunks of rows and checked column by column, each
-    distinct cell text once, by the rules `_parse_row` applies; only a row
-    with a failing cell goes through `_parse_row`, for its message. A row
+    `artifacts.read_csv` reads the log in chunks; each is checked column by
+    column, each distinct cell text once, by the rules `_parse_row` applies;
+    only a row with a failing cell goes through `_parse_row`. A row
     whose (user_id, timestamp, content_id) an earlier accepted row holds is
     a duplicate: one stable sort finds them.
     """
@@ -285,33 +247,32 @@ def parse_log(path) -> ParseResult:
     numbers = [np.zeros(0, np.int64)]  # and their row numbers
     diagnostics: list[tuple[int, str]] = []
     n_rows = 0
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise IngestError(f"{path}: empty file, header required") from None
-        for name in CSV_COLUMNS:
-            if name not in header:
-                raise IngestError(f"{path}: header missing column {name!r}")
-        width = len(header)
-        where = [*map(header.index, CSV_COLUMNS)]
-        pick = operator.itemgetter(*where)
-        for good, cells in _row_chunks(fh, width, csv.field_size_limit()):
-            rows = np.arange(n_rows + 1, n_rows + 1 + len(good))
-            n_rows += len(good)
-            diagnostics += [(i, "wrong field count")
-                            for i in rows[~good].tolist()]
-            values = [rule(cells[j::width]) for rule, j in zip(rules, where)]
-            ok = np.logical_and.reduce([v != _BAD for v in values])
-            rows = rows[good]
-            for k in np.flatnonzero(~ok).tolist():
-                try:
-                    _parse_row(*pick(cells[k * width:(k + 1) * width]))
-                except ValueError as exc:
-                    diagnostics.append((int(rows[k]), str(exc)))
-            for part, column in zip(parts, values):
-                part.append(column[ok])
-            numbers.append(rows[ok])
+    chunks = artifacts.read_csv(path)
+    header = next(chunks, None)
+    if header is None:
+        raise IngestError(f"{path}: empty file, header required")
+    for name in CSV_COLUMNS:
+        if name not in header:
+            raise IngestError(f"{path}: header missing column {name!r}")
+    width = len(header)
+    where = [*map(header.index, CSV_COLUMNS)]
+    pick = operator.itemgetter(*where)
+    for good, cells in chunks:
+        rows = np.arange(n_rows + 1, n_rows + 1 + len(good))
+        n_rows += len(good)
+        diagnostics += [(i, "wrong field count")
+                        for i in rows[~good].tolist()]
+        values = [rule(cells[j::width]) for rule, j in zip(rules, where)]
+        ok = np.logical_and.reduce([v != _BAD for v in values])
+        rows = rows[good]
+        for k in np.flatnonzero(~ok).tolist():
+            try:
+                _parse_row(*pick(cells[k * width:(k + 1) * width]))
+            except ValueError as exc:
+                diagnostics.append((int(rows[k]), str(exc)))
+        for part, column in zip(parts, values):
+            part.append(column[ok])
+        numbers.append(rows[ok])
 
     columns = [np.concatenate(parts.pop(0)) for _ in CSV_COLUMNS]
     # the id tables in first-seen order, so `rank` takes codes to sorted ids
@@ -337,15 +298,10 @@ def parse_log(path) -> ParseResult:
             f"row {diagnostics[0].row}: {diagnostics[0].message}")
 
     del key
-    # the rows left in `order` are sorted and distinct, so this is what
-    # RecordSet.build would make, without its sort
-    order = order[~repeat]
-    users, user = _compact(users, columns[0][order])
-    contents, content = _compact(contents, columns[3][order])
-    rs = RecordSet(users, contents, user, content, columns[1][order],
-                   columns[2][order], columns[4][order].astype(bool),
-                   *(column[order] for column in columns[5:]))
-    return ParseResult(artifacts.freeze(rs), diagnostics)
+    # the rows left in `order` are sorted and distinct: no second sort
+    rs = RecordSet(users, contents, columns[0], columns[3], columns[1],
+                   columns[2], columns[4].astype(bool), *columns[5:])
+    return ParseResult(artifacts.freeze(rs.take(order[~repeat])), diagnostics)
 
 
 def write_log(rs: RecordSet, path) -> None:
@@ -384,7 +340,4 @@ def filter_inactive(rs: RecordSet) -> RecordSet:
                 & (spend[user_month] >= MIN_MONTH_SPEND_CENTS))
         if keep.all():
             return rs
-        rs = RecordSet.build(
-            rs.users, rs.user[keep], rs.timestamp[keep], rs.offset[keep],
-            rs.contents, rs.content[keep], rs.rental[keep], rs.cents[keep],
-            rs.genre[keep], rs.year[keep])
+        rs = rs.take(keep)

@@ -109,7 +109,9 @@ def test_csv_writes_columns_and_reads_after_header(tmp_path):
     artifacts.write_csv(path, ("a", "b"),
                         [np.arange(2), (["x,1", "x,0"], np.array([1, 0]))])
     assert path.read_bytes() == b'a,b\n0,"x,0"\n1,"x,1"\n'
-    assert list(artifacts.read_csv(path)) == [["0", "x,0"], ["1", "x,1"]]
+    header, (good, cells) = artifacts.read_csv(path)
+    assert header == ["a", "b"] and good.tolist() == [True, True]
+    assert cells == ["0", "x,0", "1", "x,1"]
 
 
 def test_sha256_of_a_multi_chunk_file_without_file_digest(tmp_path,

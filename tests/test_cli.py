@@ -342,6 +342,23 @@ def _drop_last_cluster(text):
                    for row in rows)
 
 
+def _blank_line_after_first_row(text):
+    header, first, rest = text.split("\n", 2)
+    return "\n".join([header, first, "", rest])
+
+
+def _extra_cell_in_first_row(text):
+    header, first, rest = text.split("\n", 2)
+    return "\n".join([header, first + ",0", rest])
+
+
+def _widen_every_row(text):
+    # a well-formed CSV one column wider than its sidecar's labels
+    header, *rows = text.splitlines()
+    return "".join(line + "\n" for line in [header + ",v6",
+                                            *(row + ",0" for row in rows)])
+
+
 CORRUPTIONS = [
     ("cluster", "features_TF.csv.json", lambda text: text[:20]),
     # the first row's month cell
@@ -386,6 +403,10 @@ CORRUPTIONS = [
       for corrupt in (_swap_first_rows, _repeat_first_row)),
     *(("analyze", "model_TF.json", _set_diagnostics(value))
       for value in DIAGNOSTICS_VALUES),
+    ("cluster", "features_TF.csv", _blank_line_after_first_row),
+    ("analyze", "assignments_TF.csv", _extra_cell_in_first_row),
+    ("cluster", "features_TF.csv", _widen_every_row),
+    ("cluster", "features_TF.csv", lambda text: ""),
 ]
 CORRUPTION_IDS = [
     "cut-sidecar", "month-cell", "model-json", "hard-label", "label-beyond-k",
@@ -400,7 +421,9 @@ CORRUPTION_IDS = [
       for case in ("unsorted-rows", "repeated-row")),
     *(f"model-diagnostics-{case}" for case in (
         "null", "negative", "string", "bool", "nested-list", "converged-str",
-        "n-iter-str"))]
+        "n-iter-str")),
+    "features-blank-line", "assignments-extra-cell",
+    "features-wider-than-labels", "features-empty-file"]
 
 
 @pytest.mark.parametrize("stage,name,corrupt", CORRUPTIONS,

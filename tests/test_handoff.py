@@ -72,6 +72,8 @@ def _assert_same(handed, parsed, where):
     if isinstance(parsed, np.ndarray):
         assert (handed.dtype, handed.shape) == (parsed.dtype,
                                                 parsed.shape), where
+        assert (handed.flags.c_contiguous
+                == parsed.flags.c_contiguous), where
         assert handed.tobytes() == parsed.tobytes(), where
         # a parse gives read-only arrays too, so no caller can tell them apart
         assert not (handed.flags.writeable or parsed.flags.writeable), where
@@ -199,3 +201,46 @@ def test_manifest_records_the_bytes_read(tmp_path, monkeypatch):
     assert hashed.count("features_TF.csv") == 1
     assert manifest["outputs"]["features_TF.csv"] == artifacts.sha256(
         out / "features_TF.csv")
+
+
+# users whose ids the csv module must quote: a comma, a quote, a newline
+ODD_IDS = {"plain": [f"u{j:02d}" for j in range(40)],
+           "quoted": [f"u{j:02d}" for j in range(37)] + ["w,1", 'w"2', "w\n3"]}
+
+
+@pytest.mark.parametrize("ids,crlf", [("plain", False), ("quoted", False),
+                                      ("plain", True)])
+def test_parsed_user_month_files_equal_the_handed_objects(tmp_path,
+                                                          monkeypatch, ids,
+                                                          crlf):
+    # chunks of a few lines, so the rows of each file span many chunks on
+    # either read path
+    monkeypatch.setattr(artifacts, "CHUNK_CHARS", 64)
+    monkeypatch.setattr(artifacts, "READER_ROWS", 3)
+    rng = np.random.default_rng(5)
+    users = tuple(sorted(ODD_IDS[ids]))
+    months = [np.sort(rng.choice(4, rng.integers(1, 4), replace=False))
+              for _ in users]
+    user = np.repeat(np.arange(len(users)), [len(m) for m in months])
+    cm = features.CharacterizationMatrix(
+        "ME", features.ME_LABELS, users, user, np.concatenate(months),
+        rng.integers(0, 5000, (len(user), 13)) / 100.0, "Amount")
+    tau = rng.dirichlet(np.ones(4), len(user))
+    out, copy = tmp_path / "out", tmp_path / "copy"
+    out.mkdir()
+    matrix, assignments = out / "features_ME.csv", out / "assignments_ME.csv"
+    features.write_matrix(cm, matrix)
+    artifacts.hand_off(cm, matrix, str(matrix) + ".json")
+    cli._write_assignments(assignments, cm, tau, tau.argmax(axis=1))
+    artifacts.hand_off((users, user, cm.month, tau, tau.argmax(axis=1)),
+                       assignments)
+    shutil.copytree(out, copy)
+    if crlf:
+        for path in (copy / matrix.name, copy / assignments.name):
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    for reader, name in ((features.read_matrix, matrix.name),
+                         (cli.read_assignments, assignments.name)):
+        hit, parsed = reader(out / name), reader(copy / name)
+        assert artifacts.handed(out / name) is hit
+        assert artifacts.handed(copy / name) is None
+        _assert_same(hit, parsed, name)

@@ -235,9 +235,10 @@ def _reference_row(user_id, timestamp, offset, content_id, txn_type,
 
 def _reference_parse_log(path):
     """The row-at-a-time parser: csv.reader rows, one tuple per accepted
-    row, and a set of the keys seen so far."""
+    row, and a set of the keys seen so far. A leading byte-order mark is
+    not part of the header."""
     rows, diagnostics, seen = [], [], set()
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -360,9 +361,10 @@ def test_parse_log_equals_the_row_parser_on_fuzzed_logs(tmp_path,
     n_parsed = n_rejected = 0
     for case in range(300):
         _fuzz_log(rng, path)
-        monkeypatch.setattr(ingest, "CHUNK_CHARS",
+        monkeypatch.setattr(artifacts, "CHUNK_CHARS",
                             rng.choice([1, 40, 300, 1 << 18]))
-        monkeypatch.setattr(ingest, "CHUNK_ROWS", rng.choice([1, 3, 4096]))
+        monkeypatch.setattr(artifacts, "READER_ROWS",
+                            rng.choice([1, 3, 4096]))
         # at 1.0 every diagnostic is compared, not only the first
         monkeypatch.setattr(ingest, "MAX_BAD_FRACTION", rng.choice([0.1, 1.0]))
         expected = _outcome(_reference_parse_log, path)
@@ -425,12 +427,20 @@ EDGE_LOGS = {
 @pytest.mark.parametrize("name", EDGE_LOGS)
 def test_parse_log_equals_the_row_parser_on_edge_logs(tmp_path, monkeypatch,
                                                       name):
-    monkeypatch.setattr(ingest, "CHUNK_CHARS", 200)
-    monkeypatch.setattr(ingest, "CHUNK_ROWS", 5)
+    monkeypatch.setattr(artifacts, "CHUNK_CHARS", 200)
+    monkeypatch.setattr(artifacts, "READER_ROWS", 5)
     path = tmp_path / "log.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(EDGE_LOGS[name])
     assert _outcome(parse_log, path) == _outcome(_reference_parse_log, path)
+
+
+@pytest.mark.parametrize("name", ["bom", "bom-before-another-first-column"])
+def test_a_byte_order_mark_before_the_header_is_dropped(tmp_path, name):
+    path = tmp_path / "log.csv"
+    path.write_text(EDGE_LOGS[name], encoding="utf-8")
+    result = parse_log(path)
+    assert result.diagnostics == [] and len(result.record_set) == 12
 
 
 # The ingest slice of the exit-code contract: a seeded sweep of corrupted logs.

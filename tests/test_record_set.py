@@ -235,6 +235,22 @@ def test_build_drops_ids_no_row_uses():
     assert rs.user.tolist() == [0, 1, 1] and rs.content.tolist() == [1, 1, 0]
 
 
+def test_take_picks_rows_in_order_and_drops_unused_ids():
+    table = [make_record(user=u, ts=t, content=c, cents=t)
+             for u, t, c in (("a", 1, "x"), ("a", 2, "y"), ("b", 3, "z"),
+                             ("c", 4, "x"))]
+    rs = make_record_set(*table)
+    mask = rs.take(np.array([True, False, False, True]))
+    index = rs.take(np.array([3, 0]))
+    assert rows(mask) == [table[0], table[3]]
+    assert rows(index) == [table[3], table[0]]
+    for picked in (mask, index):
+        assert picked.users == ("a", "c") and picked.contents == ("x",)
+        assert picked.user.dtype == picked.cents.dtype == np.int64
+    assert len(rs.take(np.zeros(4, bool))) == 0
+    assert rows(rs.take(np.arange(4))) == rows(rs)
+
+
 def test_build_keeps_ids_that_differ_in_trailing_nul():
     table = [make_record(user="u\x00", ts=1), make_record(user="u", ts=2)]
     rs = make_record_set(*table)

@@ -419,11 +419,14 @@ def test_ground_truth_io_roundtrip(tmp_path):
     path = tmp_path / "gt.csv"
     write_ground_truth(gt, path)
     back = {ch: np.zeros_like(t) for ch, t in gt.labels.items()}
-    for user, month, ch, label in artifacts.read_csv(path):
+    header, *chunks = artifacts.read_csv(path)
+    assert all(good.all() for good, _ in chunks)
+    cells = [cell for _, part in chunks for cell in part]
+    for user, month, ch, label in zip(*[iter(cells)] * len(header)):
         back[ch][gt.users.index(user), int(month)] = int(label)
     for ch, t in gt.labels.items():
         np.testing.assert_array_equal(back[ch], t)
-    assert sum(1 for _ in artifacts.read_csv(path)) == 4 * 10 * 2
+    assert sum(len(good) for good, _ in chunks) == 4 * 10 * 2
 
 
 def _reference_write_ground_truth(labels, path):
