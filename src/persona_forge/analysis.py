@@ -1,16 +1,13 @@
-"""Cluster evaluation: stability, dominance, migrations, hierarchy, layers."""
+"""Cluster evaluation: stability, dominance, migrations, centre tables."""
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
 
-from .mixture import EMConfig, MixtureModel, fit_em, fit_model, match_clusters
-
-log = logging.getLogger(__name__)
+from .mixture import EMConfig, fit_model, match_clusters
 
 
 @dataclass
@@ -104,13 +101,12 @@ def dominance_check(hard: np.ndarray, kappa: float, k_max: int,
 
 @dataclass
 class MigrationMatrix:
-    characterization: str
     matrix: np.ndarray   # (K, K), row-stochastic where supported
     support: np.ndarray  # (K, K) raw transition counts
 
 
 def migration_matrix(user: np.ndarray, month: np.ndarray, labels: np.ndarray,
-                     k: int, characterization: str = "") -> MigrationMatrix:
+                     k: int) -> MigrationMatrix:
     """Pooled first-order transitions between consecutive tenure months of
     user-month rows sorted by (user, month). A label outside [0, k) raises
     a ValueError, on a row with no consecutive-month neighbour too."""
@@ -118,54 +114,7 @@ def migration_matrix(user: np.ndarray, month: np.ndarray, labels: np.ndarray,
     _check_range(labels, k)
     step = (user[1:] == user[:-1]) & (month[1:] == month[:-1] + 1)
     counts, matrix = _crosstab(labels[:-1][step], labels[1:][step], k, k)
-    return MigrationMatrix(characterization, matrix, counts)
-
-
-def divisive_overlap(labels_parent: np.ndarray, labels_child: np.ndarray,
-                     k_parent: int, k_child: int) -> np.ndarray:
-    """overlap[a, b] = fraction of parent-cluster-a rows landing in child b."""
-    labels_parent = np.asarray(labels_parent)
-    labels_child = np.asarray(labels_child)
-    if labels_parent.shape != labels_child.shape:
-        raise ValueError("assignments cover different rows")
-    return _crosstab(labels_parent, labels_child, k_parent, k_child)[1]
-
-
-@dataclass
-class LayeredReport:
-    models: dict[int, MixtureModel]
-    divergence: float        # max cross-parent matched-center l1 distance
-    skipped: list[int]
-
-
-def layered_fit(X_inner: np.ndarray, parent_labels: np.ndarray, k_inner: int,
-                config: EMConfig | None = None) -> LayeredReport:
-    """Fit the inner characterization within each parent cluster.
-
-    Small cross-parent divergence between matched inner centers indicates the
-    two characterizations are independent; large divergence indicates the
-    inner structure depends on the parent label.
-    """
-    X_inner = np.asarray(X_inner, dtype=np.float64)
-    parent_labels = np.asarray(parent_labels)
-    config = config or EMConfig()
-    models: dict[int, MixtureModel] = {}
-    skipped: list[int] = []
-    for parent in sorted(set(int(p) for p in parent_labels)):
-        rows = X_inner[parent_labels == parent]
-        if rows.shape[0] < k_inner:
-            skipped.append(parent)
-            log.warning("parent cluster %d has %d rows < K_inner=%d, skipped",
-                        parent, rows.shape[0], k_inner)
-            continue
-        model, _ = fit_em(rows, k_inner, config)
-        models[parent] = model
-
-    divergence = 0.0
-    for ca, cb in combinations([models[p].theta for p in sorted(models)], 2):
-        dist = match_clusters(ca, cb, metric="cityblock")[2]
-        divergence = max(divergence, float(dist.max()))
-    return LayeredReport(models, divergence, skipped)
+    return MigrationMatrix(matrix, counts)
 
 
 def center_report(centers: np.ndarray, labels: tuple[str, ...],

@@ -377,7 +377,7 @@ def stage_analyze(params: dict, out: Path, seed: int, read) -> list[str]:
             "passed": dom_report.passed,
             "shares": [round(float(s), 6) for s in dom_report.shares],
         }
-        mig = analysis.migration_matrix(user, month, hard, k, ch)
+        mig = analysis.migration_matrix(user, month, hard, k)
         report["migration_support"][ch] = int(mig.support.sum())
         artifacts.write_csv(
             out / f"migration_{ch}.csv", [f"to_{j}" for j in range(k)],

@@ -443,20 +443,12 @@ def _min_cost_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[order], cols[order]
 
 
-def match_clusters(centers_a: np.ndarray, centers_b: np.ndarray,
-                   metric: str = "euclidean"
+def match_clusters(centers_a: np.ndarray, centers_b: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Min-cost bipartite matching of cluster centers under the "euclidean"
-    or "cityblock" distance: (rows ascending, cols, matched distances)."""
-    a = np.asarray(centers_a, dtype=np.float64)
-    b = np.asarray(centers_b, dtype=np.float64)
-    if metric == "euclidean":
-        cost = np.sqrt(_sq_distances(a, b))
-    elif metric == "cityblock":
-        cost = np.abs(a[:, None, :] - b[None, :, :]).sum(axis=2)
-    else:
-        raise ValueError(f"unknown metric {metric!r}: "
-                         "use 'euclidean' or 'cityblock'")
+    """Min-cost bipartite matching of cluster centers under the euclidean
+    distance: (rows ascending, cols, matched distances)."""
+    cost = np.sqrt(_sq_distances(np.asarray(centers_a, dtype=np.float64),
+                                 np.asarray(centers_b, dtype=np.float64)))
     rows, cols = _min_cost_assignment(cost)
     return rows, cols, cost[rows, cols]
 

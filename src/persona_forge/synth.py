@@ -438,11 +438,3 @@ def default_mixtures() -> dict[str, PlantedMixture]:
 def default_spend_model() -> SpendModel:
     return SpendModel(DEFAULT_ME_PI, DEFAULT_ME_CENTERS)
 
-
-def default_config(n_users: int, months_per_user: int, seed: int = 0,
-                   **overrides) -> GeneratorConfig:
-    """A full-pipeline config planted from the published persona tables."""
-    params = dict(mixtures=default_mixtures())
-    params.update(overrides)
-    return GeneratorConfig(n_users=n_users, months_per_user=months_per_user,
-                           seed=seed, **params)

@@ -2,6 +2,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from persona_forge import synth
 from persona_forge.ingest import GENRE_INDEX, GENRES, RecordSet, _intern
 
 
@@ -15,6 +16,14 @@ class Row(NamedTuple):
     cents: int
     genre: str
     year: int
+
+
+def default_config(n_users, months_per_user, seed=0, **overrides):
+    """A generator config planted from the published persona tables."""
+    return synth.GeneratorConfig(n_users=n_users,
+                                 months_per_user=months_per_user, seed=seed,
+                                 **{"mixtures": synth.default_mixtures(),
+                                    **overrides})
 
 
 def make_record(user="u1", ts=0, offset=0, content="c1", kind="R",

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import random_user_months
-from persona_forge import analysis, mixture
-from persona_forge.analysis import (center_report, divisive_overlap,
-                                    dominance_check, layered_fit,
+from persona_forge import mixture
+from persona_forge.analysis import (_crosstab, center_report, dominance_check,
                                     migration_matrix, stability_check)
 
 
@@ -85,11 +84,10 @@ def test_migration_matrix_hand_traced():
     user = np.array([0, 0, 0, 1, 1, 2, 2])
     month = np.array([0, 1, 2, 0, 2, 0, 1])
     labels = np.array([0, 0, 1, 1, 0, 1, 1])
-    mm = migration_matrix(user, month, labels, 2, "TF")
+    mm = migration_matrix(user, month, labels, 2)
     # transitions: a 0->0, a 0->1, c 1->1; b months 0 and 2 are not consecutive
     assert mm.support.tolist() == [[1, 1], [0, 1]]
     np.testing.assert_allclose(mm.matrix, [[0.5, 0.5], [0.0, 1.0]])
-    assert mm.characterization == "TF"
 
 
 def _reference_migration_matrix(keys, labels, k):
@@ -130,40 +128,14 @@ def test_migration_matrix_unsupported_row_is_zero():
 
 
 def test_divisive_overlap_hand_traced():
+    # a divisive hierarchy's overlap table: the share of each parent
+    # cluster's rows in each child cluster, the cross-tab's row shares
     parent = np.array([0, 0, 0, 0, 1, 1])
     child = np.array([0, 0, 1, 1, 2, 3])
-    ov = divisive_overlap(parent, child, 2, 4)
+    ov = _crosstab(parent, child, 2, 4)[1]
     np.testing.assert_allclose(ov[0], [0.5, 0.5, 0.0, 0.0])
     np.testing.assert_allclose(ov[1], [0.0, 0.0, 0.5, 0.5])
     np.testing.assert_allclose(ov.sum(axis=1), 1.0)
-
-
-def test_divisive_overlap_shape_mismatch():
-    with pytest.raises(ValueError):
-        divisive_overlap(np.zeros(3), np.zeros(4), 1, 1)
-
-
-def test_layered_fit_skips_tiny_parents():
-    rng = np.random.default_rng(1)
-    theta = np.array([[0.8, 0.1, 0.1], [0.1, 0.1, 0.8]])
-    X = np.stack([rng.multinomial(30, theta[rng.integers(0, 2)])
-                  for _ in range(100)])
-    parents = np.zeros(100, dtype=int)
-    parents[:1] = 7  # parent 7 has a single row, fewer than K=2
-    report = layered_fit(X, parents, 2, mixture.EMConfig(restarts=2, seed=0))
-    assert report.skipped == [7]
-    assert set(report.models) == {0}
-    assert report.divergence == 0.0  # a single fitted parent cannot diverge
-
-
-def test_layered_fit_detects_shared_structure():
-    rng = np.random.default_rng(2)
-    theta = np.array([[0.8, 0.1, 0.1], [0.1, 0.1, 0.8]])
-    z = rng.integers(0, 2, 4000)
-    X = np.stack([rng.multinomial(40, theta[c]) for c in z])
-    parents = rng.integers(0, 2, 4000)  # independent of the inner labels
-    report = layered_fit(X, parents, 2, mixture.EMConfig(restarts=3, seed=1))
-    assert report.divergence < 0.1
 
 
 def test_center_report_layout():
@@ -187,9 +159,9 @@ def test_tables_reject_labels_outside_range():
     # child -1 is not the last child, and child 2 is no child of k = 2
     for child in ([0, -1], [0, 2]):
         with pytest.raises(ValueError):
-            divisive_overlap(np.array([0, 1]), np.array(child), 2, 2)
+            _crosstab(np.array([0, 1]), np.array(child), 2, 2)
     with pytest.raises(ValueError):
-        divisive_overlap(np.array([0, 2]), np.array([0, 1]), 2, 2)
+        _crosstab(np.array([0, 2]), np.array([0, 1]), 2, 2)
     # a label on a row with no consecutive-month neighbour is checked too
     with pytest.raises(ValueError):
         migration_matrix(np.array([0, 0, 0]), np.array([0, 1, 3]),
@@ -214,7 +186,7 @@ def test_divisive_overlap_and_dominance_match_reference():
         totals = counts.sum(axis=1, keepdims=True)
         expect = np.divide(counts, totals, out=np.zeros((ka, kb)),
                            where=totals > 0)
-        assert divisive_overlap(a, b, ka, kb).tobytes() == expect.tobytes()
+        assert _crosstab(a, b, ka, kb)[1].tobytes() == expect.tobytes()
         shares = np.sort(np.bincount(b, minlength=kb) / n)[::-1]
         assert dominance_check(b, 0.02, 6, kb).shares.tobytes() == (
             shares.tobytes())

@@ -9,9 +9,10 @@ import json
 import numpy as np
 import pytest
 
+from conftest import default_config
 from persona_forge import analysis, artifacts, cli, ctr, features, ingest
 from persona_forge.ingest import GENRES, format_price
-from persona_forge.synth import default_config, generate, write_ground_truth
+from persona_forge.synth import generate, write_ground_truth
 
 TEXTS = ("", " ", "plain", "a,b", 'say "hi"', '"', ",", "cr\r", "two\nlines",
          "\r\n", " padded ", "ünï ☃ 名前")
@@ -194,10 +195,11 @@ def quoted_run(tmp_path_factory):
     }))
     made, runs = {}, []
     labels_of = {v: ch for ch, v in features.CHARACTERIZATION_LABELS.items()}
+    facets = iter(features.CHARACTERIZATIONS)  # the order analyze takes them
 
-    def migration(user, month, hard, k, ch):
-        made[f"migration_{ch}.csv"] = mig = real_migration(user, month, hard,
-                                                           k, ch)
+    def migration(user, month, hard, k):
+        made[f"migration_{next(facets)}.csv"] = mig = real_migration(
+            user, month, hard, k)
         return mig
 
     def centers(centers, labels, as_percent=True):

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import expit
 from scipy.stats import rankdata
 
-from conftest import rows
+from conftest import default_config, rows
 from persona_forge import ctr, features, mixture, synth
 from persona_forge.ingest import RecordSet, _intern
 from persona_forge.ctr import (CTR_CHARACTERIZATIONS, CtrError,
@@ -556,7 +556,7 @@ def test_split_users_deterministic_and_disjoint():
 
 
 def test_item_user_sets_from_records():
-    rs, _ = synth.generate(synth.default_config(10, 1, seed=1))
+    rs, _ = synth.generate(default_config(10, 1, seed=1))
     expected = {}
     for r in rows(rs):
         expected.setdefault(r.content_id, set()).add(r.user_id)

@@ -162,6 +162,7 @@ def test_match_clusters_equals_scipy_without_ties():
 
 @pytest.mark.parametrize("kind", ["integer", "d1", "cityblock"])
 def test_match_clusters_total_cost_equals_scipy_with_ties(kind):
+    # the cityblock case matches its L1 cost with the solver directly
     rng = np.random.default_rng(12)
     metric = "cityblock" if kind == "cityblock" else "euclidean"
     for n_a, n_b in _shapes():
@@ -173,7 +174,11 @@ def test_match_clusters_total_cost_equals_scipy_with_ties(kind):
             else:
                 a, b = rng.random((n_a, d)), rng.random((n_b, d))
             cost = cdist(a, b, metric=metric)
-            rows, cols, dist = match_clusters(a, b, metric=metric)
+            if metric == "cityblock":
+                rows, cols = mixture._min_cost_assignment(cost)
+                dist = cost[rows, cols]
+            else:
+                rows, cols, dist = match_clusters(a, b)
             want = linear_sum_assignment(cost)
             assert len(rows) == len(want[0]) == min(n_a, n_b)
             assert np.all(np.diff(rows) > 0)
@@ -184,10 +189,8 @@ def test_match_clusters_total_cost_equals_scipy_with_ties(kind):
                                        atol=1e-15)
 
 
-def test_match_clusters_rejects_unknown_metric_and_nan():
+def test_match_clusters_rejects_nan():
     centers = np.eye(3)
-    with pytest.raises(ValueError, match="metric"):
-        match_clusters(centers, centers, metric="cosine")
     with pytest.raises(ValueError, match="non-finite"):
         match_clusters(np.array([[np.nan, 0.0, 0.0]]), centers)
 
@@ -619,7 +622,7 @@ def test_starved_count_equals_the_mass_formula(column):
 # squared distance came from `_sq_distances`, copied with names prefixed:
 # the bit-identity reference for `_kmeanspp_seed`, `fit_kmeans`,
 # `hard_labels`, `match_clusters` and the matched distances that
-# `stability_check` (ε) and `layered_fit` (divergence) read from it.
+# `stability_check` (ε) reads from it.
 
 def _plain_kmeanspp_seed(P, k, rng):
     n = P.shape[0]
@@ -673,25 +676,19 @@ def _plain_fit_kmeans(X, k, config, characterization=""):
     return model, AssignmentSet(np.eye(k)[best_labels], best_labels)
 
 
-def _plain_cost(centers_a, centers_b, metric="euclidean"):
+def _plain_cost(centers_a, centers_b):
     diff = (np.asarray(centers_a, dtype=np.float64)[:, None, :]
             - np.asarray(centers_b, dtype=np.float64)[None, :, :])
-    if metric == "euclidean":
-        return np.sqrt((diff * diff).sum(axis=2))
-    return np.abs(diff).sum(axis=2)
+    return np.sqrt((diff * diff).sum(axis=2))
 
 
-def _plain_match_clusters(centers_a, centers_b, metric="euclidean"):
-    return mixture._min_cost_assignment(_plain_cost(centers_a, centers_b,
-                                                    metric))
+def _plain_match_clusters(centers_a, centers_b):
+    return mixture._min_cost_assignment(_plain_cost(centers_a, centers_b))
 
 
-def _plain_matched_distances(ca, cb, rows, cols, metric="euclidean"):
-    """stability_check's ε terms (euclidean) and layered_fit's divergence
-    terms (cityblock), recomputed from the matched centers."""
-    if metric == "euclidean":
-        return np.linalg.norm(ca[rows] - cb[cols], axis=1)
-    return np.abs(ca[rows] - cb[cols]).sum(axis=1)
+def _plain_matched_distances(ca, cb, rows, cols):
+    """stability_check's ε terms, recomputed from the matched centers."""
+    return np.linalg.norm(ca[rows] - cb[cols], axis=1)
 
 
 def _assert_same_bits(*pairs):
@@ -809,21 +806,19 @@ def test_match_clusters_is_bit_identical_to_the_plain_matching(d):
         a, b = rng.normal(0, 1, (n_a, d)), rng.gamma(1.0, 1.0, (n_b, d))
         _assert_same_bits((np.sqrt(mixture._sq_distances(a, b)),
                            _plain_cost(a, b)))
-        for metric in ("euclidean", "cityblock"):
-            rows, cols, dist = match_clusters(a, b, metric)
-            want_rows, want_cols = _plain_match_clusters(a, b, metric)
-            _assert_same_bits((rows, want_rows), (cols, want_cols),
-                              (dist, _plain_matched_distances(
-                                  a, b, want_rows, want_cols, metric)))
+        rows, cols, dist = match_clusters(a, b)
+        want_rows, want_cols = _plain_match_clusters(a, b)
+        _assert_same_bits((rows, want_rows), (cols, want_cols),
+                          (dist, _plain_matched_distances(
+                              a, b, want_rows, want_cols)))
 
 
 def test_match_clusters_with_an_empty_center_set():
     some, none = np.ones((3, 2)), np.empty((0, 2))
     assert mixture._sq_distances(some, none).shape == (3, 0)
     for a, b in ((none, some), (some, none), (none, none)):
-        for metric in ("euclidean", "cityblock"):
-            rows, cols, dist = match_clusters(a, b, metric)
-            assert rows.shape == cols.shape == dist.shape == (0,)
+        rows, cols, dist = match_clusters(a, b)
+        assert rows.shape == cols.shape == dist.shape == (0,)
 
 
 def _record(monkeypatch, name):
@@ -867,27 +862,6 @@ def test_stability_report_equals_the_plain_formulas(monkeypatch, kind):
         delta = max(delta, float(np.abs(sa[rows] - sb[cols]).max()))
     assert report.epsilon_observed.hex() == eps.hex() != 0.0.hex()
     assert report.delta_observed.hex() == delta.hex()
-
-
-def test_layered_report_equals_the_plain_formula(monkeypatch):
-    rng = np.random.default_rng(73)
-    theta = np.array([[0.8, 0.1, 0.1], [0.1, 0.1, 0.8]])
-    X = _draw(rng, 900, [0.5, 0.5], theta)[0]
-    parents = rng.integers(0, 3, 900)
-    calls = _record(monkeypatch, "fit_em")
-    report = analysis.layered_fit(X, parents, 2, EMConfig(restarts=2, seed=1))
-    assert len(calls) == 3
-    thetas = []
-    for rows, k, cfg, (model, _) in calls:
-        expect_model = _plain_fit_em(rows, k, cfg)[0]
-        _assert_same_bits((model.theta, expect_model.theta))
-        thetas.append(expect_model.theta)
-    divergence = 0.0
-    for ca, cb in combinations(thetas, 2):
-        rows, cols = _plain_match_clusters(ca, cb, metric="cityblock")
-        divergence = max(divergence, float(_plain_matched_distances(
-            ca, cb, rows, cols, "cityblock").max()))
-    assert report.divergence.hex() == divergence.hex() != 0.0.hex()
 
 
 def test_model_from_dict_rejects_a_payload_whose_shape_contradicts_itself():

@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import rows, user_months
+from conftest import default_config, rows, user_months
 from persona_forge import artifacts, features, synth
 from persona_forge.features import (bin_frequency, bin_recency, bin_timeday,
                                     me_index, tenure_align)
 from persona_forge.ingest import MONTH_SECONDS
 from persona_forge.synth import (GeneratorConfig, GeneratorError,
-                                 PlantedMixture, SpendModel, default_config,
-                                 generate, write_ground_truth)
+                                 PlantedMixture, SpendModel, generate,
+                                 write_ground_truth)
 
 TF = PlantedMixture(np.array([0.5, 0.5]),
                     np.array([[0.7, 0.3, 0, 0, 0, 0.0],
