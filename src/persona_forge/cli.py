@@ -264,14 +264,10 @@ def read_assignments(path, k: int | None = None):
     tuple, which is then returned, shared."""
     rows = artifacts.handed(path)
     if rows is None:
-        users, user, month, cells = features.read_rows(path)
-        taus = np.array(cells[:-1], dtype=np.float64).reshape(
-            len(cells) - 1, len(user)).T.copy()
-        hards = np.array(cells[-1], dtype=np.int64)
-        rows = artifacts.freeze((users, user, month, taus, hards))
+        rows = artifacts.freeze(features.read_rows(path, ints=1))
     else:
-        users, user, month, taus, hards = rows
-        features.check_rows(user, month)
+        features.check_rows(*rows[1:3])
+    *_, taus, hards = rows
     if not len(hards):
         raise ValueError("no assignment rows")
     if not 0 <= hards.min() <= hards.max() < taus.shape[1]:

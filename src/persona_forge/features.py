@@ -148,23 +148,33 @@ def write_rows(path, cm: CharacterizationMatrix, names, columns) -> None:
                         [(cm.users, cm.user), cm.month, *columns])
 
 
-def read_rows(path):
-    """A `write_rows` CSV as (users, user, month, each other column's
-    texts), its rows passing `check_rows`, each of the header's width."""
+def read_rows(path, ints: int = 0):
+    """A `write_rows` CSV as (users, user, month, values, *last), its rows
+    passing `check_rows`, each of the header's width: `values` is the
+    C-contiguous float64 (rows, columns) array of the columns after
+    month_index but the last `ints`, which are int64 arrays in `last`. Each
+    chunk's cells are converted as it is read; only user ids are kept."""
     chunks = artifacts.read_csv(path)
-    columns = [[] for _ in next(chunks, ())]
-    if len(columns) < 2:
-        raise ValueError("no user_id and month_index header")
+    width = len(next(chunks, ()))
+    if width < 2 + ints:
+        raise ValueError(f"a header of {width} cells, not {2 + ints} or more")
+    floats = width - 2 - ints
+    dtypes = [np.int64] + [np.float64] * floats + [np.int64] * ints
+    ids, parts = [], [[np.zeros(0, dtype)] for dtype in dtypes]
     for good, cells in chunks:
         if not good.all():
-            row = len(columns[0]) + np.argmin(good) + 1
-            raise ValueError(f"row {row} is not {len(columns)} cells wide")
-        for j, column in enumerate(columns):
-            column += cells[j::len(columns)]
-    users, user = _intern(columns[0])
-    month = np.array(columns[1], dtype=np.int64)
+            row = len(ids) + np.argmin(good) + 1
+            raise ValueError(f"row {row} is not {width} cells wide")
+        ids += cells[::width]
+        for j, (dtype, part) in enumerate(zip(dtypes, parts), 1):
+            part.append(np.array(cells[j::width], dtype=dtype))
+    users, user = _intern(ids)
+    month, *columns = map(np.concatenate, parts)
     check_rows(user, month)
-    return users, user, month, columns[2:]
+    values = np.empty((len(user), floats))
+    for j, column in enumerate(columns[:floats]):
+        values[:, j] = column
+    return users, user, month, values, *columns[floats:]
 
 
 def check_rows(user: np.ndarray, month: np.ndarray) -> None:
@@ -203,12 +213,10 @@ def read_matrix(path) -> CharacterizationMatrix:
     cm = artifacts.handed(path)
     if cm is None:
         descriptor = artifacts.read_json(path + ".json")
-        users, user, month, cells = read_rows(path)
-        labels = tuple(descriptor["labels"])
-        values = np.array(cells, dtype=float).T.copy()  # C-contiguous
+        users, user, month, values = read_rows(path)
         cm = artifacts.freeze(CharacterizationMatrix(
-            descriptor["characterization"], labels, users, user, month,
-            values, descriptor["value_kind"]))
+            descriptor["characterization"], tuple(descriptor["labels"]),
+            users, user, month, values, descriptor["value_kind"]))
     else:
         check_rows(cm.user, cm.month)
     values, whole = cm.values, cm.value_kind == "Count"
