@@ -104,7 +104,7 @@ def test_planted_recovery_frequency_and_spending():
 
     # spending clusters under the published per-bin dollar centers
     cfg = default_config(20000, 1, seed=17, price_mode="me",
-                               spend_model=synth.default_spend_model())
+                         spend_model=synth.default_spend_model())
     rs, gt = synth.generate(cfg)
     cm = _aggregate(rs, "ME")
     km, assign = mixture.fit_kmeans(cm.values, 4,
@@ -160,7 +160,7 @@ def test_migration_matrix_recovers_planted_rate():
     pi = np.array([0.71, 0.21, 0.045, 0.025])
     pi = pi / pi.sum()
     cfg = default_config(6000, 5, seed=13, poisson_mean=30.0,
-                               migration_rate=0.5)
+                         migration_rate=0.5)
     cfg.mixtures["TF"] = synth.PlantedMixture(pi, synth.DEFAULT_TF_THETA,
                                               niche=(2,))
     rs, _ = synth.generate(cfg)
@@ -268,7 +268,7 @@ def test_feature_mode_tradeoff_pattern():
     dg_pi = np.array([0.35, 0.35, 0.30])
 
     cfg = default_config(6000, 2, seed=42, poisson_mean=12.0,
-                               items_per_cell=2)
+                         items_per_cell=2)
     cfg.mixtures["CR"] = synth.PlantedMixture(cr_pi, cr_theta)
     cfg.mixtures["DG"] = synth.PlantedMixture(dg_pi, dg_theta)
     rs, _ = synth.generate(cfg)
