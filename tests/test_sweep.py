@@ -8,6 +8,7 @@ import random
 import pytest
 
 from persona_forge import cli
+from test_ingest import _listing
 
 CONFIG = {
     "seed": 7,
@@ -39,10 +40,6 @@ def base(tmp_path_factory):
                       if name in manifests[stage]["inputs"]]
                for stage in SWEPT for name in manifests[stage]["outputs"]}
     return config, out, _listing(out), targets
-
-
-def _listing(directory):
-    return {p.name: p.read_bytes() for p in directory.iterdir()}
 
 
 def _restore(directory, listing):
